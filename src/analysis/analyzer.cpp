@@ -47,17 +47,6 @@ std::vector<std::filesystem::path> collect(const std::vector<std::filesystem::pa
   return files;
 }
 
-std::string cache_key(const std::filesystem::path& p) {
-  std::error_code ec;
-  const std::filesystem::path canon = std::filesystem::weakly_canonical(p, ec);
-  return (ec ? std::filesystem::absolute(p) : canon).generic_string();
-}
-
-std::string dir_of(const std::string& rel) {
-  const std::size_t slash = rel.rfind('/');
-  return slash == std::string::npos ? std::string() : rel.substr(0, slash);
-}
-
 /// Primary header of a TU: same path with a header suffix.
 const SourceFile* primary_header_of(const SourceFile& f,
                                     const std::map<std::string, const SourceFile*>& by_rel) {
@@ -71,27 +60,26 @@ const SourceFile* primary_header_of(const SourceFile& f,
   return nullptr;
 }
 
-}  // namespace
-
-const SourceFile& Analyzer::lexed(const std::filesystem::path& root,
-                                  const std::filesystem::path& p, AnalyzeStats& stats) {
-  const std::string key = cache_key(p);
-  const std::string rel = rel_to(root, p);
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++stats.cache_hits;
-    if (it->second.rel != rel) it->second.rel = rel;  // root changed between runs
-    return it->second;
+/// Read and lex each path not already in `seen` (canonical paths, so an
+/// input is never re-read as part of a --ref-root tree).
+std::vector<SourceFile> read_files(const std::filesystem::path& root,
+                                   const std::vector<std::filesystem::path>& paths,
+                                   std::set<std::filesystem::path>& seen) {
+  std::vector<SourceFile> out;
+  for (const std::filesystem::path& p : paths) {
+    if (!seen.insert(std::filesystem::weakly_canonical(p)).second) continue;
+    std::ifstream in(p, std::ios::binary);
+    if (!in) throw ParseError("rush_analyze: cannot read " + p.string());
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    out.push_back(lex_string(rel_to(root, p), buf.str()));
   }
-  std::ifstream in(p, std::ios::binary);
-  if (!in) throw ParseError("rush_analyze: cannot read " + p.string());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  ++stats.files_lexed;
-  return cache_.emplace(key, lex_string(rel, buf.str())).first->second;
+  return out;
 }
 
-AnalyzeResult Analyzer::run(const AnalyzeOptions& options, Baseline* baseline) {
+}  // namespace
+
+AnalyzeResult analyze(const AnalyzeOptions& options) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto enabled = [&options](const char* rule) {
     return options.only.empty() || options.only.count(rule) > 0;
@@ -100,26 +88,20 @@ AnalyzeResult Analyzer::run(const AnalyzeOptions& options, Baseline* baseline) {
   AnalyzeResult result;
   AnalyzeStats& stats = result.stats;
 
-  std::vector<std::filesystem::path> input_paths =
+  std::set<std::filesystem::path> seen;
+  const std::vector<SourceFile> sources = read_files(
+      options.root,
       collect(options.inputs.empty() ? std::vector<std::filesystem::path>{options.root}
-                                     : options.inputs);
+                                     : options.inputs),
+      seen);
+  const std::vector<SourceFile> ref_files =
+      read_files(options.root, collect(options.ref_roots), seen);
   std::vector<const SourceFile*> files;
-  std::set<std::string> seen;
-  for (const std::filesystem::path& p : input_paths) {
-    if (!seen.insert(cache_key(p)).second) continue;
-    files.push_back(&lexed(options.root, p, stats));
-  }
-  std::vector<const SourceFile*> ref_files;
-  if (!options.ref_roots.empty()) {
-    for (const std::filesystem::path& p : collect(options.ref_roots)) {
-      if (!seen.insert(cache_key(p)).second) continue;  // already analyzed
-      ref_files.push_back(&lexed(options.root, p, stats));
-    }
-  }
-  stats.files_analyzed = files.size();
+  for (const SourceFile& f : sources) files.push_back(&f);
+  stats.files_analyzed = sources.size();
   stats.ref_files = ref_files.size();
-  for (const SourceFile* f : files) stats.tokens += f->tokens.size();
-  for (const SourceFile* f : ref_files) stats.tokens += f->tokens.size();
+  for (const SourceFile& f : sources) stats.tokens += f.tokens.size();
+  for (const SourceFile& f : ref_files) stats.tokens += f.tokens.size();
 
   std::map<std::string, const SourceFile*> by_rel;
   std::map<std::string, std::vector<const SourceFile*>> by_dir;
@@ -144,12 +126,10 @@ AnalyzeResult Analyzer::run(const AnalyzeOptions& options, Baseline* baseline) {
     }
     if (enabled("sched-linear-scan")) check_sched_linear_scan(f, all);
     if (enabled("pragma-once")) check_pragma_once(f, all);
-    if (enabled("header-def")) check_header_def(f, all);
     if (enabled("redundant-include")) {
       check_redundant_include(f, primary_header_of(f, by_rel), all);
     }
     if (enabled("unused-module-include")) check_unused_module_include(f, all);
-    if (enabled("const-cast")) check_const_cast(f, all);
     if (enabled("trace-sim-time")) check_trace_sim_time(f, all);
   }
 
@@ -159,7 +139,7 @@ AnalyzeResult Analyzer::run(const AnalyzeOptions& options, Baseline* baseline) {
       enabled("guarded-member") || enabled("dead-symbol")) {
     SymbolIndex index;
     for (const SourceFile* f : files) index.add_file(*f, /*analyzed=*/true);
-    for (const SourceFile* f : ref_files) index.add_file(*f, /*analyzed=*/false);
+    for (const SourceFile& f : ref_files) index.add_file(f, /*analyzed=*/false);
     index.finalize();
     if (enabled("missing-expects")) check_missing_expects(index, all);
     if (enabled("noalloc-path")) check_noalloc_path(index, all);
@@ -168,23 +148,10 @@ AnalyzeResult Analyzer::run(const AnalyzeOptions& options, Baseline* baseline) {
   }
   std::sort(all.begin(), all.end());
 
-  result.files_analyzed = files.size();
-  for (Finding& f : all) {
-    if (baseline != nullptr && baseline->matches(f)) {
-      result.baselined.push_back(std::move(f));
-    } else {
-      result.findings.push_back(std::move(f));
-    }
-  }
-  if (baseline != nullptr) result.unused_baseline = baseline->unused();
+  result.findings = std::move(all);
   stats.elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return result;
-}
-
-AnalyzeResult analyze(const AnalyzeOptions& options, Baseline* baseline) {
-  Analyzer analyzer;
-  return analyzer.run(options, baseline);
 }
 
 std::string render_human(const AnalyzeResult& result) {
@@ -193,69 +160,8 @@ std::string render_human(const AnalyzeResult& result) {
     out += f.file + ":" + std::to_string(f.line) + ": [" + f.rule + "] " +
            f.message + "\n";
   }
-  for (const BaselineEntry& e : result.unused_baseline) {
-    out += "warning: stale baseline entry (nothing matches): [" + e.rule + "] " +
-           e.file + " key='" + e.key + "' — remove it or run --fix-baseline\n";
-  }
-  out += "rush_analyze: " + std::to_string(result.files_analyzed) + " file(s), " +
-         std::to_string(result.findings.size()) + " finding(s)";
-  if (!result.baselined.empty()) {
-    out += ", " + std::to_string(result.baselined.size()) + " baselined";
-  }
-  if (!result.unused_baseline.empty()) {
-    out += ", " + std::to_string(result.unused_baseline.size()) + " stale baseline entr" +
-           (result.unused_baseline.size() == 1 ? "y" : "ies");
-  }
-  out += "\n";
-  return out;
-}
-
-std::string render_json(const AnalyzeResult& result) {
-  std::string out;
-  obs::JsonWriter w(out);
-  w.begin_object();
-  w.field("files_analyzed", static_cast<std::uint64_t>(result.files_analyzed));
-  w.begin_array("findings");
-  std::string item;
-  for (const Finding& f : result.findings) {
-    item.clear();
-    obs::JsonWriter fw(item);
-    fw.begin_object();
-    fw.field("rule", f.rule);
-    fw.field("file", f.file);
-    fw.field("line", static_cast<std::int64_t>(f.line));
-    fw.field("key", f.key);
-    fw.field("message", f.message);
-    fw.end_object();
-    w.raw_element(item);
-  }
-  w.end_array();
-  w.begin_array("baselined");
-  for (const Finding& f : result.baselined) {
-    item.clear();
-    obs::JsonWriter fw(item);
-    fw.begin_object();
-    fw.field("rule", f.rule);
-    fw.field("file", f.file);
-    fw.field("key", f.key);
-    fw.end_object();
-    w.raw_element(item);
-  }
-  w.end_array();
-  w.begin_array("stale_baseline");
-  for (const BaselineEntry& e : result.unused_baseline) {
-    item.clear();
-    obs::JsonWriter fw(item);
-    fw.begin_object();
-    fw.field("rule", e.rule);
-    fw.field("file", e.file);
-    fw.field("key", e.key);
-    fw.end_object();
-    w.raw_element(item);
-  }
-  w.end_array();
-  w.end_object();
-  out += "\n";
+  out += "rush_analyze: " + std::to_string(result.stats.files_analyzed) + " file(s), " +
+         std::to_string(result.findings.size()) + " finding(s)\n";
   return out;
 }
 
@@ -378,8 +284,6 @@ std::string render_stats(const AnalyzeStats& stats) {
     out += " + " + std::to_string(stats.ref_files) + " reference file(s)";
   }
   out += ", " + std::to_string(stats.tokens) + " tokens, " +
-         std::to_string(stats.files_lexed) + " lexed / " +
-         std::to_string(stats.cache_hits) + " cached, " +
          std::to_string(stats.elapsed_s * 1e3) + " ms\n";
   return out;
 }

@@ -1,16 +1,13 @@
-// Orchestration for rush_analyze: collect files, lex (through a
-// persistent per-file cache), build the cross-TU symbol index, run every
-// rule, apply the suppression baseline, and render reports.
+// Orchestration for rush_analyze: collect files, lex each once, build
+// the cross-TU symbol index, run every rule, and render reports.
 #pragma once
 
 #include <cstddef>
 #include <filesystem>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "analysis/baseline.hpp"
 #include "analysis/finding.hpp"
 #include "analysis/include_graph.hpp"
 #include "analysis/lexer.hpp"
@@ -37,45 +34,20 @@ struct AnalyzeOptions {
 struct AnalyzeStats {
   std::size_t files_analyzed = 0;
   std::size_t ref_files = 0;
-  std::size_t files_lexed = 0;  // cache misses this run
-  std::size_t cache_hits = 0;   // files served from the lex cache
-  std::size_t tokens = 0;       // across analyzed + reference files
+  std::size_t tokens = 0;  // across analyzed + reference files
   double elapsed_s = 0.0;
 };
 
 struct AnalyzeResult {
-  std::vector<Finding> findings;   // unsuppressed: these fail the run
-  std::vector<Finding> baselined;  // matched a baseline entry
-  std::vector<BaselineEntry> unused_baseline;
-  std::size_t files_analyzed = 0;
+  std::vector<Finding> findings;  // unsuppressed: these fail the run
   AnalyzeStats stats;
 };
 
-/// Reusable analysis driver. Lexed token streams are cached per absolute
-/// path, so repeated runs (test suites, per-rule invocations, editors
-/// re-running on save) lex each unchanged file once.
-class Analyzer {
- public:
-  /// Run the analysis. `baseline` may be null (nothing suppressed).
-  AnalyzeResult run(const AnalyzeOptions& options, Baseline* baseline);
-
-  [[nodiscard]] std::size_t cached_files() const { return cache_.size(); }
-
- private:
-  const SourceFile& lexed(const std::filesystem::path& root, const std::filesystem::path& p,
-                          AnalyzeStats& stats);
-
-  std::map<std::string, SourceFile> cache_;  // canonical path -> lexed file
-};
-
-/// One-shot convenience wrapper around a fresh Analyzer.
-AnalyzeResult analyze(const AnalyzeOptions& options, Baseline* baseline);
+/// Read, lex and check every input file once.
+AnalyzeResult analyze(const AnalyzeOptions& options);
 
 /// One line per finding plus a summary, for terminals.
 std::string render_human(const AnalyzeResult& result);
-
-/// Machine-readable report (findings, baselined counts, unused entries).
-std::string render_json(const AnalyzeResult& result);
 
 /// SARIF 2.1.0 report (one run, rule metadata from the catalogue), for
 /// CI annotation upload.

@@ -11,31 +11,6 @@ namespace {
 
 using SV = std::string_view;
 
-bool is_punct(const SourceFile& f, std::size_t i, SV text) {
-  return i < f.tokens.size() && f.tokens[i].kind == TokenKind::kPunct && f.tok(i) == text;
-}
-
-bool is_ident(const SourceFile& f, std::size_t i, SV text) {
-  return i < f.tokens.size() && f.tokens[i].kind == TokenKind::kIdentifier &&
-         f.tok(i) == text;
-}
-
-bool is_ident(const SourceFile& f, std::size_t i) {
-  return i < f.tokens.size() && f.tokens[i].kind == TokenKind::kIdentifier;
-}
-
-bool member_access(const SourceFile& f, std::size_t i) {
-  if (i < 1) return false;
-  if (is_punct(f, i - 1, ".")) return true;
-  return i >= 2 && is_punct(f, i - 2, "-") && is_punct(f, i - 1, ">");
-}
-
-void emit(const SourceFile& f, int line, const char* rule, std::string key,
-          std::string message, std::vector<Finding>& out) {
-  if (f.is_allowed(line, rule)) return;
-  out.push_back(Finding{rule, f.rel, line, std::move(key), std::move(message)});
-}
-
 bool ends_with(SV s, SV suffix) {
   return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
@@ -156,14 +131,6 @@ const std::set<SV>& growth_calls() {
                                     "push_front", "emplace_front", "insert",
                                     "assign",     "append",        "resize",
                                     "reserve"};
-  return kSet;
-}
-
-/// Statement keywords after which an ident+'(' is still a call.
-const std::set<SV>& call_heads() {
-  static const std::set<SV> kSet = {"return",   "co_return", "co_yield",
-                                    "co_await", "case",      "else",
-                                    "do",       "throw"};
   return kSet;
 }
 
@@ -297,7 +264,7 @@ void check_noalloc_path(const SymbolIndex& index, std::vector<Finding>& out) {
       } else {
         // `Type name(` declares a local; only statement keywords keep it
         // a call.
-        if (j > 0 && is_ident(f, j - 1) && call_heads().count(f.tok(j - 1)) == 0) continue;
+        if (j > 0 && is_ident(f, j - 1) && !is_call_head(f.tok(j - 1))) continue;
         defs = index.find_definitions(t.fn->cls(), name, -1);
         if (defs.empty()) defs = index.find_definitions(std::string(), name, -1);
       }

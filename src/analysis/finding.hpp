@@ -1,9 +1,9 @@
 // Diagnostic record produced by the static-analysis rules.
 //
-// A Finding is identified for suppression purposes by (rule, file, key):
-// the key is a *stable* token — an include target, a banned identifier, a
-// function name — never a line number, so baselines survive unrelated
-// edits to the same file.
+// A Finding is identified by (rule, file, key): the key is a *stable*
+// token — an include target, a banned identifier, a function name — never
+// a line number, so the SARIF fingerprint survives unrelated edits to the
+// same file.
 #pragma once
 
 #include <string>
@@ -15,7 +15,7 @@ struct Finding {
   std::string rule;     // catalogue name, e.g. "layer-dag"
   std::string file;     // analysis-root-relative path, '/'-separated
   int line = 0;         // 1-based; 0 when the finding is file-scoped
-  std::string key;      // stable identity for baseline matching
+  std::string key;      // stable, line-independent identity
   std::string message;  // human explanation
 };
 

@@ -30,11 +30,6 @@ std::string normalize(std::string_view path) {
   return out;
 }
 
-std::string dir_of(const std::string& rel) {
-  const std::size_t slash = rel.rfind('/');
-  return slash == std::string::npos ? std::string() : rel.substr(0, slash);
-}
-
 }  // namespace
 
 const LayerDag& rush_layer_dag() {
@@ -93,15 +88,10 @@ void IncludeGraph::check_layers(const LayerDag& dag, std::vector<Finding>& out) 
       if (inc.angled) continue;
       // Module of the include target: prefer the resolved file, fall back
       // to the path prefix so partial trees are still checked.
-      std::string to;
       const std::string as_root = normalize(inc.target);
       const auto hit = by_rel_.find(as_root);
-      if (hit != by_rel_.end()) {
-        to = hit->second->module();
-      } else {
-        const std::size_t slash = as_root.find('/');
-        if (slash != std::string::npos) to = as_root.substr(0, slash);
-      }
+      const std::string to =
+          hit != by_rel_.end() ? hit->second->module() : first_component(as_root);
       if (to.empty() || to == from) continue;
       if (dag.count(to) == 0 && by_rel_.count(as_root) == 0) {
         continue;  // quoted include of an external library: not ours to judge

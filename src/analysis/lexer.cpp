@@ -79,25 +79,24 @@ class Lexer {
   /// suppresses its own line and the one below (so it can sit above the
   /// offending statement).
   void record_allow_markers(std::string_view comment, int line) {
-    for (const std::string_view intro : {"rush-analyze: allow(", "rush-lint: allow("}) {
-      std::size_t at = comment.find(intro);
-      while (at != std::string_view::npos) {
-        const std::size_t open = at + intro.size();
-        const std::size_t close = comment.find(')', open);
-        if (close == std::string_view::npos) break;
-        std::string_view list = comment.substr(open, close - open);
-        while (!list.empty()) {
-          const std::size_t comma = list.find(',');
-          const std::string_view rule = trim(list.substr(0, comma));
-          if (!rule.empty()) {
-            f_.allowed[line].insert(std::string(rule));
-            f_.allowed[line + 1].insert(std::string(rule));
-          }
-          if (comma == std::string_view::npos) break;
-          list.remove_prefix(comma + 1);
+    constexpr std::string_view kIntro = "rush-analyze: allow(";
+    std::size_t at = comment.find(kIntro);
+    while (at != std::string_view::npos) {
+      const std::size_t open = at + kIntro.size();
+      const std::size_t close = comment.find(')', open);
+      if (close == std::string_view::npos) break;
+      std::string_view list = comment.substr(open, close - open);
+      while (!list.empty()) {
+        const std::size_t comma = list.find(',');
+        const std::string_view rule = trim(list.substr(0, comma));
+        if (!rule.empty()) {
+          f_.allowed[line].insert(std::string(rule));
+          f_.allowed[line + 1].insert(std::string(rule));
         }
-        at = comment.find(intro, close);
+        if (comma == std::string_view::npos) break;
+        list.remove_prefix(comma + 1);
       }
+      at = comment.find(kIntro, close);
     }
   }
 
@@ -107,7 +106,7 @@ class Lexer {
   void record_annotations(std::string_view comment, int line, bool standalone) {
     std::size_t at = comment.find("rush:");
     while (at != std::string_view::npos) {
-      // `rush-analyze:` / `rush-lint:` never match "rush:"; still require a
+      // `rush-analyze:` never matches "rush:"; still require a
       // comment-ish or space boundary before so `crush:` does not.
       const char before = at == 0 ? '/' : comment[at - 1];
       if (before == '/' || before == '*' || before == ' ' || before == '\t') {
@@ -325,10 +324,7 @@ bool SourceFile::is_header() const {
   return ext == ".hpp" || ext == ".h" || ext == ".hh" || ext == ".hxx";
 }
 
-std::string SourceFile::module() const {
-  const std::size_t slash = rel.find('/');
-  return slash == std::string::npos ? std::string() : rel.substr(0, slash);
-}
+std::string SourceFile::module() const { return first_component(rel); }
 
 bool SourceFile::is_allowed(int line, std::string_view rule) const {
   const auto it = allowed.find(line);

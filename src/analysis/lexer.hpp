@@ -7,8 +7,7 @@
 // (continuations folded) and `#include` targets are extracted separately.
 //
 // Inline suppressions: a comment containing `rush-analyze: allow(rule[,
-// rule...])` (the legacy `rush-lint:` spelling is also honoured) disables
-// those rules on its own line and the line below.
+// rule...])` disables those rules on its own line and the line below.
 //
 // Contract annotations: a comment of the form `// rush: <annotation>`
 // (e.g. `// rush: noalloc`, `// rush: guarded_by(mu_)`) attaches the
@@ -22,7 +21,10 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "analysis/finding.hpp"
 
 namespace rush::analysis {
 
@@ -84,5 +86,54 @@ struct SourceFile {
 
 /// Lex `text` as the contents of root-relative path `rel`.
 SourceFile lex_string(std::string rel, std::string text);
+
+// Token helpers shared by the rule files.
+
+inline bool is_punct(const SourceFile& f, std::size_t i, std::string_view text) {
+  return i < f.tokens.size() && f.tokens[i].kind == TokenKind::kPunct && f.tok(i) == text;
+}
+
+inline bool is_ident(const SourceFile& f, std::size_t i, std::string_view text) {
+  return i < f.tokens.size() && f.tokens[i].kind == TokenKind::kIdentifier &&
+         f.tok(i) == text;
+}
+
+inline bool is_ident(const SourceFile& f, std::size_t i) {
+  return i < f.tokens.size() && f.tokens[i].kind == TokenKind::kIdentifier;
+}
+
+/// Token i is reached through `.` or `->`.
+inline bool member_access(const SourceFile& f, std::size_t i) {
+  if (i < 1) return false;
+  if (is_punct(f, i - 1, ".")) return true;
+  return i >= 2 && is_punct(f, i - 2, "-") && is_punct(f, i - 1, ">");
+}
+
+/// Statement keywords after which an ident+'(' is still a call, not a
+/// declaration (`return rand();` vs `int rand(int);`).
+inline bool is_call_head(std::string_view id) {
+  static const std::set<std::string_view> kCallHeads = {
+      "return", "co_return", "co_yield", "co_await", "case", "else", "do", "throw"};
+  return kCallHeads.count(id) > 0;
+}
+
+/// Directory part of a '/'-separated path ("" for a bare file name).
+inline std::string dir_of(const std::string& rel) {
+  const std::size_t slash = rel.rfind('/');
+  return slash == std::string::npos ? std::string() : rel.substr(0, slash);
+}
+
+/// First component of a '/'-separated path ("" for a bare file name).
+inline std::string first_component(const std::string& path) {
+  const std::size_t slash = path.find('/');
+  return slash == std::string::npos ? std::string() : path.substr(0, slash);
+}
+
+/// Append a finding unless an allow marker covers `line`.
+inline void emit(const SourceFile& f, int line, const char* rule, std::string key,
+                 std::string message, std::vector<Finding>& out) {
+  if (f.is_allowed(line, rule)) return;
+  out.push_back(Finding{rule, f.rel, line, std::move(key), std::move(message)});
+}
 
 }  // namespace rush::analysis

@@ -4,21 +4,17 @@
 //
 //   --root DIR        include-resolution root (default: the sole directory
 //                     argument, else the current directory)
-//   --baseline FILE   suppression baseline (analysis/baseline.json)
-//   --fix-baseline    rewrite FILE so it covers today's findings, then
-//                     exit 0 — review the diff before committing
 //   --rule NAME       run only this rule (repeatable)
 //   --ref-root DIR    index DIR for symbol references without analyzing
 //                     it (repeatable; keeps test/bench-only API from
 //                     tripping dead-symbol)
-//   --json            machine-readable report on stdout
 //   --sarif FILE      also write a SARIF 2.1.0 report to FILE
-//   --stats           print workload counters (files, tokens, cache) to
+//   --stats           print workload counters (files, tokens, time) to
 //                     stderr after the run
 //   --list-rules      print the rule catalogue and exit
 //
-// Exit status: 0 clean (baselined findings do not count), 1 findings,
-// 2 usage or I/O error. See docs/static-analysis.md.
+// Exit status: 0 clean, 1 findings, 2 usage or I/O error. See
+// docs/static-analysis.md.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -31,8 +27,7 @@ namespace {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: rush_analyze [--root DIR] [--baseline FILE] [--fix-baseline]\n"
-               "                    [--rule NAME]... [--ref-root DIR]... [--json]\n"
+               "usage: rush_analyze [--root DIR] [--rule NAME]... [--ref-root DIR]...\n"
                "                    [--sarif FILE] [--stats] [--list-rules] <path>...\n");
   return 2;
 }
@@ -49,10 +44,7 @@ int list_rules() {
 int main(int argc, char** argv) {
   using namespace rush::analysis;
   AnalyzeOptions options;
-  std::filesystem::path baseline_path;
   std::filesystem::path sarif_path;
-  bool fix_baseline = false;
-  bool json = false;
   bool stats = false;
   bool root_set = false;
 
@@ -62,9 +54,7 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "--list-rules") return list_rules();
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--stats") {
+    if (arg == "--stats") {
       stats = true;
     } else if (arg == "--sarif") {
       const char* v = value();
@@ -74,17 +64,11 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage();
       options.ref_roots.emplace_back(v);
-    } else if (arg == "--fix-baseline") {
-      fix_baseline = true;
     } else if (arg == "--root") {
       const char* v = value();
       if (v == nullptr) return usage();
       options.root = v;
       root_set = true;
-    } else if (arg == "--baseline") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      baseline_path = v;
     } else if (arg == "--rule") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -105,36 +89,10 @@ int main(int argc, char** argv) {
                        ? options.inputs.front()
                        : std::filesystem::current_path();
   }
-  if (fix_baseline && baseline_path.empty()) {
-    std::fprintf(stderr, "rush_analyze: --fix-baseline requires --baseline FILE\n");
-    return 2;
-  }
 
   try {
-    Baseline baseline;
-    const bool have_baseline = !baseline_path.empty();
-    if (have_baseline) baseline = Baseline::load(baseline_path);
-
-    if (fix_baseline) {
-      // Regenerate from an *unsuppressed* run so entries that already
-      // matched keep their reasons and everything else gets a TODO.
-      const AnalyzeResult raw = analyze(options, nullptr);
-      std::ofstream out(baseline_path);
-      if (!out) {
-        std::fprintf(stderr, "rush_analyze: cannot write %s\n",
-                     baseline_path.string().c_str());
-        return 2;
-      }
-      out << baseline.render(raw.findings);
-      std::printf("rush_analyze: wrote %zu entr%s to %s\n", raw.findings.size(),
-                  raw.findings.size() == 1 ? "y" : "ies",
-                  baseline_path.string().c_str());
-      return 0;
-    }
-
-    const AnalyzeResult result =
-        analyze(options, have_baseline ? &baseline : nullptr);
-    std::fputs((json ? render_json(result) : render_human(result)).c_str(), stdout);
+    const AnalyzeResult result = analyze(options);
+    std::fputs(render_human(result).c_str(), stdout);
     if (!sarif_path.empty()) {
       std::ofstream out(sarif_path);
       if (!out) {

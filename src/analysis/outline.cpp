@@ -9,19 +9,6 @@ namespace {
 
 using SV = std::string_view;
 
-bool is_punct(const SourceFile& f, std::size_t i, SV text) {
-  return i < f.tokens.size() && f.tokens[i].kind == TokenKind::kPunct && f.tok(i) == text;
-}
-
-bool is_ident(const SourceFile& f, std::size_t i, SV text) {
-  return i < f.tokens.size() && f.tokens[i].kind == TokenKind::kIdentifier &&
-         f.tok(i) == text;
-}
-
-bool is_ident(const SourceFile& f, std::size_t i) {
-  return i < f.tokens.size() && f.tokens[i].kind == TokenKind::kIdentifier;
-}
-
 /// Names that can sit directly before a '(' without being a function
 /// name — built-in types and statement keywords. Seeing one of these as
 /// the walked-back "name" means the head was not a function declarator.

@@ -1,6 +1,5 @@
 #include "analysis/rules.hpp"
 
-#include <algorithm>
 #include <map>
 #include <set>
 
@@ -9,19 +8,6 @@ namespace rush::analysis {
 namespace {
 
 using SV = std::string_view;
-
-bool is_punct(const SourceFile& f, std::size_t i, SV text) {
-  return i < f.tokens.size() && f.tokens[i].kind == TokenKind::kPunct && f.tok(i) == text;
-}
-
-bool is_ident(const SourceFile& f, std::size_t i, SV text) {
-  return i < f.tokens.size() && f.tokens[i].kind == TokenKind::kIdentifier &&
-         f.tok(i) == text;
-}
-
-bool is_ident(const SourceFile& f, std::size_t i) {
-  return i < f.tokens.size() && f.tokens[i].kind == TokenKind::kIdentifier;
-}
 
 /// True when `rel` (extension stripped) ends with `stem` — the way rule
 /// exemptions name their home files, e.g. "common/rng".
@@ -40,31 +26,11 @@ bool qualified_non_std(const SourceFile& f, std::size_t i) {
   return i >= 2 && is_ident(f, i - 2) && f.tok(i - 2) != "std";
 }
 
-bool member_access(const SourceFile& f, std::size_t i) {
-  if (i < 1) return false;
-  if (is_punct(f, i - 1, ".")) return true;
-  return i >= 2 && is_punct(f, i - 2, "-") && is_punct(f, i - 1, ">");
-}
-
 /// Token i is preceded by a plain identifier that is not a statement
 /// keyword — declaration context (`int rand(int);`), not a call site.
 bool declaration_context(const SourceFile& f, std::size_t i) {
-  static const std::set<SV> kCallHeads = {"return",   "co_return", "co_yield",
-                                          "co_await", "case",      "else",
-                                          "do",       "throw"};
   if (i < 1 || f.tokens[i - 1].kind != TokenKind::kIdentifier) return false;
-  return kCallHeads.count(f.tok(i - 1)) == 0;
-}
-
-void emit(const SourceFile& f, int line, const char* rule, std::string key,
-          std::string message, std::vector<Finding>& out) {
-  if (f.is_allowed(line, rule)) return;
-  out.push_back(Finding{rule, f.rel, line, std::move(key), std::move(message)});
-}
-
-std::string first_component(const std::string& path) {
-  const std::size_t slash = path.find('/');
-  return slash == std::string::npos ? std::string() : path.substr(0, slash);
+  return !is_call_head(f.tok(i - 1));
 }
 
 }  // namespace
@@ -89,18 +55,12 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "linear scan in the scheduling hot path; binary-search the sorted "
        "container instead"},
       {"pragma-once", "headers must open with #pragma once"},
-      {"header-def",
-       "non-inline, non-template function definition at namespace scope in a "
-       "header is an ODR violation"},
       {"redundant-include",
        "duplicate include, or a TU re-including what its primary header "
        "already includes directly"},
       {"unused-module-include",
        "header includes another module but never names its namespace — dead "
        "coupling in the include graph"},
-      {"const-cast",
-       "const_cast mutates through const and breaks the RUSH_AUDIT "
-       "const-correctness guarantees"},
       {"missing-expects",
        "(sim/, sched/) public non-const member functions taking arguments "
        "must call RUSH_EXPECTS in their definition"},
@@ -120,16 +80,6 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "nowhere in the index (--ref-root trees included) are dead code"},
   };
   return rules;
-}
-
-void check_const_cast(const SourceFile& f, std::vector<Finding>& out) {
-  for (std::size_t i = 0; i < f.tokens.size(); ++i) {
-    if (!is_ident(f, i, "const_cast")) continue;
-    emit(f, f.tokens[i].line, "const-cast", "const_cast",
-         "const_cast mutates through const; restructure ownership instead "
-         "(the audit harness assumes const views stay const)",
-         out);
-  }
 }
 
 void check_naked_rand(const SourceFile& f, std::vector<Finding>& out) {
@@ -292,158 +242,6 @@ void check_pragma_once(const SourceFile& f, std::vector<Finding>& out) {
   if (!f.is_header() || f.has_pragma_once) return;
   emit(f, 1, "pragma-once", "missing",
        "header lacks #pragma once; double inclusion is an ODR time bomb", out);
-}
-
-void check_header_def(const SourceFile& f, std::vector<Finding>& out) {
-  if (!f.is_header()) return;
-  const std::size_t n = f.tokens.size();
-  // Only the distinction namespace-vs-anything-else matters: functions are
-  // flagged only when every enclosing brace is a namespace (or extern "C"
-  // block); class bodies, function bodies, and initializers all shadow.
-  enum class Scope { kNamespace, kOther };
-  std::vector<Scope> scopes;
-  const auto at_ns_scope = [&scopes] {
-    return std::all_of(scopes.begin(), scopes.end(),
-                       [](Scope s) { return s == Scope::kNamespace; });
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (f.tokens[i].kind != TokenKind::kPunct) continue;
-    const SV t = f.tok(i);
-    if (t == "}") {
-      if (!scopes.empty()) scopes.pop_back();
-      continue;
-    }
-    if (t != "{") continue;
-
-    // Statement head: tokens since the previous ';', '{' or '}'.
-    std::size_t s = i;
-    while (s > 0) {
-      const Token& p = f.tokens[s - 1];
-      if (p.kind == TokenKind::kPunct) {
-        const SV pt = f.tok(s - 1);
-        if (pt == ";" || pt == "{" || pt == "}") break;
-      }
-      --s;
-    }
-
-    bool is_ns = false, is_type = false, exempt = false, has_eq = false,
-         is_extern_block = false;
-    std::size_t first_open = n;  // first top-level '(' in the head
-    int pdepth = 0;
-    bool saw_extern = false;
-    for (std::size_t k = s; k < i; ++k) {
-      const Token& tk = f.tokens[k];
-      const SV kt = f.tok(k);
-      if (tk.kind == TokenKind::kPunct) {
-        if (kt == "(") {
-          if (pdepth == 0 && first_open == n) first_open = k;
-          ++pdepth;
-        } else if (kt == ")") {
-          --pdepth;
-        } else if (kt == "=" && pdepth == 0) {
-          // Only a standalone `=` marks an initializer; the `=` runs in
-          // `operator==` / `operator<=` etc. must not.
-          static const std::set<SV> kOpChars = {"=", "<", ">", "!", "+", "-",
-                                                "*", "/", "%", "&", "|", "^"};
-          const bool in_op_run =
-              (k > s && ((f.tokens[k - 1].kind == TokenKind::kPunct &&
-                          kOpChars.count(f.tok(k - 1)) > 0) ||
-                         is_ident(f, k - 1, "operator"))) ||
-              (k + 1 < i && f.tokens[k + 1].kind == TokenKind::kPunct &&
-               f.tok(k + 1) == "=");
-          if (!in_op_run) has_eq = true;
-        }
-      } else if (tk.kind == TokenKind::kIdentifier && pdepth == 0) {
-        if (kt == "namespace") is_ns = true;
-        else if (kt == "class" || kt == "struct" || kt == "union" || kt == "enum")
-          is_type = true;
-        else if (kt == "template" || kt == "inline" || kt == "constexpr" ||
-                 kt == "consteval" || kt == "static" || kt == "friend" ||
-                 kt == "using" || kt == "typedef" || kt == "concept" ||
-                 kt == "requires")
-          exempt = true;
-        else if (kt == "extern")
-          saw_extern = true;
-      } else if (tk.kind == TokenKind::kString && saw_extern) {
-        is_extern_block = true;  // extern "C" { ... }
-      }
-    }
-
-    if (is_ns || is_extern_block) {
-      scopes.push_back(Scope::kNamespace);
-      continue;
-    }
-    if (!at_ns_scope()) {
-      scopes.push_back(Scope::kOther);
-      continue;
-    }
-
-    // A function definition's `{` follows its declarator's `)` (possibly
-    // through noexcept/const/try or a trailing return type). Everything
-    // else — class bodies, braced initializers — is shadowed scope.
-    const SV before = i > 0 ? f.tok(i - 1) : SV();
-    const bool function_tail =
-        before == ")" || before == "noexcept" || before == "const" ||
-        before == "override" || before == "final" || before == "try" ||
-        before == ">" || before == "*" || before == "&" || is_ident(f, i - 1);
-    const bool is_function = first_open != n && !has_eq && !is_type && function_tail;
-
-    if (!is_function || exempt) {
-      scopes.push_back(Scope::kOther);
-      continue;
-    }
-
-    // Name: operator symbols directly before '(' (operator overload), or
-    // the qualified path A::B::name — walked back alternately so the
-    // return type in `int f(` is never swallowed into the name.
-    std::string name;
-    std::size_t k = first_open;
-    {
-      static const std::set<SV> kOps = {"<", ">", "=", "+", "-", "*", "/", "[",
-                                        "]", "!", "&", "|", "^", "%", "~"};
-      std::string sym;
-      while (k > s && f.tokens[k - 1].kind == TokenKind::kPunct &&
-             kOps.count(f.tok(k - 1)) > 0) {
-        sym = std::string(f.tok(k - 1)) + sym;
-        --k;
-      }
-      if (!sym.empty() && is_ident(f, k - 1, "operator")) {
-        name = "operator" + sym;
-      } else {
-        k = first_open;
-        bool expect_ident = true;
-        while (k > s) {
-          const SV kt = f.tok(k - 1);
-          if (expect_ident) {
-            if (f.tokens[k - 1].kind != TokenKind::kIdentifier || kt == "operator") break;
-            name = std::string(kt) + name;
-            --k;
-            expect_ident = false;
-          } else if (kt == "~") {
-            name = "~" + name;
-            --k;
-          } else if (kt == "::") {
-            name = "::" + name;
-            --k;
-            expect_ident = true;
-          } else {
-            break;
-          }
-        }
-      }
-    }
-    if (name.empty()) {
-      scopes.push_back(Scope::kOther);
-      continue;
-    }
-
-    emit(f, f.tokens[first_open].line, "header-def", name,
-         "function '" + name + "' is defined at namespace scope in a header "
-         "without inline/constexpr/template — an ODR violation once two TUs "
-         "include it", out);
-    scopes.push_back(Scope::kOther);
-  }
 }
 
 void check_redundant_include(const SourceFile& f, const SourceFile* primary_header,

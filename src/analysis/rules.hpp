@@ -3,7 +3,7 @@
 // Graph rules (layer-dag, include-cycle) live in include_graph.hpp; this
 // header declares the per-file token rules. Every rule honours inline
 // `rush-analyze: allow(<rule>)` markers (see lexer.hpp) and emits
-// baseline-stable keys (see finding.hpp).
+// line-independent keys (see finding.hpp).
 #pragma once
 
 #include <string>
@@ -51,10 +51,6 @@ void check_sched_linear_scan(const SourceFile& f, std::vector<Finding>& out);
 /// pragma-once: every header must open with #pragma once.
 void check_pragma_once(const SourceFile& f, std::vector<Finding>& out);
 
-/// header-def: non-inline, non-template function definition at namespace
-/// scope in a header — an ODR violation as soon as two TUs include it.
-void check_header_def(const SourceFile& f, std::vector<Finding>& out);
-
 /// redundant-include: the same target included twice in one file, or a
 /// TU re-including a project header its own primary header (foo.hpp for
 /// foo.cpp) already includes directly.
@@ -65,11 +61,5 @@ void check_redundant_include(const SourceFile& f, const SourceFile* primary_head
 /// its tokens never name that module's namespace — dead coupling that
 /// still costs rebuild time and widens the include graph.
 void check_unused_module_include(const SourceFile& f, std::vector<Finding>& out);
-
-/// const-cast: banned outright — mutating through const breaks the
-/// RUSH_AUDIT const-correctness guarantees the invariant harness relies
-/// on. (The engine's historical const_cast was removed in the heap
-/// rewrite; nothing legitimate is left.)
-void check_const_cast(const SourceFile& f, std::vector<Finding>& out);
 
 }  // namespace rush::analysis

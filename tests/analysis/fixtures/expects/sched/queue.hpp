@@ -18,8 +18,8 @@ class MiniQueue {
   void reserve_hint(int n) { hint_ = n; }
   // rush-analyze: allow(missing-expects) trusted internal fast path
   void push_unchecked(int job);
-  // Legacy spelling carried over from the retired Python linter.
-  // rush-lint: allow(missing-expects)
+  // A marker may list its reason on the line above it.
+  // rush-analyze: allow(missing-expects)
   void requeue(int job);
 
  private:

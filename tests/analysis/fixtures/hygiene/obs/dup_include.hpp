@@ -3,4 +3,5 @@
 #include "common/base.hpp"
 #include <string>
 #include "common/base.hpp"
+#include <string>  // rush-analyze: allow(redundant-include) fixture: marker stays quiet
 namespace rush::obs { inline int twice() { return rush::base(); } }
