@@ -4,9 +4,11 @@
 // BM_TreeFit pins the per-node-sort reference trainer so its history
 // stays comparable; BM_TreeFitPresorted measures the production presorted
 // trainer on the same workload (tools/bench_baseline.py derives the
-// speedup from the pair). The predict benchmarks run over the compiled
-// flat planes and assert zero steady-state heap allocations via the
-// replaced global operator new below. BM_OraclePredictEndToEnd covers the
+// speedup from the pair). BM_AdaBoostFitPipeline is the pipeline's own
+// production fit shape and reports its allocation count. The predict
+// benchmarks run over the compiled flat planes and assert zero
+// steady-state heap allocations via the replaced global operator new
+// below. BM_OraclePredictEndToEnd covers the
 // whole oracle hot path: canary probe, counter-feature cache, and
 // compiled-ensemble evaluation against a live environment.
 #include <benchmark/benchmark.h>
@@ -73,11 +75,35 @@ ml::Dataset synthetic(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   return d;
 }
 
+/// The pipeline's training set in shape: three imbalanced classes, half the
+/// features on a coarse grid (heavy ties, like idle counters), and label
+/// noise so boosting runs every round instead of stopping on a perfect
+/// stage.
+ml::Dataset three_class(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::string> names;
+  for (std::size_t f = 0; f < cols; ++f) names.push_back("f" + std::to_string(f));
+  ml::Dataset d(std::move(names));
+  std::vector<double> row(cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t f = 0; f < cols; ++f)
+      row[f] = f % 2 == 0 ? rng.uniform(0.0, 1.0) : static_cast<double>(rng.uniform_int(0, 3));
+    int label = row[0] + row[2] > 1.3 ? 1 : (row[4] > 0.8 ? 2 : 0);
+    if (rng.uniform(0.0, 1.0) < 0.15) label = static_cast<int>(rng.uniform_int(0, 2));
+    d.add_row(row, label);
+  }
+  return d;
+}
+
+void count_allocs(benchmark::State& state, std::uint64_t allocs) {
+  state.counters["allocs_per_op"] =
+      benchmark::Counter(static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
+}
+
 /// Report the accumulated allocation count and fail the benchmark when a
 /// steady-state path that promises zero allocations touched the heap.
 void report_allocs(benchmark::State& state, std::uint64_t allocs, const char* what) {
-  state.counters["allocs_per_op"] =
-      benchmark::Counter(static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
+  count_allocs(state, allocs);
   if (allocs != 0) state.SkipWithError(what);
 }
 
@@ -142,6 +168,30 @@ void BM_AdaBoostFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdaBoostFit)->Arg(10)->Arg(40)->Unit(benchmark::kMillisecond);
+
+/// The pipeline's production fit: a 1-day corpus (190 rows x 282
+/// features), three classes, PredictorTrainer's inverse-frequency weights,
+/// the default 80 rounds. allocs_per_op is reported, not gated: a fit
+/// builds trees, so it allocates.
+void BM_AdaBoostFitPipeline(benchmark::State& state) {
+  const auto d = three_class(190, 282, 12);
+  const auto counts = d.class_counts();
+  std::vector<double> weights(d.rows());
+  for (std::size_t i = 0; i < d.rows(); ++i)
+    weights[i] = static_cast<double>(d.rows()) /
+                 (static_cast<double>(counts.size()) *
+                  static_cast<double>(counts[static_cast<std::size_t>(d.label(i))]));
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = g_alloc_count;
+    ml::AdaBoost model;
+    model.fit(d, weights);
+    allocs += g_alloc_count - before;
+    benchmark::DoNotOptimize(model.stage_count());
+  }
+  count_allocs(state, allocs);
+}
+BENCHMARK(BM_AdaBoostFitPipeline)->Unit(benchmark::kMillisecond);
 
 void BM_ForestPredict(benchmark::State& state) {
   const auto d = synthetic(1000, 282, 5);

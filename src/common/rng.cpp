@@ -110,9 +110,9 @@ std::uint64_t Rng::poisson(double mean) noexcept {
   return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw + 0.5);
 }
 
-std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) noexcept {
+void Rng::sample_indices(std::size_t n, std::size_t k, std::vector<std::size_t>& idx) noexcept {
   if (k > n) k = n;
-  std::vector<std::size_t> idx(n);
+  idx.resize(n);
   for (std::size_t i = 0; i < n; ++i) idx[i] = i;
   // Partial Fisher-Yates: only the first k positions need shuffling.
   for (std::size_t i = 0; i < k; ++i) {
@@ -121,7 +121,6 @@ std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) noexc
     std::swap(idx[i], idx[j]);
   }
   idx.resize(k);
-  return idx;
 }
 
 }  // namespace rush

@@ -60,8 +60,9 @@ class Rng {
     }
   }
 
-  /// k distinct indices drawn from [0, n) (k <= n), in random order.
-  std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k) noexcept;
+  /// k distinct indices drawn from [0, n) (k <= n), in random order,
+  /// written into `idx` (a reused buffer; its prior contents are ignored).
+  void sample_indices(std::size_t n, std::size_t k, std::vector<std::size_t>& idx) noexcept;
 
  private:
   std::uint64_t s_[4];

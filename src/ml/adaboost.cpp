@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <optional>
 #include <ostream>
 
 #include "common/error.hpp"
@@ -33,7 +34,20 @@ void AdaBoost::fit(const Dataset& data, std::span<const double> sample_weights) 
     for (double& w : weights) w /= total;
   }
 
+  // Rounds change only the sample weights, so one presort of the dataset
+  // serves every round's tree.
+  std::optional<PresortedIndex> presorted;
+  if (config_.presort) presorted.emplace(data);
+  const auto fit_stage = [&](DecisionTree& tree, std::span<const double> w) {
+    if (presorted) {
+      tree.fit(data, w, *presorted);
+    } else {
+      tree.fit(data, w);
+    }
+  };
+
   Rng rng(config_.seed);
+  std::vector<bool> wrong(data.rows());
   for (std::size_t round = 0; round < config_.num_rounds; ++round) {
     TreeConfig tc;
     tc.max_depth = config_.base_max_depth;
@@ -41,10 +55,9 @@ void AdaBoost::fit(const Dataset& data, std::span<const double> sample_weights) 
     tc.presort = config_.presort;
     tc.seed = rng.next();
     Stage stage{DecisionTree(tc), 0.0};
-    stage.tree.fit(data, weights);
+    fit_stage(stage.tree, weights);
 
     double error = 0.0;
-    std::vector<bool> wrong(data.rows());
     for (std::size_t i = 0; i < data.rows(); ++i) {
       wrong[i] = stage.tree.predict(data.row(i)) != data.label(i);
       if (wrong[i]) error += weights[i];
@@ -78,7 +91,7 @@ void AdaBoost::fit(const Dataset& data, std::span<const double> sample_weights) 
     tc.presort = config_.presort;
     tc.seed = rng.next();
     Stage stage{DecisionTree(tc), 1.0};
-    stage.tree.fit(data);
+    fit_stage(stage.tree, {});
     stages_.push_back(std::move(stage));
   }
 

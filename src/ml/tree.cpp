@@ -25,24 +25,46 @@ double gini(const std::vector<double>& class_weights, double total) noexcept {
 
 }  // namespace
 
-// Exact-mode presort state. `order` holds one block of `rows` row indices
-// per feature, each sorted by (value, row) — the same total order the
-// per-node std::sort over (value, row) pairs produces, so any contiguous
-// sub-range visits a node's samples in the identical sequence. When a
-// node splits, every block's [lo, hi) range is stable-partitioned into
-// left members then right members, which preserves that order for both
-// children without re-sorting.
+PresortedIndex::PresortedIndex(const Dataset& data)
+    : rows_(data.rows()), features_(data.cols()) {
+  RUSH_EXPECTS(rows_ <= std::numeric_limits<std::uint32_t>::max());
+  values_.resize(features_ * rows_);
+  for (std::size_t i = 0; i < rows_; ++i) {
+    const auto row = data.row(i);
+    for (std::size_t f = 0; f < features_; ++f) values_[f * rows_ + i] = row[f];
+  }
+  order_.resize(features_ * rows_);
+  for (std::size_t f = 0; f < features_; ++f) {
+    std::uint32_t* blk = order_.data() + f * rows_;
+    const double* col = values_.data() + f * rows_;
+    for (std::size_t i = 0; i < rows_; ++i) blk[i] = static_cast<std::uint32_t>(i);
+    std::sort(blk, blk + rows_, [col](std::uint32_t a, std::uint32_t b) {
+      return col[a] < col[b] || (col[a] == col[b] && a < b);
+    });
+  }
+}
+
+// Exact-mode presort state. `order` starts as a copy of the index's
+// per-feature blocks, each sorted by (value, row) — the same total order
+// the per-node std::sort over (value, row) pairs produces, so any
+// contiguous sub-range visits a node's samples in the identical sequence.
+// When a node splits, every block's [lo, hi) range is stable-partitioned
+// into left members then right members, which preserves that order for
+// both children without re-sorting. The index itself stays untouched, so
+// the next tree fitted on the same dataset can copy it again.
 struct DecisionTree::FitWorkspace {
   std::size_t rows = 0;
   std::size_t features = 0;
-  bool presorted = false;
+  const PresortedIndex* presorted = nullptr;
   std::vector<std::uint32_t> order;      // features blocks of `rows` entries
   std::vector<unsigned char> goes_left;  // per row: membership mark during partition
   std::vector<std::uint32_t> spill;      // right-side buffer for the stable partition
+  // find_split scratch, reused by every node and every candidate boundary.
+  std::vector<double> parent_w;  // per class
+  std::vector<double> left_w;    // per class
+  std::vector<double> right_w;   // per class
+  std::vector<std::size_t> candidates;
 
-  [[nodiscard]] const std::uint32_t* block(std::size_t f) const noexcept {
-    return order.data() + f * rows;
-  }
   [[nodiscard]] std::uint32_t* block(std::size_t f) noexcept { return order.data() + f * rows; }
 };
 
@@ -53,6 +75,23 @@ DecisionTree::DecisionTree(TreeConfig config) : config_(config) {
 }
 
 void DecisionTree::fit(const Dataset& data, std::span<const double> sample_weights) {
+  if (!config_.random_thresholds && config_.presort) {
+    const PresortedIndex presorted(data);
+    fit_impl(data, sample_weights, &presorted);
+  } else {
+    fit_impl(data, sample_weights, nullptr);
+  }
+}
+
+void DecisionTree::fit(const Dataset& data, std::span<const double> sample_weights,
+                       const PresortedIndex& presorted) {
+  RUSH_EXPECTS(!config_.random_thresholds && config_.presort);
+  RUSH_EXPECTS(presorted.rows() == data.rows() && presorted.features() == data.cols());
+  fit_impl(data, sample_weights, &presorted);
+}
+
+void DecisionTree::fit_impl(const Dataset& data, std::span<const double> sample_weights,
+                            const PresortedIndex* presorted) {
   RUSH_EXPECTS(!data.empty());
   RUSH_EXPECTS(sample_weights.empty() || sample_weights.size() == data.rows());
 
@@ -71,24 +110,18 @@ void DecisionTree::fit(const Dataset& data, std::span<const double> sample_weigh
   std::vector<std::size_t> indices(data.rows());
   for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
 
+  const auto k = static_cast<std::size_t>(num_classes_);
   FitWorkspace ws;
   ws.rows = data.rows();
   ws.features = num_features_;
-  if (!config_.random_thresholds && config_.presort) {
-    RUSH_EXPECTS(data.rows() <= std::numeric_limits<std::uint32_t>::max());
-    ws.presorted = true;
-    ws.order.resize(ws.features * ws.rows);
+  ws.parent_w.resize(k);
+  ws.left_w.resize(k);
+  ws.right_w.resize(k);
+  if (presorted != nullptr) {
+    ws.presorted = presorted;
+    ws.order.assign(presorted->orders().begin(), presorted->orders().end());
     ws.goes_left.assign(ws.rows, 0);
     ws.spill.reserve(ws.rows);
-    for (std::size_t f = 0; f < ws.features; ++f) {
-      std::uint32_t* blk = ws.block(f);
-      for (std::size_t i = 0; i < ws.rows; ++i) blk[i] = static_cast<std::uint32_t>(i);
-      std::sort(blk, blk + ws.rows, [&data, f](std::uint32_t a, std::uint32_t b) {
-        const double va = data.row(a)[f];
-        const double vb = data.row(b)[f];
-        return va < vb || (va == vb && a < b);
-      });
-    }
   }
 
   Rng rng(config_.seed);
@@ -120,12 +153,15 @@ std::int32_t DecisionTree::make_leaf(const Dataset& data, std::span<const double
 DecisionTree::SplitResult DecisionTree::find_split(const Dataset& data,
                                                    std::span<const double> weights,
                                                    const std::vector<std::size_t>& indices,
-                                                   Rng& rng, const FitWorkspace& ws,
+                                                   Rng& rng, FitWorkspace& ws,
                                                    std::size_t lo, std::size_t hi) const {
   const std::size_t k = static_cast<std::size_t>(num_classes_);
+  const std::vector<int>& labels = data.labels();
+  std::vector<double>& parent_w = ws.parent_w;
+  std::vector<double>& left_w = ws.left_w;
 
   // Parent impurity.
-  std::vector<double> parent_w(k, 0.0);
+  std::fill(parent_w.begin(), parent_w.end(), 0.0);
   double total_w = 0.0;
   for (std::size_t i : indices) {
     parent_w[static_cast<std::size_t>(data.label(i))] += weights[i];
@@ -135,17 +171,16 @@ DecisionTree::SplitResult DecisionTree::find_split(const Dataset& data,
   if (parent_gini <= 0.0 || total_w <= 0.0) return {};
 
   // Candidate features: all, or a random subset of max_features.
-  std::vector<std::size_t> candidates;
+  std::vector<std::size_t>& candidates = ws.candidates;
   if (config_.max_features == 0 || config_.max_features >= num_features_) {
     candidates.resize(num_features_);
     for (std::size_t f = 0; f < num_features_; ++f) candidates[f] = f;
   } else {
-    candidates = rng.sample_indices(num_features_, config_.max_features);
+    rng.sample_indices(num_features_, config_.max_features, candidates);
   }
 
   SplitResult best;
   std::vector<std::pair<double, std::size_t>> sorted;  // (value, row)
-  std::vector<double> left_w(k);
 
   for (std::size_t f : candidates) {
     if (config_.random_thresholds) {
@@ -171,41 +206,41 @@ DecisionTree::SplitResult DecisionTree::find_split(const Dataset& data,
       }
       const std::size_t right_n = indices.size() - left_n;
       if (left_n < config_.min_samples_leaf || right_n < config_.min_samples_leaf) continue;
-      std::vector<double> right_w(k);
-      for (std::size_t c = 0; c < k; ++c) right_w[c] = parent_w[c] - left_w[c];
+      for (std::size_t c = 0; c < k; ++c) ws.right_w[c] = parent_w[c] - left_w[c];
       const double rw = total_w - lw;
       const double child =
-          (lw * gini(left_w, lw) + rw * gini(right_w, rw)) / total_w;
+          (lw * gini(left_w, lw) + rw * gini(ws.right_w, rw)) / total_w;
       const double decrease = parent_gini - child;
       if (decrease > best.impurity_decrease) {
         best = SplitResult{true, static_cast<int>(f), threshold, decrease};
       }
-    } else if (ws.presorted) {
+    } else if (ws.presorted != nullptr) {
       // Exact CART over the presorted index: the node's samples arrive in
       // (value, row) order directly from the partitioned block, so the
       // boundary scan is identical to the per-node-sort path below minus
-      // the sort.
+      // the sort. Values come from the index's feature-major column, not
+      // the row-major matrix.
       const std::uint32_t* blk = ws.block(f) + lo;
+      const double* col = ws.presorted->column(f).data();
       const std::size_t count = hi - lo;
-      if (data.row(blk[0])[f] == data.row(blk[count - 1])[f]) continue;
+      if (col[blk[0]] == col[blk[count - 1]]) continue;
 
       std::fill(left_w.begin(), left_w.end(), 0.0);
       double lw = 0.0;
       for (std::size_t pos = 0; pos + 1 < count; ++pos) {
-        const std::size_t row = blk[pos];
-        const double value = data.row(row)[f];
-        left_w[static_cast<std::size_t>(data.label(row))] += weights[row];
+        const std::uint32_t row = blk[pos];
+        const double value = col[row];
+        left_w[static_cast<std::size_t>(labels[row])] += weights[row];
         lw += weights[row];
-        const double next = data.row(blk[pos + 1])[f];
+        const double next = col[blk[pos + 1]];
         if (value == next) continue;  // not a boundary
         const std::size_t left_n = pos + 1;
         const std::size_t right_n = count - left_n;
         if (left_n < config_.min_samples_leaf || right_n < config_.min_samples_leaf) continue;
-        std::vector<double> right_w(k);
-        for (std::size_t c = 0; c < k; ++c) right_w[c] = parent_w[c] - left_w[c];
+        for (std::size_t c = 0; c < k; ++c) ws.right_w[c] = parent_w[c] - left_w[c];
         const double rw = total_w - lw;
         const double child =
-            (lw * gini(left_w, lw) + rw * gini(right_w, rw)) / total_w;
+            (lw * gini(left_w, lw) + rw * gini(ws.right_w, rw)) / total_w;
         const double decrease = parent_gini - child;
         if (decrease > best.impurity_decrease) {
           best.found = true;
@@ -255,7 +290,7 @@ std::int32_t DecisionTree::build(const Dataset& data, std::span<const double> we
                                  std::vector<std::size_t>& indices, int depth, Rng& rng,
                                  FitWorkspace& ws, std::size_t lo, std::size_t hi) {
   RUSH_ASSERT(!indices.empty());
-  RUSH_ASSERT(!ws.presorted || hi - lo == indices.size());
+  RUSH_ASSERT(ws.presorted == nullptr || hi - lo == indices.size());
   const bool can_split = depth < config_.max_depth &&
                          indices.size() >= config_.min_samples_split;
   SplitResult split;
@@ -281,7 +316,7 @@ std::int32_t DecisionTree::build(const Dataset& data, std::span<const double> we
   indices.shrink_to_fit();
 
   const std::size_t mid = lo + left_idx.size();
-  if (ws.presorted) {
+  if (ws.presorted != nullptr) {
     // Thread the presorted order down to the children: stable-partition
     // every feature block's [lo, hi) range into left members then right
     // members, preserving (value, row) order on both sides.

@@ -25,21 +25,52 @@ struct TreeConfig {
   std::size_t max_features = 0;
   /// Extra-trees style uniform random thresholds instead of exact search.
   bool random_thresholds = false;
-  /// Exact mode only: sort every feature once per fit and thread the
-  /// sorted indices through the recursion by stable partitioning
-  /// (O(features·n log n + depth·features·n)) instead of re-sorting every
-  /// candidate feature at every node (O(depth·features·n log n)). Both
+  /// Exact mode only: start from a PresortedIndex of the dataset (one
+  /// O(features·n log n) sort, shared by every tree fitted on the same
+  /// dataset) and thread it through the recursion by stable partitioning,
+  /// O(depth·features·n) per tree, instead of re-sorting every candidate
+  /// feature at every node (O(depth·features·n log n) per tree). Both
   /// algorithms produce bit-identical trees; the per-node-sort path is
   /// retained as the reference for differential testing.
   bool presort = true;
   std::uint64_t seed = 1;
 };
 
+/// Per-feature (value, row) sort orders of one dataset plus a feature-major
+/// copy of its values. It belongs to the dataset, not to a tree: boosting
+/// rounds change only the sample weights, so AdaBoost builds one index per
+/// fit and hands it to every round's tree.
+class PresortedIndex {
+ public:
+  explicit PresortedIndex(const Dataset& data);
+
+  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
+  [[nodiscard]] std::size_t features() const noexcept { return features_; }
+  /// Every feature's row order back to back: `features()` blocks of
+  /// `rows()` row indices, each sorted by (value, row).
+  [[nodiscard]] std::span<const std::uint32_t> orders() const noexcept { return order_; }
+  /// Feature `f`'s values indexed by row.
+  [[nodiscard]] std::span<const double> column(std::size_t f) const noexcept {
+    return {values_.data() + f * rows_, rows_};
+  }
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t features_ = 0;
+  std::vector<std::uint32_t> order_;
+  std::vector<double> values_;  // features x rows, feature-major
+};
+
 class DecisionTree final : public Classifier {
  public:
   explicit DecisionTree(TreeConfig config = {});
 
+  /// Exact presorted mode builds its own PresortedIndex of `data`.
   void fit(const Dataset& data, std::span<const double> sample_weights = {}) override;
+  /// Exact presorted mode only: fit from a shared index, which must have
+  /// been built for a dataset of `data`'s shape (in practice, `data`).
+  void fit(const Dataset& data, std::span<const double> sample_weights,
+           const PresortedIndex& presorted);
   /// Direct argmax walk over the compiled arrays — no temporary vector.
   [[nodiscard]] int predict(std::span<const double> x) const override;
   /// Nested-node walk kept as the reference the compiled plane is
@@ -78,16 +109,20 @@ class DecisionTree final : public Classifier {
     double impurity_decrease = 0.0;
   };
 
-  /// Per-fit scratch: once-per-fit presorted feature indices plus the
-  /// partition buffers that thread them through the recursion.
+  /// Per-fit scratch: a working copy of the presorted feature orders, the
+  /// partition buffers that thread them through the recursion, and the
+  /// split scan's per-class weight buffers.
   struct FitWorkspace;
 
+  /// `presorted` is null on the per-node-sort and random-threshold paths.
+  void fit_impl(const Dataset& data, std::span<const double> sample_weights,
+                const PresortedIndex* presorted);
   std::int32_t build(const Dataset& data, std::span<const double> weights,
                      std::vector<std::size_t>& indices, int depth, Rng& rng, FitWorkspace& ws,
                      std::size_t lo, std::size_t hi);
   SplitResult find_split(const Dataset& data, std::span<const double> weights,
-                         const std::vector<std::size_t>& indices, Rng& rng,
-                         const FitWorkspace& ws, std::size_t lo, std::size_t hi) const;
+                         const std::vector<std::size_t>& indices, Rng& rng, FitWorkspace& ws,
+                         std::size_t lo, std::size_t hi) const;
   std::int32_t make_leaf(const Dataset& data, std::span<const double> weights,
                          const std::vector<std::size_t>& indices);
   void compile();

@@ -191,9 +191,12 @@ TEST(Rng, ShuffleHandlesSmallInputs) {
 }
 
 TEST(Rng, SampleIndicesDistinctAndInRange) {
+  // One buffer reused across draws; its prior contents and size must not
+  // leak into the result.
   Rng r(71);
+  std::vector<std::size_t> idx(30, 99);
   for (int trial = 0; trial < 50; ++trial) {
-    const auto idx = r.sample_indices(20, 7);
+    r.sample_indices(20, 7, idx);
     ASSERT_EQ(idx.size(), 7u);
     std::set<std::size_t> unique(idx.begin(), idx.end());
     EXPECT_EQ(unique.size(), 7u);
@@ -203,7 +206,8 @@ TEST(Rng, SampleIndicesDistinctAndInRange) {
 
 TEST(Rng, SampleIndicesClampsOversizedRequest) {
   Rng r(73);
-  const auto idx = r.sample_indices(5, 10);
+  std::vector<std::size_t> idx;
+  r.sample_indices(5, 10, idx);
   EXPECT_EQ(idx.size(), 5u);
 }
 

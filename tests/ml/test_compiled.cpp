@@ -4,7 +4,8 @@
 // Two properties are asserted at byte granularity:
 //  - training with presorted feature indices reproduces the exact node
 //    arrays (thresholds, links, leaf probabilities, importances) of the
-//    per-node-sort reference trainer, via save_body string equality;
+//    per-node-sort reference trainer, via save_body string equality,
+//    including AdaBoost rounds that share one PresortedIndex;
 //  - the compiled SoA predict paths reproduce the nested predict_proba
 //    reference bit for bit, including across save/load round trips.
 #include "ml/compiled.hpp"
@@ -15,10 +16,12 @@
 #include <sstream>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "ml/adaboost.hpp"
 #include "ml/forest.hpp"
 #include "ml/tree.hpp"
+#include "ml/validation.hpp"
 
 namespace rush::ml {
 namespace {
@@ -50,6 +53,39 @@ Dataset tied(std::size_t rows, std::uint64_t seed) {
     d.add_row(x, label);
   }
   return d;
+}
+
+/// The pipeline's training shape in miniature: three imbalanced classes,
+/// seven groups (applications), a mix of continuous and coarse-grid (heavily
+/// tied) features, and label noise so boosting never reaches a perfect stage.
+Dataset pipeline_like(std::size_t rows, std::uint64_t seed) {
+  constexpr std::size_t kCols = 12;
+  Rng rng(seed);
+  std::vector<std::string> names;
+  for (std::size_t c = 0; c < kCols; ++c) names.push_back("f" + std::to_string(c));
+  Dataset d(names);
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::vector<double> x(kCols);
+    for (std::size_t c = 0; c < kCols; ++c)
+      x[c] = c % 2 == 0 ? rng.uniform(0.0, 10.0) : static_cast<double>(rng.uniform_int(0, 3));
+    int label = x[0] + x[1] > 9.0 ? 1 : (x[2] > 8.0 ? 2 : 0);
+    if (rng.uniform(0.0, 1.0) < 0.15) label = static_cast<int>(rng.uniform_int(0, 2));
+    d.add_row(x, label, static_cast<int>(i % 7));
+  }
+  return d;
+}
+
+/// Inverse-frequency class weights, as PredictorTrainer balances classes.
+std::vector<double> balanced_weights(const Dataset& d) {
+  const auto counts = d.class_counts();
+  const auto k = static_cast<double>(counts.size());
+  const auto n = static_cast<double>(d.rows());
+  std::vector<double> weights(d.rows());
+  for (std::size_t i = 0; i < d.rows(); ++i) {
+    const auto c = static_cast<std::size_t>(d.label(i));
+    weights[i] = n / (k * static_cast<double>(counts[c]));
+  }
+  return weights;
 }
 
 std::string body_of(const Classifier& model) {
@@ -186,6 +222,83 @@ TEST(PresortedTraining, ReproducesReferenceForestAndAdaBoost) {
   ada_ref.fit(d);
   ada_fast.fit(d);
   EXPECT_EQ(body_of(ada_ref), body_of(ada_fast));
+}
+
+TEST(PresortedTraining, SharedPresortAdaBoostMatchesReferenceOnPipelineShape) {
+  // Every round fits from the one index AdaBoost built for the dataset,
+  // under weights that drift further from the balanced start each round.
+  const Dataset d = pipeline_like(190, 5);
+  const auto weights = balanced_weights(d);
+  AdaBoostConfig ref_cfg;
+  ref_cfg.num_rounds = 48;
+  ref_cfg.presort = false;
+  AdaBoostConfig fast_cfg = ref_cfg;
+  fast_cfg.presort = true;
+  AdaBoost reference(ref_cfg);
+  AdaBoost fast(fast_cfg);
+  reference.fit(d, weights);
+  fast.fit(d, weights);
+  ASSERT_EQ(fast.stage_count(), fast_cfg.num_rounds);
+  EXPECT_EQ(body_of(reference), body_of(fast));
+}
+
+TEST(PresortedTraining, SharedPresortAdaBoostMatchesReferenceWhenStoppingEarly) {
+  // Labels are a step function of one tied feature, so the first stage is
+  // perfect and boosting stops there.
+  Rng rng(3);
+  Dataset d({"f0", "f1", "f2"});
+  for (std::size_t i = 0; i < 150; ++i) {
+    std::vector<double> x(3);
+    for (double& v : x) v = static_cast<double>(rng.uniform_int(0, 9));
+    d.add_row(x, x[0] < 3.0 ? 0 : (x[0] < 7.0 ? 1 : 2));
+  }
+  AdaBoostConfig ref_cfg;
+  ref_cfg.num_rounds = 40;
+  ref_cfg.presort = false;
+  AdaBoostConfig fast_cfg = ref_cfg;
+  fast_cfg.presort = true;
+  AdaBoost reference(ref_cfg);
+  AdaBoost fast(fast_cfg);
+  reference.fit(d, balanced_weights(d));
+  fast.fit(d, balanced_weights(d));
+  ASSERT_EQ(fast.stage_count(), 1u);
+  EXPECT_EQ(body_of(reference), body_of(fast));
+}
+
+TEST(PresortedTraining, LeaveOneGroupOutScoresMatchReference) {
+  const Dataset d = pipeline_like(210, 9);
+  const auto folds = leave_one_group_out(d.groups());
+  AdaBoostConfig ref_cfg;
+  ref_cfg.num_rounds = 20;
+  ref_cfg.presort = false;
+  AdaBoostConfig fast_cfg = ref_cfg;
+  fast_cfg.presort = true;
+  const CvResult reference = cross_validate(AdaBoost(ref_cfg), d, folds);
+  const CvResult fast = cross_validate(AdaBoost(fast_cfg), d, folds);
+  ASSERT_EQ(fast.folds.size(), 7u);
+  ASSERT_EQ(reference.folds.size(), fast.folds.size());
+  for (std::size_t i = 0; i < fast.folds.size(); ++i) {
+    const FoldScores& r = reference.folds[i];
+    const FoldScores& f = fast.folds[i];
+    EXPECT_TRUE(bytes_equal({r.f1, r.precision, r.recall, r.accuracy, r.macro_f1},
+                            {f.f1, f.precision, f.recall, f.accuracy, f.macro_f1}))
+        << "fold " << i;
+    EXPECT_EQ(r.test_size, f.test_size) << "fold " << i;
+  }
+}
+
+TEST(PresortedTraining, RejectsPresortOfAnotherShape) {
+  const Dataset d = synthetic(100, 4, 1);
+  const PresortedIndex fewer_rows(synthetic(99, 4, 1));
+  const PresortedIndex fewer_cols(synthetic(100, 3, 1));
+  DecisionTree tree;
+  EXPECT_THROW(tree.fit(d, {}, fewer_rows), PreconditionError);
+  EXPECT_THROW(tree.fit(d, {}, fewer_cols), PreconditionError);
+  // The per-node-sort reference never takes an index.
+  TreeConfig ref_cfg;
+  ref_cfg.presort = false;
+  DecisionTree reference(ref_cfg);
+  EXPECT_THROW(reference.fit(d, {}, PresortedIndex(d)), PreconditionError);
 }
 
 TEST(CompiledPlane, TreeMatchesNestedReference) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -223,6 +225,9 @@ TEST(DecisionTree, PreconditionViolations) {
 struct TreeParam {
   int max_depth;
   bool random_thresholds;
+  // gtest names each case after the raw bytes of this struct; explicit zeroed
+  // padding keeps stack garbage out of those names so they are stable.
+  std::array<std::uint8_t, 3> padding{};
   std::size_t max_features;
 };
 
@@ -241,9 +246,9 @@ TEST_P(TreeConfigSweep, SeparatesTrainingData) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, TreeConfigSweep,
-                         ::testing::Values(TreeParam{4, false, 0}, TreeParam{8, false, 1},
-                                           TreeParam{12, true, 0}, TreeParam{8, true, 2},
-                                           TreeParam{16, false, 2}));
+                         ::testing::Values(TreeParam{4, false, {}, 0}, TreeParam{8, false, {}, 1},
+                                           TreeParam{12, true, {}, 0}, TreeParam{8, true, {}, 2},
+                                           TreeParam{16, false, {}, 2}));
 
 }  // namespace
 }  // namespace rush::ml

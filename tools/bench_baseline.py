@@ -21,7 +21,9 @@ their JSON output into one machine-readable file at the repo root:
 `ns_per_op` is google-benchmark cpu_time normalized to nanoseconds.
 `network_churn_speedup` is BM_NetworkChurnFullRebuild /
 BM_NetworkChurnIncremental — the incremental-engine headline number
-(>= 5x is the PR 2 acceptance floor).
+(>= 5x is the PR 2 acceptance floor). `trial_parallel_speedup` is
+derived only when the host has at least as many cores as the wide pool
+(BM_PoolScaling/4); on a smaller host it is omitted and the run says why.
 
 Usage:
     tools/bench_baseline.py [--quick] [--build-dir DIR] [--output FILE]
@@ -57,8 +59,11 @@ SPEEDUP_DENOMINATOR = "bench_micro_network/BM_NetworkChurnIncremental"
 
 # Fixed work over 10 trial-shaped tasks at pool widths 1 and 4; the ratio
 # is the expected trial fan-out speedup on this host (~= min(4, cores)).
+# On a host with fewer cores than the wide pool the ratio measures only
+# dispatch overhead, so it is not derived there.
 POOL_SCALING_SERIAL = "bench_micro_pool/BM_PoolScaling/1"
 POOL_SCALING_WIDE = "bench_micro_pool/BM_PoolScaling/4"
+POOL_SCALING_WIDTH = int(POOL_SCALING_WIDE.rsplit("/", 1)[1])
 
 # Per-node-sort reference trainer vs the presorted production trainer on
 # the same 1000x282 fit (both produce bit-identical trees).
@@ -208,9 +213,9 @@ def main() -> int:
         "schema": 1,
         "generated_by": "tools/bench_baseline.py",
         "quick": args.quick,
-        "build_dir": str(build_dir),
-        # Host parallelism the pool benchmarks ran under; scaling numbers
-        # from a 1-core runner are dispatch-overhead-only, not speedup.
+        "build_dir": (str(build_dir.relative_to(REPO_ROOT))
+                      if build_dir.is_relative_to(REPO_ROOT) else str(build_dir)),
+        # Host parallelism the pool benchmarks ran under.
         "jobs": os.cpu_count() or 1,
         "benchmarks": benchmarks,
         "derived": {},
@@ -222,9 +227,13 @@ def main() -> int:
     serial = benchmarks.get(POOL_SCALING_SERIAL)
     wide = benchmarks.get(POOL_SCALING_WIDE)
     if serial and wide and wide["real_ns_per_op"] > 0.0:
-        # Wall-clock ratio (cpu_time only meters the dispatching thread).
-        report["derived"]["trial_parallel_speedup"] = (
-            serial["real_ns_per_op"] / wide["real_ns_per_op"])
+        if report["jobs"] < POOL_SCALING_WIDTH:
+            print(f"trial fan-out speedup not derived: the host has {report['jobs']} "
+                  f"cores, fewer than the pool width {POOL_SCALING_WIDTH}")
+        else:
+            # Wall-clock ratio (cpu_time only meters the dispatching thread).
+            report["derived"]["trial_parallel_speedup"] = (
+                serial["real_ns_per_op"] / wide["real_ns_per_op"])
     ref = benchmarks.get(TREE_FIT_REFERENCE)
     pre = benchmarks.get(TREE_FIT_PRESORTED)
     if ref and pre and pre["ns_per_op"] > 0.0:
