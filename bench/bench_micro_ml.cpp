@@ -9,7 +9,7 @@
 // benchmarks run over the compiled flat planes and assert zero
 // steady-state heap allocations via the replaced global operator new
 // below. BM_OraclePredictEndToEnd covers the
-// whole oracle hot path: canary probe, counter-feature cache, and
+// whole oracle hot path: canary probe, counter-feature aggregation, and
 // compiled-ensemble evaluation against a live environment.
 #include <benchmark/benchmark.h>
 
@@ -286,8 +286,8 @@ core::Corpus oracle_corpus() {
 }
 
 /// The full oracle hot path against a live environment: canary probe,
-/// cached counter aggregation, compiled-ensemble evaluation. Steady state
-/// (warm cache, warm buffers) must not allocate.
+/// counter aggregation, compiled-ensemble evaluation. Steady state (warm
+/// buffers) must not allocate.
 void BM_OraclePredictEndToEnd(benchmark::State& state) {
   core::Environment env{core::single_pod_config(7)};
   env.sampler().start();
@@ -303,7 +303,7 @@ void BM_OraclePredictEndToEnd(benchmark::State& state) {
   cluster::NodeSet nodes;
   for (int i = 0; i < 16; ++i) nodes.push_back(i);
 
-  // Warm the counter cache and scratch buffers.
+  // Warm the scratch buffers.
   for (int i = 0; i < 4; ++i) benchmark::DoNotOptimize(oracle.predict(job, nodes));
 
   std::uint64_t allocs = 0;

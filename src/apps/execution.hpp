@@ -19,7 +19,7 @@
 #include <functional>
 #include <unordered_map>
 
-#include "apps/profiler.hpp"
+#include "apps/run_record.hpp"
 #include "cluster/lustre.hpp"
 #include "cluster/network.hpp"
 #include "common/rng.hpp"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -112,37 +113,6 @@ double zscore(double x, std::span<const double> xs) noexcept {
 }
 
 }  // namespace stats
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi) {
-  RUSH_EXPECTS(hi > lo);
-  RUSH_EXPECTS(bins > 0);
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<std::ptrdiff_t>((x - lo_) / width);
-  bin = std::clamp<std::ptrdiff_t>(bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  RUSH_EXPECTS(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  RUSH_EXPECTS(bin < counts_.size());
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  RUSH_EXPECTS(bin < counts_.size());
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin + 1);
-}
 
 Summary summarize(std::span<const double> xs) {
   Summary s;

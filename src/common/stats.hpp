@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace rush {
 
@@ -55,25 +54,6 @@ double quantile(std::span<const double> xs, double q);
 double zscore(double x, std::span<const double> xs) noexcept;
 
 }  // namespace stats
-
-/// Fixed-bin histogram over [lo, hi); values outside clamp to edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t bin) const;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 /// Five-number summary plus mean, for box-plot style reporting (Figs. 6-8).
 struct Summary {

@@ -195,19 +195,6 @@ TrialResult ExperimentRunner::run_trial_with_sinks(const ExperimentSpec& spec, b
   WorkloadSession session(env, allocator, session_config, sc, oracle.get(),
                           env.rng_for(0xE59E51));
 
-  TrialResult result_probe;  // probe samples accumulated by the timer
-  if (config_.record_probe) {
-    const sched::Scheduler& scheduler = session.scheduler();
-    env.engine().schedule_periodic(60.0, 60.0, [&env, &noise, &scheduler, &result_probe] {
-      result_probe.probe_noise_rate.push_back(noise.current_rate_gbps());
-      double worst = 0.0;
-      for (int e = 0; e < env.tree().num_edges(); ++e)
-        worst = std::max(worst, env.network().link_utilization(env.tree().edge_uplink(e)));
-      result_probe.probe_max_edge_util.push_back(worst);
-      result_probe.probe_running_jobs.push_back(static_cast<double>(scheduler.running_count()));
-    });
-  }
-
   const char* policy_name = use_rush ? "rush" : "fcfs-easy";
   if (trace != nullptr)
     trace->emit_trial_start(env.engine().now(), policy_name, trial_seed);
@@ -221,9 +208,6 @@ TrialResult ExperimentRunner::run_trial_with_sinks(const ExperimentSpec& spec, b
   result.seed = trial_seed;
   result.oracle_evaluations = oracle ? oracle->evaluations() : 0;
   result.oracle_fallbacks = oracle ? oracle->fallbacks() : 0;
-  result.probe_noise_rate = std::move(result_probe.probe_noise_rate);
-  result.probe_max_edge_util = std::move(result_probe.probe_max_edge_util);
-  result.probe_running_jobs = std::move(result_probe.probe_running_jobs);
   return result;
 }
 

@@ -65,8 +65,6 @@ struct ExperimentConfig {
   int skip_threshold = 10;
   std::string main_policy = "fcfs";
   std::string backfill_policy = "fcfs";
-  /// Record per-minute utilization probes into TrialResult (diagnostics).
-  bool record_probe = false;
   /// Hard wall so a bugged trial cannot spin forever.
   double max_sim_s = 6.0 * 3600.0;
   /// Trial-level parallelism for run(): 1 = strictly serial; 0 = the

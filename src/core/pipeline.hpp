@@ -97,7 +97,6 @@ struct TrainerConfig {
   /// Confidence gate on "variation" outputs (see
   /// TrainedPredictor::variation_confidence).
   double variation_confidence = 0.36;
-  LabelThresholds thresholds;
 };
 
 class PredictorTrainer {

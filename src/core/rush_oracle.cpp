@@ -1,8 +1,5 @@
 #include "core/rush_oracle.hpp"
 
-#include <algorithm>
-#include <span>
-
 #include "common/error.hpp"
 #include "faults/injector.hpp"
 #include "obs/metrics.hpp"
@@ -68,47 +65,9 @@ sched::VariabilityPrediction RushOracle::predict(const sched::Job& job,
   if (const char* reason = degraded_reason(now_s); reason != nullptr)
     return fall_back(job, now_s, reason);
 
-  // The canary always runs on the healthy path: its per-node jitter
-  // consumes RNG draws, so skipping it on a cache hit would shift every
-  // later draw in the simulation.
   env_.canary().run_into(candidate_nodes, canary_buf_);
-
-  const std::uint64_t revision = env_.store().revision();
-  const bool scoped = predictor_.scope() == telemetry::AggregationScope::JobNodes;
-  const std::span<double> counters(features_.data(),
-                                   telemetry::FeatureAssembler::kCounterFeatures);
-
-  CounterCacheEntry* hit = nullptr;
-  for (CounterCacheEntry& e : cache_) {
-    if (e.valid && e.now == now_s && e.revision == revision &&
-        (scoped ? e.nodes == candidate_nodes : e.nodes.empty())) {
-      hit = &e;
-      break;
-    }
-  }
-  if (hit != nullptr) {
-    ++cache_hits_;
-    std::copy(hit->counters.begin(), hit->counters.end(), counters.begin());
-  } else {
-    ++cache_misses_;
-    env_.features().counters_into(now_s, predictor_.scope(), candidate_nodes, counters,
-                                  agg_scratch_);
-    CounterCacheEntry& slot = cache_[cache_next_slot_];
-    cache_next_slot_ = (cache_next_slot_ + 1) % cache_.size();
-    slot.valid = true;
-    slot.now = now_s;
-    slot.revision = revision;
-    if (scoped) {
-      slot.nodes = candidate_nodes;
-    } else {
-      slot.nodes.clear();
-    }
-    slot.counters.assign(counters.begin(), counters.end());
-  }
-
-  telemetry::FeatureAssembler::tail_into(
-      canary_buf_, job.spec.app.workload,
-      std::span<double>(features_).subspan(telemetry::FeatureAssembler::kCounterFeatures));
+  env_.features().assemble_into(now_s, predictor_.scope(), candidate_nodes, canary_buf_,
+                                job.spec.app.workload, features_, agg_scratch_);
 
   const auto pred = predictor_.predict(features_, predict_scratch_);
   last_good_ = pred;  // LastKnownGood fallback seed

@@ -13,7 +13,6 @@
 // prediction built from bad data.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "core/environment.hpp"
@@ -62,9 +61,6 @@ class RushOracle final : public sched::VariabilityOracle {
       const sched::Job& job, const cluster::NodeSet& candidate_nodes) override;
 
   [[nodiscard]] std::uint64_t evaluations() const noexcept { return evaluations_; }
-  /// Counter-aggregate cache statistics (see CounterCacheEntry).
-  [[nodiscard]] std::uint64_t counter_cache_hits() const noexcept { return cache_hits_; }
-  [[nodiscard]] std::uint64_t counter_cache_misses() const noexcept { return cache_misses_; }
   /// predict() calls answered by the degraded-mode fallback.
   [[nodiscard]] std::uint64_t fallbacks() const noexcept { return fallbacks_; }
 
@@ -79,21 +75,6 @@ class RushOracle final : public sched::VariabilityOracle {
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
-  /// One cached run of the 270 counter-aggregate features. The window
-  /// query is pure in (event time, store content, node set) — the canary
-  /// and class features are NOT cached: the canary consumes RNG draws and
-  /// must re-run every call. A scheduler pass probing several jobs at one
-  /// event time against the same store revision hits after the first
-  /// probe. AllNodes-scope entries keep `nodes` empty (the aggregation
-  /// ignores the job's nodes).
-  struct CounterCacheEntry {
-    bool valid = false;
-    sim::Time now = 0.0;
-    std::uint64_t revision = 0;
-    cluster::NodeSet nodes;        // exact-compare key; empty for AllNodes
-    std::vector<double> counters;  // kCounterFeatures values
-  };
-
   /// Non-null reason string when degraded-mode checks reject the current
   /// inputs; null when healthy (or no injector is attached).
   [[nodiscard]] const char* degraded_reason(sim::Time now) const noexcept;
@@ -104,8 +85,6 @@ class RushOracle final : public sched::VariabilityOracle {
   const TrainedPredictor& predictor_;
   OracleDegradedConfig degraded_;
   std::uint64_t evaluations_ = 0;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
   std::uint64_t fallbacks_ = 0;
   sched::VariabilityPrediction last_good_ = sched::VariabilityPrediction::NoVariation;
   obs::EventTrace* trace_ = nullptr;
@@ -117,8 +96,6 @@ class RushOracle final : public sched::VariabilityOracle {
   std::vector<double> features_;          // full assembled vector (282)
   std::vector<telemetry::Agg> agg_scratch_;
   TrainedPredictor::PredictScratch predict_scratch_;
-  std::array<CounterCacheEntry, 4> cache_;
-  std::size_t cache_next_slot_ = 0;
 };
 
 }  // namespace rush::core

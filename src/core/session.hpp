@@ -45,11 +45,6 @@ struct TrialResult {
   /// Degraded-mode totals; both stay 0 unless a fault plan was active.
   std::uint64_t fault_requeues = 0;
   std::uint64_t oracle_fallbacks = 0;
-  /// Per-minute probes (only when requested): noise-job rate is owned by
-  /// the caller; these record worst edge utilization and running jobs.
-  std::vector<double> probe_noise_rate;
-  std::vector<double> probe_max_edge_util;
-  std::vector<double> probe_running_jobs;
 };
 
 struct SessionConfig {

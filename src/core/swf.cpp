@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
 
 namespace rush::core {
 
@@ -40,29 +37,6 @@ void write_swf(const TrialResult& trial, std::ostream& os, const SwfOptions& opt
     os << line;
     ++number;
   }
-}
-
-std::vector<SwfJob> read_swf(std::istream& is) {
-  std::vector<SwfJob> out;
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto trimmed = str::trim(line);
-    if (trimmed.empty() || trimmed.front() == ';') continue;
-    std::istringstream fields{std::string(trimmed)};
-    SwfJob job;
-    double req_procs = 0, req_time = 0, skip1 = 0, skip2 = 0, mem = 0, req_mem = 0;
-    double status = 0, user = 0, group = 0, exe = 0, partition = 0;
-    double prev = 0, think = 0;
-    if (!(fields >> job.job_number >> job.submit_s >> job.wait_s >> job.run_s >> job.procs >>
-          skip1 >> mem >> req_procs >> req_time >> req_mem >> status >> user >> group >> exe >>
-          partition >> skip2 >> prev >> think)) {
-      throw ParseError("malformed SWF record: " + std::string(trimmed));
-    }
-    job.status = static_cast<int>(status);
-    job.skips = static_cast<int>(partition) - 1;
-    out.push_back(job);
-  }
-  return out;
 }
 
 }  // namespace rush::core

@@ -35,20 +35,4 @@ struct SwfOptions {
 /// Write one trial as an SWF trace. Jobs appear in submission order.
 void write_swf(const TrialResult& trial, std::ostream& os, const SwfOptions& options = {});
 
-/// Minimal SWF job record parsed back from a trace (the fields this
-/// library emits meaningfully).
-struct SwfJob {
-  long long job_number = 0;
-  double submit_s = 0.0;
-  double wait_s = 0.0;
-  double run_s = 0.0;
-  long long procs = 0;
-  int status = 0;
-  int skips = 0;
-};
-
-/// Parse the job lines of an SWF stream (comment lines are skipped).
-/// Throws ParseError on malformed records.
-std::vector<SwfJob> read_swf(std::istream& is);
-
 }  // namespace rush::core

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <string>
 
-#include "apps/profiler.hpp"
+#include "apps/run_record.hpp"
 #include "apps/profiles.hpp"
 #include "cluster/topology.hpp"
 #include "sim/types.hpp"

@@ -67,14 +67,6 @@ void FeatureAssembler::assemble_into(sim::Time now, AggregationScope scope,
                                      const CanaryResult& canary, WorkloadClass cls,
                                      std::span<double> out, std::span<Agg> agg_scratch) const {
   RUSH_EXPECTS(out.size() == kNumFeatures);
-  counters_into(now, scope, job_nodes, out.first(kCounterFeatures), agg_scratch);
-  tail_into(canary, cls, out.subspan(kCounterFeatures));
-}
-
-void FeatureAssembler::counters_into(sim::Time now, AggregationScope scope,
-                                     const cluster::NodeSet& job_nodes, std::span<double> out,
-                                     std::span<Agg> agg_scratch) const {
-  RUSH_EXPECTS(out.size() == kCounterFeatures);
   RUSH_EXPECTS(agg_scratch.size() == store_.num_counters());
   const sim::Time t0 = now - window_s_;
   if (scope == AggregationScope::AllNodes) {
@@ -88,6 +80,10 @@ void FeatureAssembler::counters_into(sim::Time now, AggregationScope scope,
     out[i++] = a.max;
     out[i++] = a.mean;
   }
+  for (double f : canary.features()) out[i++] = f;
+  out[i++] = cls == WorkloadClass::Compute ? 1.0 : 0.0;
+  out[i++] = cls == WorkloadClass::Network ? 1.0 : 0.0;
+  out[i++] = cls == WorkloadClass::Io ? 1.0 : 0.0;
 }
 
 StalenessReport FeatureAssembler::staleness(sim::Time now) const noexcept {
@@ -101,16 +97,6 @@ StalenessReport FeatureAssembler::staleness(sim::Time now) const noexcept {
   report.frames_in_window = store_.frames_in(t0, now);
   report.corrupt_frames_in_window = store_.corrupt_frames_in(t0, now);
   return report;
-}
-
-void FeatureAssembler::tail_into(const CanaryResult& canary, WorkloadClass cls,
-                                 std::span<double> out) {
-  RUSH_EXPECTS(out.size() == kCanaryFeatures + kClassFeatures);
-  std::size_t i = 0;
-  for (double f : canary.features()) out[i++] = f;
-  out[i++] = cls == WorkloadClass::Compute ? 1.0 : 0.0;
-  out[i++] = cls == WorkloadClass::Network ? 1.0 : 0.0;
-  out[i++] = cls == WorkloadClass::Io ? 1.0 : 0.0;
 }
 
 }  // namespace rush::telemetry

@@ -73,15 +73,6 @@ class FeatureAssembler {
                      const CanaryResult& canary, WorkloadClass cls, std::span<double> out,
                      std::span<Agg> agg_scratch) const;
 
-  /// The 270 counter-aggregate features only (the cacheable prefix of an
-  /// assembled vector): min/max/mean per counter into `out`.
-  void counters_into(sim::Time now, AggregationScope scope, const cluster::NodeSet& job_nodes,
-                     std::span<double> out, std::span<Agg> agg_scratch) const;
-
-  /// The 12 trailing features (9 canary aggregates + 3-way class
-  /// one-hot) into `out`.
-  static void tail_into(const CanaryResult& canary, WorkloadClass cls, std::span<double> out);
-
   /// Staleness of the counter features as of `now` (see StalenessReport).
   [[nodiscard]] StalenessReport staleness(sim::Time now) const noexcept;
 

@@ -80,7 +80,6 @@ void CounterStore::add_frame(sim::Time t, std::span<const float> values) {
     evicted_prefix_ = std::move(frames_.front().prefix_sum);
     frames_.pop_front();
   }
-  ++revision_;
   RUSH_AUDIT_HOOK(audit_invariants());
 }
 
@@ -241,7 +240,6 @@ double CounterStore::latest(cluster::NodeId node, std::size_t counter) const {
 void CounterStore::clear() {
   frames_.clear();
   evicted_prefix_.assign(num_counters_, 0.0);
-  ++revision_;
 }
 
 }  // namespace rush::telemetry

@@ -55,10 +55,6 @@ class CounterStore {
   /// Frames with t in [t0, t1] that had at least one reading quarantined
   /// at ingest (see add_frame).
   [[nodiscard]] std::size_t corrupt_frames_in(sim::Time t0, sim::Time t1) const noexcept;
-  /// Monotonic content version: bumped by every add_frame and clear.
-  /// Lets consumers (the oracle's counter-feature cache) detect that a
-  /// window query over unchanged content must return unchanged results.
-  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
 
   /// Per-counter aggregates over frames with t in [t0, t1] and the given
   /// nodes (must all be managed). Returns num_counters() entries; returns
@@ -115,7 +111,6 @@ class CounterStore {
   cluster::NodeSet managed_;
   std::size_t num_counters_;
   std::size_t capacity_frames_;
-  std::uint64_t revision_ = 0;
   std::deque<Frame> frames_;
   /// prefix_sum of the most recently evicted frame (zeros before any
   /// eviction): the base the front frame's prefix chains from.

@@ -273,5 +273,14 @@ TEST(Execution, AbortOfUnknownRunIsRejected) {
   EXPECT_THROW(w.exec->abort(12345), PreconditionError);
 }
 
+TEST(RunRecord, SlowdownIsRelativeToUncontendedRun) {
+  RunRecord r;
+  r.duration_s = 150.0;
+  r.uncontended_s = 100.0;
+  EXPECT_DOUBLE_EQ(r.slowdown(), 1.5);
+  r.uncontended_s = 0.0;  // degenerate record: no inflation claimed
+  EXPECT_DOUBLE_EQ(r.slowdown(), 1.0);
+}
+
 }  // namespace
 }  // namespace rush::apps

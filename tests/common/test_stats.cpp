@@ -145,26 +145,6 @@ TEST(Stats, ZscoreDegenerateSpreadIsZero) {
   EXPECT_EQ(stats::zscore(100.0, xs), 0.0);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.9);   // bin 4
-  h.add(-3.0);  // clamps to bin 0
-  h.add(42.0);  // clamps to bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(2), 6.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), PreconditionError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
-}
-
 TEST(Summary, FiveNumberSummary) {
   std::vector<double> xs;
   for (int i = 1; i <= 101; ++i) xs.push_back(static_cast<double>(i));

@@ -109,42 +109,10 @@ TEST(RushOracle, EvaluatesThePredictorOnLiveTelemetry) {
   EXPECT_EQ(oracle.evaluations(), 2u);
 }
 
-TEST(RushOracle, CachesCounterAggregatesPerEventTime) {
-  Environment env{single_pod_config(9)};
-  env.sampler().start();
-  env.engine().run_until(300.0);
-
-  const Corpus corpus = tiny_corpus();
-  const Labeler labeler(corpus);
-  const TrainedPredictor predictor = PredictorTrainer().train(corpus, labeler);
-  RushOracle oracle(env, predictor);
-
-  sched::Job job;
-  job.spec.app = *apps::find_app("AMG");
-  cluster::NodeSet nodes;
-  for (int i = 0; i < 16; ++i) nodes.push_back(i);
-
-  // Same event time, same store content: the first probe aggregates, the
-  // rest hit the cache.
-  (void)oracle.predict(job, nodes);
-  EXPECT_EQ(oracle.counter_cache_misses(), 1u);
-  EXPECT_EQ(oracle.counter_cache_hits(), 0u);
-  (void)oracle.predict(job, nodes);
-  (void)oracle.predict(job, nodes);
-  EXPECT_EQ(oracle.counter_cache_misses(), 1u);
-  EXPECT_EQ(oracle.counter_cache_hits(), 2u);
-
-  // New frames invalidate: the store revision moved.
-  env.engine().run_until(400.0);
-  (void)oracle.predict(job, nodes);
-  EXPECT_EQ(oracle.counter_cache_misses(), 2u);
-  EXPECT_EQ(oracle.counter_cache_hits(), 2u);
-}
-
-TEST(RushOracle, CachedPredictionsMatchUncachedOracle) {
+TEST(RushOracle, PredictionsDoNotDependOnEarlierCalls) {
   // Two oracles over identically-seeded environments must emit identical
-  // predictions whether or not their caches are warm — the cache must be
-  // behavior-invisible.
+  // predictions whether one oracle answers every call or each call gets a
+  // fresh one: the healthy path keeps no state between predictions.
   const Corpus corpus = tiny_corpus();
   const Labeler labeler(corpus);
   const TrainedPredictor predictor = PredictorTrainer().train(corpus, labeler);
@@ -154,28 +122,25 @@ TEST(RushOracle, CachedPredictionsMatchUncachedOracle) {
   cluster::NodeSet nodes;
   for (int i = 0; i < 16; ++i) nodes.push_back(i);
 
-  std::vector<sched::VariabilityPrediction> warm;
-  std::vector<sched::VariabilityPrediction> cold;
+  std::vector<sched::VariabilityPrediction> shared;
+  std::vector<sched::VariabilityPrediction> fresh;
   {
     Environment env{single_pod_config(10)};
     env.sampler().start();
     env.engine().run_until(300.0);
     RushOracle oracle(env, predictor);
-    for (int i = 0; i < 3; ++i) warm.push_back(oracle.predict(job, nodes));
-    EXPECT_GT(oracle.counter_cache_hits(), 0u);
+    for (int i = 0; i < 3; ++i) shared.push_back(oracle.predict(job, nodes));
   }
   {
     Environment env{single_pod_config(10)};
     env.sampler().start();
     env.engine().run_until(300.0);
-    // A fresh oracle per call: every predict misses its (empty) cache.
     for (int i = 0; i < 3; ++i) {
       RushOracle oracle(env, predictor);
-      cold.push_back(oracle.predict(job, nodes));
-      EXPECT_EQ(oracle.counter_cache_hits(), 0u);
+      fresh.push_back(oracle.predict(job, nodes));
     }
   }
-  EXPECT_EQ(warm, cold);
+  EXPECT_EQ(shared, fresh);
 }
 
 TEST(RushOracle, RequiresAReadyPredictor) {

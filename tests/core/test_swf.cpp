@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -46,56 +48,56 @@ TEST(Swf, WritesHeaderCommentsAndSortedJobs) {
   EXPECT_LT(first_job, second_job);
 }
 
-TEST(Swf, EveryJobLineHas18Fields) {
-  std::stringstream ss;
-  write_swf(sample_trial(), ss);
+/// The numeric fields of every job line (comment and blank lines skipped).
+std::vector<std::vector<double>> job_fields(const std::string& text) {
+  std::vector<std::vector<double>> jobs;
+  std::istringstream in(text);
   std::string line;
-  int job_lines = 0;
-  while (std::getline(ss, line)) {
+  while (std::getline(in, line)) {
     if (line.empty() || line.front() == ';') continue;
     std::istringstream fields(line);
-    int count = 0;
-    std::string tok;
-    while (fields >> tok) ++count;
-    EXPECT_EQ(count, 18) << line;
-    ++job_lines;
+    std::vector<double>& job = jobs.emplace_back();
+    double v = 0.0;
+    while (fields >> v) job.push_back(v);
+    EXPECT_TRUE(fields.eof()) << "non-numeric field in: " << line;
   }
-  EXPECT_EQ(job_lines, 2);
+  return jobs;
+}
+
+std::string swf_text(const SwfOptions& options = {}) {
+  std::ostringstream os;
+  write_swf(sample_trial(), os, options);
+  return std::move(os).str();
+}
+
+TEST(Swf, EveryJobLineHas18Fields) {
+  const auto jobs = job_fields(swf_text());
+  ASSERT_EQ(jobs.size(), 2u);
+  for (const auto& job : jobs) EXPECT_EQ(job.size(), 18u);
 }
 
 TEST(Swf, RoundTripPreservesTheMeaningfulFields) {
-  std::stringstream ss;
-  write_swf(sample_trial(), ss);
-  const auto jobs = read_swf(ss);
+  // 1-based SWF fields: 1 job number, 2 submit, 3 wait, 4 run time,
+  // 5 allocated procs, 11 status, 15 partition (1 + skip count).
+  const auto jobs = job_fields(swf_text());
   ASSERT_EQ(jobs.size(), 2u);
-  EXPECT_EQ(jobs[0].job_number, 1);
-  EXPECT_DOUBLE_EQ(jobs[0].submit_s, 0.0);
-  EXPECT_NEAR(jobs[0].run_s, 199.25, 0.01);
-  EXPECT_EQ(jobs[0].procs, 8 * 32);
-  EXPECT_EQ(jobs[0].skips, 0);
-  EXPECT_EQ(jobs[0].status, 1);
-  EXPECT_DOUBLE_EQ(jobs[1].submit_s, 120.0);
-  EXPECT_DOUBLE_EQ(jobs[1].wait_s, 30.0);
-  EXPECT_EQ(jobs[1].skips, 2);
+  EXPECT_EQ(jobs[0][0], 1.0);
+  EXPECT_DOUBLE_EQ(jobs[0][1], 0.0);
+  EXPECT_NEAR(jobs[0][3], 199.25, 0.01);
+  EXPECT_EQ(jobs[0][4], 8 * 32);
+  EXPECT_EQ(jobs[0][14] - 1, 0);
+  EXPECT_EQ(jobs[0][10], 1.0);
+  EXPECT_DOUBLE_EQ(jobs[1][1], 120.0);
+  EXPECT_DOUBLE_EQ(jobs[1][2], 30.0);
+  EXPECT_EQ(jobs[1][14] - 1, 2);
 }
 
 TEST(Swf, CustomCoresPerNode) {
-  std::stringstream ss;
   SwfOptions options;
   options.cores_per_node = 4;
-  write_swf(sample_trial(), ss, options);
-  const auto jobs = read_swf(ss);
-  EXPECT_EQ(jobs[0].procs, 8 * 4);
-}
-
-TEST(Swf, ReadSkipsCommentsAndBlankLines) {
-  std::stringstream ss("; a comment\n\n; another\n");
-  EXPECT_TRUE(read_swf(ss).empty());
-}
-
-TEST(Swf, ReadRejectsMalformedRecords) {
-  std::stringstream ss("1 2 3\n");
-  EXPECT_THROW((void)read_swf(ss), ParseError);
+  const auto jobs = job_fields(swf_text(options));
+  ASSERT_FALSE(jobs.empty());
+  EXPECT_EQ(jobs[0][4], 8 * 4);
 }
 
 TEST(Swf, RejectsBadOptions) {

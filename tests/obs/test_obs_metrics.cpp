@@ -74,6 +74,26 @@ TEST(Histogram, UnderflowOverflowClampToObservedExtremes) {
   EXPECT_LE(h.percentile(0.99), 100.0);
 }
 
+TEST(Histogram, BinningAndClamping) {
+  // [0,10) over 5 buckets of width 2, plus underflow (index 0) and
+  // overflow (index 6).
+  Histogram h(0.0, 10.0, 5);
+  h.record(0.5);   // [0,2)
+  h.record(9.9);   // [8,10)
+  h.record(-3.0);  // underflow
+  h.record(42.0);  // overflow
+  h.record(5.0);   // [4,6)
+  h.record(10.0);  // hi is exclusive: overflow
+  EXPECT_EQ(h.count(), 6u);
+  EXPECT_EQ(h.buckets(), (std::vector<std::uint64_t>{1, 1, 0, 1, 0, 1, 2}));
+}
+
+TEST(Histogram, RejectsBadConstruction) {
+  EXPECT_THROW(Histogram(1.0, 1.0, 4), PreconditionError);
+  EXPECT_THROW(Histogram(2.0, 1.0, 4), PreconditionError);
+  EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
+}
+
 TEST(Histogram, SingleSampleAllPercentilesEqualIt) {
   Histogram h(0.0, 10.0, 10);
   h.record(7.25);

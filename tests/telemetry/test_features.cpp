@@ -101,15 +101,6 @@ TEST_F(FeatureAssemblyTest, AssembleIntoMatchesAssemble) {
   }
 }
 
-TEST_F(FeatureAssemblyTest, StoreRevisionTracksContent) {
-  const std::uint64_t before = store_.revision();
-  std::vector<float> values(4 * num_counters(), 2.0F);
-  store_.add_frame(200.0, values);
-  EXPECT_EQ(store_.revision(), before + 1);
-  store_.clear();
-  EXPECT_EQ(store_.revision(), before + 2);
-}
-
 TEST_F(FeatureAssemblyTest, WindowExcludesOldFrames) {
   // At t=500 the frames at 100/130 fall outside the 300 s window.
   const auto v = assembler_.assemble(500.0, AggregationScope::AllNodes, {0}, canary_,
