@@ -11,6 +11,15 @@
 
 namespace rush::bench {
 
+namespace {
+/// The shard count shapes the corpus, so sharded campaigns (and the
+/// experiments trained on them) cache under their own tag; shards=1 keeps
+/// the legacy cache names and bytes.
+std::string shard_tag(const BenchOptions& opts) {
+  return opts.shards > 1 ? "_p" + std::to_string(opts.shards) : "";
+}
+}  // namespace
+
 BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
@@ -75,11 +84,8 @@ core::Corpus main_corpus(const BenchOptions& opts) {
   cfg.seed = opts.seed;
   cfg.shards = opts.shards;
   core::LongitudinalCollector collector(cfg, core::single_pod_config());
-  // The shard count shapes the corpus, so sharded campaigns cache under
-  // their own tag; shards=1 keeps the legacy cache name and bytes.
-  const std::string shard_tag = opts.shards > 1 ? "_p" + std::to_string(opts.shards) : "";
   const auto cache = core::default_corpus_cache("main_d" + std::to_string(opts.days) + "_s" +
-                                                std::to_string(opts.seed) + shard_tag);
+                                                std::to_string(opts.seed) + shard_tag(opts));
   if (opts.fresh) std::filesystem::remove(cache);
   std::printf("[bench] corpus: %s\n", cache.string().c_str());
   core::Corpus corpus = collector.collect_or_load(cache);
@@ -109,7 +115,7 @@ core::ExperimentResult experiment(const BenchOptions& opts, core::ExperimentRunn
   const auto cache = core::default_experiment_cache(spec.code + "_t" +
                                                     std::to_string(opts.trials) + "_s" +
                                                     std::to_string(opts.seed) + "_d" +
-                                                    std::to_string(opts.days));
+                                                    std::to_string(opts.days) + shard_tag(opts));
   // Tracing needs live trials (a cache hit would leave the trace empty);
   // fault runs must neither read nor leave behind fault-perturbed results.
   const bool bypass_cache =

@@ -23,12 +23,13 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n", table.render().c_str());
 
   const core::ExperimentConfig defaults;
-  std::printf("Common setup (paper §VI-A): single 512-node pod; noise job on 1/%d of the\n"
+  const core::SessionConfig session_defaults;
+  std::printf("Common setup (paper §VI-A): single 512-node pod; noise job on 1/%zu of the\n"
               "nodes sending variable all-to-all traffic; %.0f%% of the queue submitted at\n"
               "t=0 and the rest uniformly over %.0f minutes; %d trials per policy;\n"
               "16 nodes per job unless the experiment scales to {8,16,32}.\n\n",
-              defaults.noise_node_stride, 100.0 * defaults.initial_fraction,
-              defaults.submit_window_s / 60.0, defaults.trials_per_policy);
+              core::NoisyPod::kNoiseNodeStride, 100.0 * session_defaults.initial_fraction,
+              session_defaults.submit_window_s / 60.0, defaults.trials_per_policy);
 
   bench::BenchObs obs(opts, "bench_table2_experiments");
   core::ExperimentRunner runner = bench::make_runner(opts, bench::main_corpus(opts), &obs);

@@ -12,7 +12,6 @@
 // Build & run:  ./build/examples/custom_policy
 #include <cstdio>
 
-#include "apps/noise.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/environment.hpp"
@@ -58,19 +57,10 @@ Outcome run(const std::string& main_policy, bool use_rush, std::uint64_t seed) {
   core::Environment env(core::single_pod_config(seed));
 
   // Same experimental stage as the paper: noise job + background load.
-  const cluster::NodeSet pod = env.pod_nodes();
-  cluster::NodeSet noise_nodes;
-  for (std::size_t i = 0; i < pod.size(); i += 16) noise_nodes.push_back(pod[i]);
-  apps::NoiseJob noise(env.engine(), env.network(), noise_nodes, apps::NoiseConfig{},
-                       env.rng_for(0x401CE));
-  cluster::NodeSet job_nodes;
-  for (cluster::NodeId n : pod)
-    if (n % 16 != 0) job_nodes.push_back(n);
-  cluster::NodeAllocator allocator(std::move(job_nodes));
-
+  core::NoisyPod stage(env);
   env.background().start();
   env.sampler().start();
-  noise.start();
+  stage.noise().start();
 
   ThresholdOracle oracle(env, 0.8);
   sched::SchedulerConfig sc;
@@ -81,7 +71,7 @@ Outcome run(const std::string& main_policy, bool use_rush, std::uint64_t seed) {
   session_cfg.num_jobs = 95;
   session_cfg.main_policy = main_policy;
   session_cfg.backfill_policy = main_policy;
-  core::WorkloadSession session(env, allocator, session_cfg, sc,
+  core::WorkloadSession session(env, stage.allocator(), session_cfg, sc,
                                 use_rush ? &oracle : nullptr, env.rng_for(0x5EED));
   const core::TrialResult result = session.run();
 

@@ -12,13 +12,18 @@
 
 namespace rush::core {
 
+namespace {
+constexpr int kNodesPerJob = 16;  // the experiments' default job size
+/// Earliest/latest session start within a day (seconds past midnight).
+constexpr double kSessionStartLoS = 6.0 * 3600.0;
+constexpr double kSessionStartHiS = 18.0 * 3600.0;
+}  // namespace
+
 LongitudinalCollector::LongitudinalCollector(CollectorConfig config, EnvironmentConfig env_config)
     : config_(std::move(config)), env_config_(env_config) {
   RUSH_EXPECTS(config_.days > 0);
   RUSH_EXPECTS(config_.sessions_per_day > 0);
   RUSH_EXPECTS(config_.jobs_per_session > 0);
-  RUSH_EXPECTS(config_.nodes_per_job > 0);
-  RUSH_EXPECTS(config_.session_start_hi_s >= config_.session_start_lo_s);
   RUSH_EXPECTS(config_.shards >= 1);
   // Tie the environment's stochastic state to the collection seed so the
   // whole campaign is one reproducible unit.
@@ -87,32 +92,17 @@ Corpus LongitudinalCollector::collect_days(int day_begin, int day_end,
   }
   env.background().start();
 
-  // Noise job on every stride-th pod node, running for the whole campaign.
-  const cluster::NodeSet pod = env.pod_nodes();
-  cluster::NodeSet noise_nodes;
-  std::unique_ptr<apps::NoiseJob> noise;
-  if (config_.with_noise_job) {
-    for (std::size_t i = 0; i < pod.size();
-         i += static_cast<std::size_t>(config_.noise_node_stride))
-      noise_nodes.push_back(pod[i]);
-    noise = std::make_unique<apps::NoiseJob>(env.engine(), env.network(), noise_nodes,
-                                             config_.noise, env.rng_for(0x401CE));
-    noise->start();
-  }
-
-  // Jobs are allocated from the remaining nodes; the allocator persists
-  // across sessions (every session drains fully).
-  cluster::NodeSet job_nodes;
-  for (cluster::NodeId n : pod)
-    if (!std::binary_search(noise_nodes.begin(), noise_nodes.end(), n)) job_nodes.push_back(n);
-  cluster::NodeAllocator allocator(std::move(job_nodes));
+  // The experiments' stage: the noise job runs for the whole campaign, and
+  // its allocator persists across sessions (every session drains fully).
+  NoisyPod stage(env);
+  stage.noise().start();
 
   Corpus corpus;
   for (int d = 0; d < shard_days; ++d) {
     for (int s = 0; s < config_.sessions_per_day; ++s) {
       const double start =
           static_cast<double>(d) * day +
-          rng.uniform(config_.session_start_lo_s, config_.session_start_hi_s) +
+          rng.uniform(kSessionStartLoS, kSessionStartHiS) +
           static_cast<double>(s) * 4.0 * 3600.0;
 
       // Lead time so the counter store holds a full window at the first
@@ -124,11 +114,11 @@ Corpus LongitudinalCollector::collect_days(int day_begin, int day_end,
       SessionConfig sc;
       sc.apps = app_names;
       sc.num_jobs = config_.jobs_per_session;
-      sc.node_counts = {config_.nodes_per_job};
+      sc.node_counts = {kNodesPerJob};
       sc.submit_window_s = config_.submit_window_s;
 
       sched::SchedulerConfig baseline;  // FCFS+EASY, no RUSH
-      WorkloadSession session(env, allocator, sc, baseline, nullptr, rng.split(0x5E55));
+      WorkloadSession session(env, stage.allocator(), sc, baseline, nullptr, rng.split(0x5E55));
 
       std::unordered_map<sched::JobId, CollectedSample> pending;
       session.on_start([this, &env, &pending, &app_index](const sched::Job& job) {

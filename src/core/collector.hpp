@@ -16,7 +16,6 @@
 
 #include <filesystem>
 
-#include "apps/noise.hpp"
 #include "core/corpus.hpp"
 #include "core/environment.hpp"
 #include "core/session.hpp"
@@ -31,15 +30,7 @@ struct CollectorConfig {
   /// Matches the experiments' queue depth so training sees the same
   /// saturation regime the scheduler will decide in.
   int jobs_per_session = 190;
-  int nodes_per_job = 16;
   double submit_window_s = 1200.0;
-  /// Earliest/latest session start within a day (seconds past midnight).
-  double session_start_lo_s = 6.0 * 3600.0;
-  double session_start_hi_s = 18.0 * 3600.0;
-  /// Noise job, as in the experiments.
-  bool with_noise_job = true;
-  int noise_node_stride = 16;
-  apps::NoiseConfig noise;
   /// Mid-campaign congestion storm (the Fig. 1 "mid-December" spike);
   /// disabled when storm_days <= 0.
   double storm_at_fraction = 0.62;

@@ -2,12 +2,14 @@
 //
 // Bundles the engine, fat-tree, contention models, telemetry stack, and
 // execution model with consistent seeding so the collector, experiment
-// runner, examples, and benches do not each re-wire the world.
+// runner, examples, and benches do not each re-wire the world. NoisyPod
+// adds the paper's experimental stage on top of it.
 #pragma once
 
 #include <memory>
 
 #include "apps/execution.hpp"
+#include "apps/noise.hpp"
 #include "cluster/allocator.hpp"
 #include "cluster/background.hpp"
 #include "cluster/lustre.hpp"
@@ -26,19 +28,10 @@ class MetricsRegistry;
 
 namespace rush::core {
 
+/// Machine shape and master seed; every other model runs on its own
+/// component defaults (tests that vary a model construct it directly).
 struct EnvironmentConfig {
   cluster::FatTreeConfig tree;
-  double lustre_gbps = 480.0;  // aggregate filesystem bandwidth
-  cluster::BackgroundConfig background;
-  telemetry::SamplerConfig sampler;
-  telemetry::CanaryConfig canary;
-  apps::ExecutionConfig execution;
-  /// Counter history window retained by the store, in sampler periods.
-  std::size_t store_capacity_frames = 40;
-  /// Feature aggregation window (paper: 5 minutes).
-  double feature_window_s = 300.0;
-  /// Pod whose nodes the telemetry store covers (the "reservation").
-  int telemetry_pod = 0;
   std::uint64_t seed = 2022;
 };
 
@@ -74,7 +67,7 @@ class Environment {
   // rush-analyze: allow(missing-expects)
   void attach_obs(obs::EventTrace* trace, obs::MetricsRegistry* metrics);
 
-  /// Nodes of the telemetry pod (the experiment reservation).
+  /// Nodes of the telemetry pod (pod 0, the experiment reservation).
   [[nodiscard]] cluster::NodeSet pod_nodes() const;
 
  private:
@@ -90,6 +83,28 @@ class Environment {
   std::unique_ptr<telemetry::MpiCanary> canary_;
   std::unique_ptr<telemetry::FeatureAssembler> features_;
   std::unique_ptr<apps::ExecutionModel> execution_;
+};
+
+/// The paper's experimental stage (§VI-A) on the telemetry pod, which the
+/// in-situ collection (§V-A) runs on too, so the model trains on the
+/// features it later schedules with: a noise job on every
+/// kNoiseNodeStride-th node sends variable all-to-all traffic, and the
+/// workload is allocated from the remaining nodes. Construction draws the
+/// noise job's RNG stream from the environment; the caller starts the
+/// noise job after the background load and the sampler.
+class NoisyPod {
+ public:
+  /// 1/16 of the pod: two noise nodes under each 32-node edge switch.
+  static constexpr std::size_t kNoiseNodeStride = 16;
+
+  explicit NoisyPod(Environment& env);
+
+  apps::NoiseJob& noise() noexcept { return noise_; }
+  cluster::NodeAllocator& allocator() noexcept { return allocator_; }
+
+ private:
+  apps::NoiseJob noise_;
+  cluster::NodeAllocator allocator_;
 };
 
 }  // namespace rush::core

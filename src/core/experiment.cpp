@@ -1,6 +1,5 @@
 #include "core/experiment.hpp"
 
-#include <algorithm>
 #include <memory>
 
 #include "common/error.hpp"
@@ -87,10 +86,6 @@ std::vector<ExperimentSpec> all_experiments() {
 ExperimentRunner::ExperimentRunner(Corpus training_corpus, ExperimentConfig config)
     : corpus_(std::move(training_corpus)), config_(config), labeler_(corpus_) {
   RUSH_EXPECTS(config_.trials_per_policy > 0);
-  RUSH_EXPECTS(config_.initial_fraction >= 0.0 && config_.initial_fraction <= 1.0);
-  RUSH_EXPECTS(config_.submit_window_s > 0.0);
-  RUSH_EXPECTS(config_.walltime_factor_hi >= config_.walltime_factor_lo);
-  RUSH_EXPECTS(config_.walltime_factor_lo >= 1.0);
 }
 
 TrainedPredictor ExperimentRunner::train_predictor(const ExperimentSpec& spec) const {
@@ -101,10 +96,8 @@ TrainedPredictor ExperimentRunner::train_predictor(const ExperimentSpec& spec) c
   // PDPA that means the four held-out apps only — the predictor never
   // sees the running apps' data).
   const Labeler train_labeler(train_corpus, labeler_.thresholds());
-  TrainerConfig tc;
-  tc.model_name = "adaboost";  // the paper's selected model
-  PredictorTrainer trainer(tc);
-  return trainer.train(train_corpus, train_labeler);
+  // The default trainer fits AdaBoost, the paper's selected model.
+  return PredictorTrainer().train(train_corpus, train_labeler);
 }
 
 TrialResult ExperimentRunner::run_trial(const ExperimentSpec& spec, bool use_rush,
@@ -124,21 +117,7 @@ TrialResult ExperimentRunner::run_trial_with_sinks(const ExperimentSpec& spec, b
   RUSH_EXPECTS(spec.num_jobs > 0);
 
   Environment env(single_pod_config(trial_seed));
-
-  // Noise job on every stride-th node of the pod.
-  const cluster::NodeSet pod = env.pod_nodes();
-  cluster::NodeSet noise_nodes;
-  for (std::size_t i = 0; i < pod.size(); i += static_cast<std::size_t>(config_.noise_node_stride))
-    noise_nodes.push_back(pod[i]);
-  apps::NoiseJob noise(env.engine(), env.network(), noise_nodes, config_.noise,
-                       env.rng_for(0x401CE));
-
-  // Jobs are allocated from the remaining nodes.
-  cluster::NodeSet job_nodes;
-  for (cluster::NodeId n : pod)
-    if (!std::binary_search(noise_nodes.begin(), noise_nodes.end(), n)) job_nodes.push_back(n);
-  cluster::NodeAllocator allocator(std::move(job_nodes));
-
+  NoisyPod stage(env);
   env.attach_obs(trace, metrics);
 
   // Fault injection: constructed only for a non-empty plan so the
@@ -168,7 +147,6 @@ TrialResult ExperimentRunner::run_trial_with_sinks(const ExperimentSpec& spec, b
     OracleDegradedConfig degraded;
     degraded.faults = injector.get();
     degraded.fallback = config_.oracle_fallback;
-    degraded.max_counter_age_s = config_.oracle_max_counter_age_s;
     oracle = std::make_unique<RushOracle>(env, *predictor, degraded);
     oracle->set_trace(trace);
     oracle->set_metrics(metrics);
@@ -179,20 +157,15 @@ TrialResult ExperimentRunner::run_trial_with_sinks(const ExperimentSpec& spec, b
   session_config.num_jobs = spec.num_jobs;
   session_config.node_counts = spec.node_counts;
   session_config.scaling = spec.scaling;
-  session_config.submit_window_s = config_.submit_window_s;
-  session_config.initial_fraction = config_.initial_fraction;
-  session_config.walltime_factor_lo = config_.walltime_factor_lo;
-  session_config.walltime_factor_hi = config_.walltime_factor_hi;
   session_config.skip_threshold = config_.skip_threshold;
   session_config.main_policy = config_.main_policy;
   session_config.backfill_policy = config_.backfill_policy;
-  session_config.max_session_s = config_.max_sim_s;
 
   env.background().start();
   env.sampler().start();
-  noise.start();
+  stage.noise().start();
 
-  WorkloadSession session(env, allocator, session_config, sc, oracle.get(),
+  WorkloadSession session(env, stage.allocator(), session_config, sc, oracle.get(),
                           env.rng_for(0xE59E51));
 
   const char* policy_name = use_rush ? "rush" : "fcfs-easy";

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/noise.hpp"
 #include "core/collector.hpp"
 #include "core/pipeline.hpp"
 #include "core/rush_oracle.hpp"
@@ -49,24 +48,17 @@ struct ExperimentResult {
   std::vector<TrialResult> rush;
 };
 
+/// The workload stage (NoisyPod) and the session defaults (SessionConfig)
+/// hold the paper's §VI-A constants; these are the knobs around them.
 struct ExperimentConfig {
   int trials_per_policy = 5;
   std::uint64_t seed = 7;
-  double submit_window_s = 1200.0;   // paper: 20 minutes
-  double initial_fraction = 0.2;     // paper: 20% at t=0
-  int noise_node_stride = 16;        // 512/16 = 32 noise nodes, 2 per edge
-  apps::NoiseConfig noise;
-  /// User walltime over-estimation factor range.
-  double walltime_factor_lo = 1.3;
-  double walltime_factor_hi = 2.0;
   /// Scheduler knobs shared by both policies.
   sched::SkipPlacement skip_placement = sched::SkipPlacement::Front;
   bool delay_on_little_variation = false;
   int skip_threshold = 10;
   std::string main_policy = "fcfs";
   std::string backfill_policy = "fcfs";
-  /// Hard wall so a bugged trial cannot spin forever.
-  double max_sim_s = 6.0 * 3600.0;
   /// Trial-level parallelism for run(): 1 = strictly serial; 0 = the
   /// shared task pool (RUSH_JOBS / hardware default); N > 1 = a
   /// dedicated N-wide pool. Every trial owns its Environment and seeds
@@ -89,7 +81,6 @@ struct ExperimentConfig {
   /// Degraded-mode oracle knobs (only consulted when fault_plan is
   /// non-empty).
   OracleFallback oracle_fallback = OracleFallback::Fcfs;
-  double oracle_max_counter_age_s = 120.0;
 };
 
 class ExperimentRunner {

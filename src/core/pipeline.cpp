@@ -128,9 +128,6 @@ PredictorTrainer::PredictorTrainer(TrainerConfig config) : config_(std::move(con
 TrainedPredictor PredictorTrainer::train(const Corpus& corpus, const Labeler& labeler) const {
   RUSH_EXPECTS(!corpus.empty());
 
-  std::string model_name = config_.model_name;
-  if (model_name.empty()) model_name = best_model(compare_models(corpus, labeler));
-
   TrainedPredictor out;
   out.scope_ = config_.scope;
   out.thresholds_ = labeler.thresholds();
@@ -140,7 +137,7 @@ TrainedPredictor PredictorTrainer::train(const Corpus& corpus, const Labeler& la
   // first, the exported model then retrains on three classes).
   const ml::Dataset binary = labeler.binary_dataset(corpus, config_.scope);
   if (config_.run_rfe) {
-    const auto prototype = ml::make_classifier(model_name);
+    const auto prototype = ml::make_classifier(config_.model_name);
     const auto rfe = ml::recursive_feature_elimination(*prototype, binary, config_.rfe);
     out.selected_ = rfe.selected;
   }
@@ -148,20 +145,16 @@ TrainedPredictor PredictorTrainer::train(const Corpus& corpus, const Labeler& la
   ml::Dataset three = labeler.three_class_dataset(corpus, config_.scope);
   if (!out.selected_.empty()) three = three.select_features(out.selected_);
 
-  out.model_ = ml::make_classifier(model_name);
-  if (config_.balance_classes) {
-    const auto counts = three.class_counts();
-    const auto k = static_cast<double>(counts.size());
-    const auto n = static_cast<double>(three.rows());
-    std::vector<double> weights(three.rows());
-    for (std::size_t i = 0; i < three.rows(); ++i) {
-      const auto c = static_cast<std::size_t>(three.label(i));
-      weights[i] = counts[c] > 0 ? n / (k * static_cast<double>(counts[c])) : 0.0;
-    }
-    out.model_->fit(three, weights);
-  } else {
-    out.model_->fit(three);
+  out.model_ = ml::make_classifier(config_.model_name);
+  const auto counts = three.class_counts();
+  const auto k = static_cast<double>(counts.size());
+  const auto n = static_cast<double>(three.rows());
+  std::vector<double> weights(three.rows());
+  for (std::size_t i = 0; i < three.rows(); ++i) {
+    const auto c = static_cast<std::size_t>(three.label(i));
+    weights[i] = counts[c] > 0 ? n / (k * static_cast<double>(counts[c])) : 0.0;
   }
+  out.model_->fit(three, weights);
   return out;
 }
 

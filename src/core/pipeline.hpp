@@ -83,17 +83,12 @@ class TrainedPredictor {
 };
 
 struct TrainerConfig {
-  /// Registry name of the model family; empty = pick by compare_models.
+  /// Registry name of the model family (see ml/serialize.hpp).
   std::string model_name = "adaboost";
   telemetry::AggregationScope scope = telemetry::AggregationScope::AllNodes;
   /// Run recursive feature elimination before the final fit.
   bool run_rfe = false;
   ml::RfeConfig rfe;
-  /// Weight samples inversely to class frequency when fitting the
-  /// production model. Variation is rare (imbalanced labels, §VI-B);
-  /// without this the boosted ensemble underfits the minority class and
-  /// the scheduler misses most congestion episodes.
-  bool balance_classes = true;
   /// Confidence gate on "variation" outputs (see
   /// TrainedPredictor::variation_confidence).
   double variation_confidence = 0.36;
@@ -105,7 +100,10 @@ class PredictorTrainer {
 
   /// Train the production three-class predictor on `corpus`, labeled by
   /// `labeler` (which may be built from a different reference corpus —
-  /// that is how PDPA trains on a four-app subset).
+  /// that is how PDPA trains on a four-app subset). Samples are weighted
+  /// inversely to class frequency: variation is rare (imbalanced labels,
+  /// §VI-B), and without the weights the boosted ensemble underfits the
+  /// minority class and the scheduler misses most congestion episodes.
   [[nodiscard]] TrainedPredictor train(const Corpus& corpus, const Labeler& labeler) const;
 
  private:

@@ -4,6 +4,13 @@
 
 namespace rush::core {
 
+namespace {
+/// Hard wall (relative to session start) against stuck sessions.
+constexpr double kMaxSessionS = 6.0 * 3600.0;
+/// Simulated time the engine advances between completion checks.
+constexpr double kDriveStepS = 60.0;
+}  // namespace
+
 WorkloadSession::WorkloadSession(Environment& env, cluster::NodeAllocator& allocator,
                                  SessionConfig config, sched::SchedulerConfig sched_config,
                                  sched::VariabilityOracle* oracle, Rng rng)
@@ -65,8 +72,8 @@ TrialResult WorkloadSession::run() {
   }
 
   while (scheduler_.completed_count() < ids.size()) {
-    if (env_.engine().now() - t0 >= config_.max_session_s) break;
-    env_.engine().run_until(env_.engine().now() + config_.drive_step_s);
+    if (env_.engine().now() - t0 >= kMaxSessionS) break;
+    env_.engine().run_until(env_.engine().now() + kDriveStepS);
   }
 
   TrialResult result;

@@ -59,9 +59,6 @@ struct SessionConfig {
   int skip_threshold = 10;
   std::string main_policy = "fcfs";
   std::string backfill_policy = "fcfs";
-  /// Hard wall (relative to session start) against stuck sessions.
-  double max_session_s = 6.0 * 3600.0;
-  double drive_step_s = 60.0;
 };
 
 class WorkloadSession {

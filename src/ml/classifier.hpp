@@ -64,14 +64,6 @@ class Classifier {
   /// the framed container format).
   virtual void save_body(std::ostream& os) const = 0;
   virtual void load_body(std::istream& is) = 0;
-
-  /// Convenience: predictions for every row of a dataset.
-  [[nodiscard]] std::vector<int> predict_all(const Dataset& data) const {
-    std::vector<int> out;
-    out.reserve(data.rows());
-    for (std::size_t i = 0; i < data.rows(); ++i) out.push_back(predict(data.row(i)));
-    return out;
-  }
 };
 
 }  // namespace rush::ml

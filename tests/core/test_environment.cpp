@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "core/rush_oracle.hpp"
 #include "core/pipeline.hpp"
@@ -20,7 +22,7 @@ TEST(Environment, ComponentsAreWiredTogether) {
   Environment env{single_pod_config(2)};
   EXPECT_EQ(env.store().num_counters(), telemetry::num_counters());
   EXPECT_EQ(env.store().managed_nodes().size(), 512u);
-  EXPECT_DOUBLE_EQ(env.features().window_s(), env.config().feature_window_s);
+  EXPECT_DOUBLE_EQ(env.features().window_s(), 300.0);  // paper: 5 minutes
   // Sampler writes into the store.
   env.sampler().sample_now();
   EXPECT_EQ(env.store().frame_count(), 1u);
@@ -39,10 +41,20 @@ TEST(Environment, RngForIsDeterministicPerTag) {
   EXPECT_NE(rc.next(), rd.next());
 }
 
-TEST(Environment, RejectsBadTelemetryPod) {
-  EnvironmentConfig cfg = single_pod_config(4);
-  cfg.telemetry_pod = 5;  // only one pod exists
-  EXPECT_THROW(Environment{cfg}, PreconditionError);
+TEST(Environment, NoisyPodSplitsThePodAsInThePaper) {
+  Environment env{single_pod_config(4)};
+  NoisyPod stage(env);
+  const cluster::NodeSet& noise = stage.noise().nodes();
+  ASSERT_EQ(noise.size(), 32u);  // 1/16 of 512 nodes
+  std::vector<int> per_edge(16, 0);
+  for (cluster::NodeId n : noise) ++per_edge[static_cast<std::size_t>(env.tree().edge_of(n))];
+  for (int count : per_edge) EXPECT_EQ(count, 2);
+
+  EXPECT_EQ(stage.allocator().free_count(), 480);
+  cluster::NodeSet both = stage.allocator().managed_nodes();
+  both.insert(both.end(), noise.begin(), noise.end());
+  std::sort(both.begin(), both.end());
+  EXPECT_EQ(both, env.pod_nodes());  // disjoint, and together the whole pod
 }
 
 TEST(Environment, BackgroundDrivesAmbientLoad) {
