@@ -1,16 +1,19 @@
 // Micro-benchmarks of the simulation substrate (google-benchmark):
-// event-queue throughput, contention-model recomputation, canary probes,
-// allocator churn, and counter-frame synthesis. Also times the
-// alternative slowdown models called out as an ablation in DESIGN.md.
+// event-queue throughput, the contention-stretched job lifecycle, and the
+// smooth slowdown curve timed against a hard threshold (the ablation in
+// DESIGN.md §4).
 #include <benchmark/benchmark.h>
 
-#include "cluster/allocator.hpp"
+#include <cstdint>
+
+#include "alloc_counter.hpp"
+#include "apps/execution.hpp"
+#include "apps/profiles.hpp"
 #include "cluster/congestion.hpp"
+#include "cluster/lustre.hpp"
 #include "cluster/network.hpp"
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
-#include "telemetry/sampler.hpp"
-#include "telemetry/schema.hpp"
 
 namespace {
 
@@ -43,49 +46,6 @@ void BM_EnginePeriodicTasks(benchmark::State& state) {
 }
 BENCHMARK(BM_EnginePeriodicTasks);
 
-cluster::FatTree pod_tree() {
-  cluster::FatTreeConfig cfg;
-  cfg.pods = 1;
-  return cluster::FatTree(cfg);
-}
-
-void BM_NetworkRecompute(benchmark::State& state) {
-  const auto tree = pod_tree();
-  cluster::NetworkModel net(tree);
-  Rng rng(2);
-  const auto jobs = static_cast<int>(state.range(0));
-  for (int j = 0; j < jobs; ++j) {
-    cluster::NodeSet nodes;
-    const auto base = static_cast<cluster::NodeId>(rng.uniform_int(0, tree.num_nodes() - 17));
-    for (int i = 0; i < 16; ++i) nodes.push_back(base + i);
-    net.add_source(static_cast<cluster::SourceId>(j) + 1, nodes, 0.5,
-                   cluster::TrafficPattern::AllToAll);
-  }
-  for (auto _ : state) {
-    // Rate change dirties the model; the query forces a full recompute.
-    net.set_rate(1, 0.4 + 0.2 * rng.uniform());
-    benchmark::DoNotOptimize(net.slowdown(1));
-  }
-}
-BENCHMARK(BM_NetworkRecompute)->Arg(4)->Arg(16)->Arg(30);
-
-void BM_ProbeSlowdown(benchmark::State& state) {
-  const auto tree = pod_tree();
-  cluster::NetworkModel net(tree);
-  Rng rng(3);
-  for (int j = 0; j < 30; ++j) {
-    cluster::NodeSet nodes;
-    const auto base = static_cast<cluster::NodeId>(rng.uniform_int(0, tree.num_nodes() - 17));
-    for (int i = 0; i < 16; ++i) nodes.push_back(base + i);
-    net.add_source(static_cast<cluster::SourceId>(j) + 1, nodes, 0.5,
-                   cluster::TrafficPattern::AllToAll);
-  }
-  cluster::NodeSet probe;
-  for (int i = 0; i < 16; ++i) probe.push_back(100 + i);
-  for (auto _ : state) benchmark::DoNotOptimize(net.probe_slowdown(probe, 0.8));
-}
-BENCHMARK(BM_ProbeSlowdown);
-
 void BM_CongestionCurve(benchmark::State& state) {
   Rng rng(4);
   for (auto _ : state)
@@ -104,56 +64,45 @@ void BM_HardThresholdCurve(benchmark::State& state) {
 }
 BENCHMARK(BM_HardThresholdCurve);
 
-void BM_AllocatorChurn(benchmark::State& state) {
-  cluster::NodeSet managed;
-  for (cluster::NodeId n = 0; n < 480; ++n) managed.push_back(n);
-  Rng rng(5);
-  for (auto _ : state) {
-    cluster::NodeAllocator alloc(managed);
-    std::vector<cluster::NodeSet> live;
-    for (int step = 0; step < 200; ++step) {
-      if (!live.empty() && (rng.bernoulli(0.5) || !alloc.can_allocate(16))) {
-        alloc.release(live.back());
-        live.pop_back();
-      } else if (auto got = alloc.allocate(16)) {
-        live.push_back(std::move(*got));
-      }
-    }
-    benchmark::DoNotOptimize(alloc.free_count());
-  }
+cluster::FatTree pod_tree() {
+  cluster::FatTreeConfig cfg;
+  cfg.pods = 1;
+  return cluster::FatTree(cfg);
 }
-BENCHMARK(BM_AllocatorChurn);
 
-void BM_CounterFrameSynthesis(benchmark::State& state) {
+/// The execution model's event pattern in one pod: 30 staggered 16-node
+/// jobs of the seven proxy apps, launched 20 s apart and run to
+/// completion. Every launch and completion re-rates all running jobs and
+/// moves the one completion event. allocs_per_op is reported, not gated:
+/// each launch registers traffic sources and a RunRecord.
+void BM_ExecutionLifecycle(benchmark::State& state) {
+  constexpr int kJobs = 30;
+  constexpr int kNodesPerJob = 16;
   const auto tree = pod_tree();
   cluster::NetworkModel net(tree);
   cluster::LustreModel fs(480.0);
-  sim::Engine engine;
-  telemetry::CounterStore store(tree.nodes_in_pod(0), telemetry::num_counters(), 4);
-  telemetry::CounterSampler sampler(engine, net, fs, store, telemetry::SamplerConfig{}, Rng(6));
-  for (auto _ : state) sampler.sample_now();
-  state.SetItemsProcessed(static_cast<std::int64_t>(512 * telemetry::num_counters()) *
-                          state.iterations());
-}
-BENCHMARK(BM_CounterFrameSynthesis);
-
-void BM_WindowAggregation(benchmark::State& state) {
-  const auto tree = pod_tree();
-  telemetry::CounterStore store(tree.nodes_in_pod(0), telemetry::num_counters(), 12);
-  Rng rng(7);
-  std::vector<float> frame(512 * telemetry::num_counters());
-  for (int t = 0; t < 10; ++t) {
-    for (auto& v : frame) v = static_cast<float>(rng.uniform());
-    store.add_frame(static_cast<double>(t) * 30.0, frame);
-  }
-  cluster::NodeSet job_nodes;
-  for (int i = 0; i < 16; ++i) job_nodes.push_back(i);
+  const auto profiles = apps::proxy_apps();
+  std::uint64_t allocs = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.aggregate_all(0.0, 300.0));
-    benchmark::DoNotOptimize(store.aggregate_nodes(0.0, 300.0, job_nodes));
+    const std::uint64_t before = bench::g_alloc_count;
+    sim::Engine engine;
+    apps::ExecutionModel exec(engine, net, fs, apps::ExecutionConfig{}, Rng(8));
+    for (int j = 0; j < kJobs; ++j) {
+      engine.schedule_at(20.0 * j, [&exec, &profiles, j] {
+        cluster::NodeSet nodes;
+        for (int i = 0; i < kNodesPerJob; ++i) nodes.push_back(kNodesPerJob * j + i);
+        exec.launch(profiles[static_cast<std::size_t>(j) % profiles.size()], std::move(nodes),
+                    apps::ScalingMode::Strong, nullptr);
+      });
+    }
+    engine.run();
+    benchmark::DoNotOptimize(engine.events_executed());
+    allocs += bench::g_alloc_count - before;
   }
+  bench::count_allocs(state, allocs);
+  state.SetItemsProcessed(static_cast<std::int64_t>(kJobs) * state.iterations());
 }
-BENCHMARK(BM_WindowAggregation);
+BENCHMARK(BM_ExecutionLifecycle);
 
 }  // namespace
 

@@ -7,17 +7,16 @@
 // speedup from the pair). BM_AdaBoostFitPipeline is the pipeline's own
 // production fit shape and reports its allocation count. The predict
 // benchmarks run over the compiled flat planes and assert zero
-// steady-state heap allocations via the replaced global operator new
-// below. BM_OraclePredictEndToEnd covers the
+// steady-state heap allocations via bench/alloc_counter's replaced global
+// operator new. BM_OraclePredictEndToEnd covers the
 // whole oracle hot path: canary probe, counter-feature aggregation, and
 // compiled-ensemble evaluation against a live environment.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "apps/profiles.hpp"
 #include "common/rng.hpp"
 #include "core/environment.hpp"
@@ -28,31 +27,6 @@
 #include "ml/forest.hpp"
 #include "ml/knn.hpp"
 #include "ml/tree.hpp"
-
-// GCC pairs the malloc-backed replacement operator new with the
-// replacement operator delete across inlining and misreports the pair
-// as mismatched (it sees the free() inside); the replacement is exactly
-// the supported global-override idiom.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-namespace {
-// Global allocation counter. Single-threaded benchmarks, so a plain
-// counter is enough; volatile-free reads are fine.
-std::uint64_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size > 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -93,18 +67,6 @@ ml::Dataset three_class(std::size_t rows, std::size_t cols, std::uint64_t seed) 
     d.add_row(row, label);
   }
   return d;
-}
-
-void count_allocs(benchmark::State& state, std::uint64_t allocs) {
-  state.counters["allocs_per_op"] =
-      benchmark::Counter(static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
-}
-
-/// Report the accumulated allocation count and fail the benchmark when a
-/// steady-state path that promises zero allocations touched the heap.
-void report_allocs(benchmark::State& state, std::uint64_t allocs, const char* what) {
-  count_allocs(state, allocs);
-  if (allocs != 0) state.SkipWithError(what);
 }
 
 /// Per-node-sort reference trainer (presort off), kept measurable so the
@@ -183,13 +145,13 @@ void BM_AdaBoostFitPipeline(benchmark::State& state) {
                   static_cast<double>(counts[static_cast<std::size_t>(d.label(i))]));
   std::uint64_t allocs = 0;
   for (auto _ : state) {
-    const std::uint64_t before = g_alloc_count;
+    const std::uint64_t before = bench::g_alloc_count;
     ml::AdaBoost model;
     model.fit(d, weights);
-    allocs += g_alloc_count - before;
+    allocs += bench::g_alloc_count - before;
     benchmark::DoNotOptimize(model.stage_count());
   }
-  count_allocs(state, allocs);
+  bench::count_allocs(state, allocs);
 }
 BENCHMARK(BM_AdaBoostFitPipeline)->Unit(benchmark::kMillisecond);
 
@@ -202,11 +164,11 @@ void BM_ForestPredict(benchmark::State& state) {
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     for (auto& v : x) v = rng.uniform(0.0, 1.0);
-    const std::uint64_t before = g_alloc_count;
+    const std::uint64_t before = bench::g_alloc_count;
     benchmark::DoNotOptimize(forest.predict(x));
-    allocs += g_alloc_count - before;
+    allocs += bench::g_alloc_count - before;
   }
-  report_allocs(state, allocs, "forest predict allocated in steady state");
+  bench::report_allocs(state, allocs, "forest predict allocated in steady state");
 }
 BENCHMARK(BM_ForestPredict);
 
@@ -236,11 +198,11 @@ void BM_AdaBoostPredict(benchmark::State& state) {
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     for (auto& v : x) v = rng.uniform(0.0, 1.0);
-    const std::uint64_t before = g_alloc_count;
+    const std::uint64_t before = bench::g_alloc_count;
     benchmark::DoNotOptimize(model.predict(x));
-    allocs += g_alloc_count - before;
+    allocs += bench::g_alloc_count - before;
   }
-  report_allocs(state, allocs, "adaboost predict allocated in steady state");
+  bench::report_allocs(state, allocs, "adaboost predict allocated in steady state");
 }
 BENCHMARK(BM_AdaBoostPredict);
 
@@ -308,11 +270,11 @@ void BM_OraclePredictEndToEnd(benchmark::State& state) {
 
   std::uint64_t allocs = 0;
   for (auto _ : state) {
-    const std::uint64_t before = g_alloc_count;
+    const std::uint64_t before = bench::g_alloc_count;
     benchmark::DoNotOptimize(oracle.predict(job, nodes));
-    allocs += g_alloc_count - before;
+    allocs += bench::g_alloc_count - before;
   }
-  report_allocs(state, allocs, "oracle predict allocated in steady state");
+  bench::report_allocs(state, allocs, "oracle predict allocated in steady state");
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OraclePredictEndToEnd);

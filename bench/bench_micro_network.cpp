@@ -11,42 +11,16 @@
 //
 // BM_ProbeSlowdownSteadyState additionally asserts that placement probes
 // perform zero heap allocations once the scratch buffers are warm, via
-// the replaced global operator new below.
+// bench/alloc_counter's replaced global operator new.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "cluster/network.hpp"
 #include "cluster/topology.hpp"
 #include "common/rng.hpp"
-
-// GCC pairs the malloc-backed replacement operator new with the
-// replacement operator delete across inlining and misreports the pair
-// as mismatched (it sees the free() inside); the replacement is exactly
-// the supported global-override idiom.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-namespace {
-// Global allocation counter. Single-threaded benchmarks, so a plain
-// counter is enough; volatile-free reads are fine.
-std::uint64_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size > 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -163,13 +137,11 @@ void BM_ProbeSlowdownSteadyState(benchmark::State& state) {
 
   std::uint64_t allocs = 0;
   for (auto _ : state) {
-    const std::uint64_t before = g_alloc_count;
+    const std::uint64_t before = bench::g_alloc_count;
     benchmark::DoNotOptimize(net.probe_slowdown(probe, 0.8, cluster::TrafficPattern::AllToAll));
-    allocs += g_alloc_count - before;
+    allocs += bench::g_alloc_count - before;
   }
-  state.counters["allocs_per_op"] =
-      benchmark::Counter(static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
-  if (allocs != 0) state.SkipWithError("probe_slowdown allocated in steady state");
+  bench::report_allocs(state, allocs, "probe_slowdown allocated in steady state");
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ProbeSlowdownSteadyState);

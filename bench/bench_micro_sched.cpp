@@ -8,59 +8,25 @@
 // (sched/reference_scheduler.hpp), so tools/bench_baseline.py can derive
 // the speedup from the pair exactly like the tree-fit trainers in
 // bench_micro_ml. The production pass benchmark additionally counts heap
-// allocations via the replaced global operator new and fails if a
+// allocations via bench/alloc_counter and fails if a
 // steady-state pass (saturated machine, nothing launchable) allocates at
 // all — the scratch-buffer reuse contract of DESIGN.md §14.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <numeric>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/rng.hpp"
 #include "sched/reference_scheduler.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
 
-// GCC pairs the malloc-backed replacement operator new with the
-// replacement operator delete across inlining and misreports the pair
-// as mismatched (it sees the free() inside); the replacement is exactly
-// the supported global-override idiom.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-namespace {
-// Global allocation counter. Single-threaded benchmarks, so a plain
-// counter is enough.
-std::uint64_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size > 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace {
 
 using namespace rush;
-
-/// Report the accumulated allocation count and fail the benchmark when a
-/// steady-state path that promises zero allocations touched the heap.
-void report_allocs(benchmark::State& state, std::uint64_t allocs, const char* what) {
-  state.counters["allocs_per_op"] =
-      benchmark::Counter(static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
-  if (allocs != 0) state.SkipWithError(what);
-}
 
 cluster::FatTreeConfig tree_config(int total_nodes) {
   cluster::FatTreeConfig cfg;
@@ -143,17 +109,16 @@ void pass_saturated(benchmark::State& state) {
   for (int i = 0; i < depth; ++i) (void)sched->submit(make_spec(2, 100.0, 120.0));
   sched->schedule_pass();  // warm the scratch buffers
 
-  const std::uint64_t allocs_before = g_alloc_count;
+  const std::uint64_t allocs_before = bench::g_alloc_count;
   for (auto _ : state) {
     sched->schedule_pass();
     benchmark::DoNotOptimize(sched->queue_length());
   }
-  const std::uint64_t allocs = g_alloc_count - allocs_before;
+  const std::uint64_t allocs = bench::g_alloc_count - allocs_before;
   if constexpr (std::is_same_v<SchedulerT, sched::Scheduler>) {
-    report_allocs(state, allocs, "steady-state scheduling pass allocated");
+    bench::report_allocs(state, allocs, "steady-state scheduling pass allocated");
   } else {
-    state.counters["allocs_per_op"] =
-        benchmark::Counter(static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
+    bench::count_allocs(state, allocs);
   }
 }
 

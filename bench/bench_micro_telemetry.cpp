@@ -1,15 +1,19 @@
-// Micro-benchmarks of the indexed telemetry store (google-benchmark):
-// frame appends under eviction, binary-searched window counting, and the
-// prefix-aggregate window queries the feature pipeline issues on every
-// oracle evaluation. Part of the perf-baseline harness
+// Micro-benchmarks of telemetry (google-benchmark): counter-frame
+// synthesis, frame appends under eviction, binary-searched window
+// counting, and the prefix-aggregate window queries the feature pipeline
+// issues on every oracle evaluation. Part of the perf-baseline harness
 // (tools/bench_baseline.py -> BENCH_micro.json).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "cluster/lustre.hpp"
+#include "cluster/network.hpp"
 #include "cluster/topology.hpp"
 #include "common/rng.hpp"
+#include "sim/engine.hpp"
+#include "telemetry/sampler.hpp"
 #include "telemetry/schema.hpp"
 #include "telemetry/store.hpp"
 
@@ -21,11 +25,13 @@ constexpr std::size_t kFrames = 512;
 constexpr double kTickS = 30.0;
 
 /// One pod of the default machine: 512 nodes.
-cluster::NodeSet pod_nodes() {
+cluster::FatTree pod_tree() {
   cluster::FatTreeConfig cfg;
   cfg.pods = 1;
-  return cluster::FatTree(cfg).nodes_in_pod(0);
+  return cluster::FatTree(cfg);
 }
+
+cluster::NodeSet pod_nodes() { return pod_tree().nodes_in_pod(0); }
 
 telemetry::CounterStore full_store(Rng& rng, std::size_t frames = kFrames) {
   const auto nodes = pod_nodes();
@@ -37,6 +43,22 @@ telemetry::CounterStore full_store(Rng& rng, std::size_t frames = kFrames) {
   }
   return store;
 }
+
+/// One sampler frame: every counter of every node in the pod,
+/// synthesized from the network and filesystem models. In the trials
+/// workload this synthesis is the largest cost.
+void BM_CounterFrameSynthesis(benchmark::State& state) {
+  const auto tree = pod_tree();
+  cluster::NetworkModel net(tree);
+  cluster::LustreModel fs(480.0);
+  sim::Engine engine;
+  telemetry::CounterStore store(tree.nodes_in_pod(0), telemetry::num_counters(), 4);
+  telemetry::CounterSampler sampler(engine, net, fs, store, telemetry::SamplerConfig{}, Rng(6));
+  for (auto _ : state) sampler.sample_now();
+  state.SetItemsProcessed(static_cast<std::int64_t>(512 * telemetry::num_counters()) *
+                          state.iterations());
+}
+BENCHMARK(BM_CounterFrameSynthesis);
 
 void BM_StoreAddFrameEvicting(benchmark::State& state) {
   Rng rng(21);

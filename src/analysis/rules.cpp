@@ -48,8 +48,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "std::thread/std::jthread/std::async/OpenMP outside common/task_pool "
        "bypass the deterministic task pool"},
       {"unordered-iter",
-       "(sim/, sched/, core/) range-for over an unordered container member "
-       "feeds unspecified order into deterministic output"},
+       "(sim/, sched/, core/, apps/, cluster/, telemetry/, faults/) range-for "
+       "over an unordered container member feeds unspecified order into "
+       "deterministic output"},
       {"sched-linear-scan",
        "(sched/) std::find/find_if/count/remove over a member container is a "
        "linear scan in the scheduling hot path; binary-search the sorted "
@@ -133,7 +134,8 @@ void check_raw_thread(const SourceFile& f, std::vector<Finding>& out) {
 void check_unordered_iter(const SourceFile& f,
                           const std::vector<const SourceFile*>& dir_siblings,
                           std::vector<Finding>& out) {
-  static const std::set<std::string, std::less<>> kScope = {"sim", "sched", "core"};
+  static const std::set<std::string, std::less<>> kScope = {
+      "sim", "sched", "core", "apps", "cluster", "telemetry", "faults"};
   static const std::set<std::string, std::less<>> kUnordered = {
       "unordered_map", "unordered_set", "unordered_multimap", "unordered_multiset"};
   if (kScope.count(f.module()) == 0) return;

@@ -32,10 +32,11 @@ void check_naked_rand(const SourceFile& f, std::vector<Finding>& out);
 /// deterministic task pool.
 void check_raw_thread(const SourceFile& f, std::vector<Finding>& out);
 
-/// unordered-iter (sim/, sched/, core/): range-for over a member declared
-/// as std::unordered_{map,set,multimap,multiset} in this file or a
+/// unordered-iter (sim/, sched/, core/, apps/, cluster/, telemetry/,
+/// faults/): range-for over a member declared as
+/// std::unordered_{map,set,multimap,multiset} in this file or a
 /// same-directory sibling — iteration order is unspecified and these
-/// subsystems feed ordered output and RNG draws.
+/// subsystems feed simulated state, ordered output and RNG draws.
 void check_unordered_iter(const SourceFile& f,
                           const std::vector<const SourceFile*>& dir_siblings,
                           std::vector<Finding>& out);

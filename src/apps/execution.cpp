@@ -19,12 +19,12 @@ ExecutionModel::ExecutionModel(sim::Engine& engine, cluster::NetworkModel& net,
 ExecutionModel::~ExecutionModel() {
   // Deregister any still-running jobs' traffic so shared models owned by
   // a longer-lived scope are not left with dangling sources.
-  for (auto& [id, job] : running_) {
-    engine_.cancel(job.completion_event);
+  for (const auto& [id, job] : running_) {
     if (net_.has_source(comm_source(id))) net_.remove_source(comm_source(id));
     if (net_.has_source(gateway_source(id))) net_.remove_source(gateway_source(id));
     if (lustre_.has_client(id)) lustre_.remove_client(id);
   }
+  if (completion_ != 0) engine_.cancel(completion_);
   if (ticking_) engine_.cancel(tick_);
 }
 
@@ -32,7 +32,7 @@ void ExecutionModel::start() {
   if (ticking_) return;
   ticking_ = true;
   tick_ = engine_.schedule_periodic(engine_.now() + config_.reevaluate_period_s,
-                                    config_.reevaluate_period_s, [this] { reevaluate_all(); });
+                                    config_.reevaluate_period_s, [this] { refresh_all(); });
 }
 
 void ExecutionModel::stop() {
@@ -79,12 +79,10 @@ ExecutionModel::RunId ExecutionModel::launch(const AppProfile& app, cluster::Nod
     lustre_.add_client(id, nodes, io_rate, app.io_read_fraction);
   }
 
-  auto [it, inserted] = running_.emplace(id, std::move(job));
+  const bool inserted = running_.emplace(id, std::move(job)).second;
   RUSH_ASSERT(inserted);
-  refresh(id, it->second);
   // The new job's traffic changed everyone else's contention.
-  for (auto& [other_id, other] : running_)
-    if (other_id != id) refresh(other_id, other);
+  refresh_all();
   start();
   return id;
 }
@@ -104,27 +102,30 @@ double ExecutionModel::current_rate(RunId id, const Running& job) const {
   return 1.0 / denom;
 }
 
-void ExecutionModel::refresh(RunId id, Running& job) {
+void ExecutionModel::refresh_all() {
   const sim::Time now = engine_.now();
-  const double elapsed = now - job.last_update;
-  if (elapsed > 0.0) job.remaining_work = std::max(0.0, job.remaining_work - elapsed * job.rate);
-  job.last_update = now;
-  job.rate = current_rate(id, job);
-  RUSH_ASSERT(job.rate > 0.0);
-
-  if (job.completion_event != 0) engine_.cancel(job.completion_event);
-  const sim::Time finish = now + job.remaining_work / job.rate;
-  job.completion_event = engine_.schedule_at(finish, [this, id] { complete(id); });
-}
-
-void ExecutionModel::reevaluate_all() {
-  for (auto& [id, job] : running_) refresh(id, job);
+  RunId next = 0;
+  sim::Time next_finish = 0.0;
+  for (auto& [id, job] : running_) {
+    const double elapsed = now - job.last_update;
+    if (elapsed > 0.0) job.remaining_work = std::max(0.0, job.remaining_work - elapsed * job.rate);
+    job.last_update = now;
+    job.rate = current_rate(id, job);
+    RUSH_ASSERT(job.rate > 0.0);
+    const sim::Time finish = now + job.remaining_work / job.rate;
+    // Strict <: among equal finish times the lowest run id wins.
+    if (next == 0 || finish < next_finish) {
+      next = id;
+      next_finish = finish;
+    }
+  }
+  if (completion_ != 0) engine_.cancel(completion_);
+  completion_ = next == 0 ? 0 : engine_.schedule_at(next_finish, [this, next] { complete(next); });
 }
 
 void ExecutionModel::abort(RunId id) {
   auto it = running_.find(id);
   RUSH_EXPECTS(it != running_.end());
-  engine_.cancel(it->second.completion_event);
   running_.erase(it);
 
   if (net_.has_source(comm_source(id))) net_.remove_source(comm_source(id));
@@ -132,7 +133,7 @@ void ExecutionModel::abort(RunId id) {
   if (lustre_.has_client(id)) lustre_.remove_client(id);
 
   // Survivors speed up now that the aborted job's traffic is gone.
-  for (auto& [other_id, other] : running_) refresh(other_id, other);
+  refresh_all();
   if (running_.empty()) stop();
 }
 
@@ -146,6 +147,7 @@ sim::Time ExecutionModel::projected_end(RunId id) const {
 }
 
 void ExecutionModel::complete(RunId id) {
+  completion_ = 0;  // this event just fired
   auto it = running_.find(id);
   RUSH_ASSERT(it != running_.end());
   Running job = std::move(it->second);
@@ -159,7 +161,7 @@ void ExecutionModel::complete(RunId id) {
   job.record.duration_s = job.record.end_s - job.record.start_s;
 
   // Remaining jobs speed up now that this one's traffic is gone.
-  for (auto& [other_id, other] : running_) refresh(other_id, other);
+  refresh_all();
   if (running_.empty()) stop();
 
   if (job.on_complete) job.on_complete(job.record);

@@ -9,15 +9,17 @@
 // Remaining work (measured in uncontended seconds) is integrated
 // piecewise: whenever the running set changes — and on a periodic tick to
 // capture background/noise level changes — each job's remaining work is
-// advanced at the old rate and its completion event rescheduled at the
-// new rate. The measured run time is therefore the uncontended time
-// stretched by the congestion the job actually lived through, which is
-// exactly the variation signal the paper's pipeline studies.
+// advanced at the old rate and its rate recomputed. The model keeps one
+// pending completion event, at the earliest projected finish over the
+// running jobs (ties go to the lowest run id, i.e. launch order). The
+// measured run time is therefore the uncontended time stretched by the
+// congestion the job actually lived through, which is exactly the
+// variation signal the paper's pipeline studies.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <map>
 
 #include "apps/run_record.hpp"
 #include "cluster/lustre.hpp"
@@ -50,9 +52,8 @@ class ExecutionModel {
                CompletionFn on_complete);
 
   /// Kill a running job (a node died under it, see faults/): its traffic
-  /// sources are deregistered, its completion event cancelled, and its
-  /// `on_complete` never fires — the caller decides what happens to the
-  /// job (the scheduler requeues it).
+  /// sources are deregistered and its `on_complete` never fires — the
+  /// caller decides what happens to the job (the scheduler requeues it).
   void abort(RunId id);
 
   [[nodiscard]] std::size_t running_count() const noexcept { return running_.size(); }
@@ -75,7 +76,6 @@ class ExecutionModel {
     double fc = 1.0, fn = 0.0, fio = 0.0;
     double net_gbps = 0.0, io_gbps = 0.0;
     cluster::TrafficPattern pattern = cluster::TrafficPattern::NearestNeighbor;
-    sim::EventId completion_event = 0;
     CompletionFn on_complete;
   };
 
@@ -85,9 +85,9 @@ class ExecutionModel {
   }
 
   [[nodiscard]] double current_rate(RunId id, const Running& job) const;
-  /// Advance work at the old rate, recompute the rate, reschedule completion.
-  void refresh(RunId id, Running& job);
-  void reevaluate_all();
+  /// Advance every job's work at its old rate, recompute the rates, and
+  /// move the completion event to the earliest projected finish.
+  void refresh_all();
   void complete(RunId id);
 
   sim::Engine& engine_;
@@ -96,7 +96,8 @@ class ExecutionModel {
   ExecutionConfig config_;
   Rng rng_;
   RunId next_run_id_ = 1;
-  std::unordered_map<RunId, Running> running_;
+  std::map<RunId, Running> running_;  // ordered: ties finish in launch order
+  sim::EventId completion_ = 0;        // 0 when nothing is running
   sim::EventId tick_ = 0;
   bool ticking_ = false;
 };

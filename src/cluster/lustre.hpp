@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 
 #include "cluster/topology.hpp"
@@ -54,7 +55,7 @@ class LustreModel {
 
   double capacity_;
   double ambient_ = 0.0;
-  std::unordered_map<SourceId, Client> clients_;
+  std::map<SourceId, Client> clients_;  // ordered: demand sums are reproducible
   std::uint64_t generation_ = 0;
 
   mutable bool node_demand_dirty_ = true;

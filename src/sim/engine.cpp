@@ -19,17 +19,16 @@ void Engine::set_metrics(obs::MetricsRegistry* metrics) {
   metric_cancelled_ = &metrics->counter("engine.events_cancelled");
 }
 
-void Engine::push_event(Time t, EventId id, std::function<void()> fn) {
-  heap_.push_back(Event{t, id, std::move(fn)});
+void Engine::push_event(Event ev) {
+  heap_.push_back(std::move(ev));
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  queued_.insert(id);
 }
 
 EventId Engine::schedule_at(Time t, std::function<void()> fn) {
   RUSH_EXPECTS(t >= now_);
   RUSH_EXPECTS(fn != nullptr);
   const EventId id = next_id_++;
-  push_event(t, id, std::move(fn));
+  push_event(Event{t, id, 0.0, std::move(fn)});
   return id;
 }
 
@@ -38,85 +37,65 @@ EventId Engine::schedule_after(Time dt, std::function<void()> fn) {
   return schedule_at(now_ + dt, std::move(fn));
 }
 
-void Engine::arm_periodic(EventId id, Time t, Time period, std::function<void()> fn) {
-  // The queued occurrence reuses the task id so cancel() finds it directly;
-  // the queue holds at most one occurrence per task at a time.
-  push_event(t, id, [this, id, period, fn = std::move(fn)] {
-    fn();
-    if (periodic_.contains(id)) arm_periodic(id, now_ + period, period, fn);
-  });
-}
-
 EventId Engine::schedule_periodic(Time start, Time period, std::function<void()> fn) {
   RUSH_EXPECTS(start >= now_);
   RUSH_EXPECTS(period > 0.0);
   RUSH_EXPECTS(fn != nullptr);
+  // Every occurrence reuses the task id, so cancel() finds it directly;
+  // the queue holds at most one occurrence per task at a time.
   const EventId id = next_id_++;
-  periodic_.insert(id);
-  arm_periodic(id, start, period, std::move(fn));
+  push_event(Event{start, id, period, std::move(fn)});
   return id;
 }
 
 bool Engine::cancel(EventId id) {
-  const bool was_periodic = periodic_.erase(id) > 0;
-  if (queued_.contains(id)) {
-    queued_.erase(id);
-    cancelled_.insert(id);
-    if (metric_cancelled_) metric_cancelled_->inc();
-    return true;
-  }
-  // A periodic task cancelled from inside its own callback has no queued
-  // occurrence yet; erasing it from periodic_ above stops the re-arm.
-  return was_periodic;
-}
-
-bool Engine::pop_next(Event& out) {
-  while (!heap_.empty()) {
-    // Owning the heap container (unlike std::priority_queue, whose top()
-    // is const) lets the handler be moved out of the root before the
-    // sift-down, so the element bubbling through the heap is empty.
-    Event& front = heap_.front();
-    if (cancelled_.erase(front.id) == 0) {
-      queued_.erase(front.id);
-      out.t = front.t;
-      out.id = front.id;
-      out.fn = std::move(front.fn);
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-      RUSH_AUDIT_HOOK(audit_invariants());
-      return true;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  if (rearm_ && id == firing_) {
+    // A periodic task cancelled from inside its own callback: it is out
+    // of the heap until step() pushes it back, so just stop that.
+    rearm_ = false;
+  } else {
+    // Linear: ExecutionModel keeps cancels to about one per two executed
+    // events, and the heap holds a few hundred entries at most. (t, id) is
+    // a total order, so re-heapifying cannot change the pop order.
+    const auto it =
+        std::find_if(heap_.begin(), heap_.end(), [id](const Event& ev) { return ev.id == id; });
+    if (it == heap_.end()) return false;
+    std::swap(*it, heap_.back());
     heap_.pop_back();
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
   }
-  return false;
+  if (metric_cancelled_) metric_cancelled_->inc();
+  return true;
 }
 
 void Engine::audit_invariants() const {
   RUSH_AUDIT_CHECK(std::is_heap(heap_.begin(), heap_.end(), Later{}), "");
-  std::size_t live = 0;
   for (const Event& ev : heap_) {
     RUSH_AUDIT_CHECK(ev.t >= now_, "event " + std::to_string(ev.id) + " at t=" +
                                        std::to_string(ev.t) + " behind clock " +
                                        std::to_string(now_));
     RUSH_AUDIT_CHECK(ev.id < next_id_, "event id beyond id counter");
-    const bool is_live = queued_.contains(ev.id);
-    const bool is_cancelled = cancelled_.contains(ev.id);
-    RUSH_AUDIT_CHECK(is_live != is_cancelled,
-                     "event " + std::to_string(ev.id) + " tracked as neither/both");
-    if (is_live) ++live;
   }
-  RUSH_AUDIT_CHECK(live == queued_.size(), "queued_ holds ids missing from the heap");
 }
 
 bool Engine::step() {
-  Event ev;
-  if (!pop_next(ev)) return false;
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
+  RUSH_AUDIT_HOOK(audit_invariants());
   RUSH_ASSERT(ev.t >= now_);
   now_ = ev.t;
   ++executed_;
   if (metric_executed_) metric_executed_->inc();
+  firing_ = ev.id;
+  rearm_ = ev.period > 0.0;
   ev.fn();
+  if (rearm_) {
+    rearm_ = false;
+    ev.t = now_ + ev.period;
+    push_event(std::move(ev));
+  }
   return true;
 }
 
@@ -127,20 +106,7 @@ void Engine::run() {
 
 void Engine::run_until(Time t_end) {
   RUSH_EXPECTS(t_end >= now_);
-  while (!heap_.empty()) {
-    // Peek through cancelled events to find the next live timestamp.
-    Event ev;
-    if (!pop_next(ev)) break;
-    if (ev.t > t_end) {
-      // Put it back; it belongs to the future beyond this horizon.
-      push_event(ev.t, ev.id, std::move(ev.fn));
-      break;
-    }
-    now_ = ev.t;
-    ++executed_;
-    if (metric_executed_) metric_executed_->inc();
-    ev.fn();
-  }
+  while (!heap_.empty() && heap_.front().t <= t_end) step();
   now_ = t_end;
 }
 

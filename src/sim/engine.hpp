@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -58,8 +57,8 @@ class Engine {
   /// Execute exactly one event if any is pending. Returns false when idle.
   bool step();
 
-  /// Number of live (non-cancelled) events currently queued.
-  [[nodiscard]] std::size_t pending_events() const noexcept { return queued_.size(); }
+  /// Number of events currently queued.
+  [[nodiscard]] std::size_t pending_events() const noexcept { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_executed() const noexcept { return executed_; }
 
   /// Publish engine counters (events executed / cancelled) into an
@@ -68,11 +67,10 @@ class Engine {
   // rush-analyze: allow(missing-expects)
   void set_metrics(obs::MetricsRegistry* metrics);
 
-  /// Re-derives the queue bookkeeping from scratch and throws AuditError
-  /// on corruption: the heap property must hold, no queued event may lie
-  /// in the past, and every heap entry must be tracked as exactly one of
-  /// live (queued_) or cancelled (cancelled_). Called automatically after
-  /// every pop in RUSH_AUDIT builds.
+  /// Re-checks the whole queue and throws AuditError on corruption: the
+  /// heap property must hold, no queued event may lie in the past, and no
+  /// id may lie beyond the id counter. Called automatically after every
+  /// pop in RUSH_AUDIT builds.
   void audit_invariants() const;
 
  private:
@@ -80,6 +78,7 @@ class Engine {
   struct Event {
     Time t;
     EventId id;
+    Time period;  // > 0 for a periodic task, which step() pushes back
     std::function<void()> fn;
   };
   struct Later {
@@ -89,22 +88,24 @@ class Engine {
     }
   };
 
-  void push_event(Time t, EventId id, std::function<void()> fn);
-  bool pop_next(Event& out);
-  void arm_periodic(EventId id, Time t, Time period, std::function<void()> fn);
+  void push_event(Event ev);
 
   Time now_ = 0.0;
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
   obs::Counter* metric_executed_ = nullptr;   // owned by the attached registry
   obs::Counter* metric_cancelled_ = nullptr;
-  // Min-heap on (t, id) via std::push_heap/pop_heap. Owning the container
-  // (instead of std::priority_queue) gives pop_next a well-defined move
-  // out of the root and lets audit_invariants() inspect every element.
+  // Min-heap on (t, id) via std::push_heap/pop_heap. It holds exactly the
+  // live events: cancel() removes its entry at once. Owning the container
+  // (instead of std::priority_queue) gives step() a well-defined move out
+  // of the root and lets cancel() and audit_invariants() reach every
+  // element.
   std::vector<Event> heap_;
-  std::unordered_set<EventId> queued_;     // live events in heap_
-  std::unordered_set<EventId> cancelled_;  // lazily removed on pop
-  std::unordered_set<EventId> periodic_;   // active periodic task ids
+  // The event whose callback is running, and whether step() will push it
+  // back afterwards (periodic tasks only); cancel() from inside the
+  // callback clears the flag.
+  EventId firing_ = 0;
+  bool rearm_ = false;
 };
 
 }  // namespace rush::sim

@@ -1,5 +1,5 @@
-// apps/ is outside the unordered-iter scope: iteration order feeding a
-// local accumulation is tolerated there.
+// apps/ feeds simulated state, so it is inside the unordered-iter scope:
+// even a local accumulation over a hashed member is flagged.
 #include <unordered_set>
 namespace rush::apps {
 struct Pods {

@@ -404,6 +404,7 @@ TEST(AnalyzeUnorderedIter, SeesCrossFileMembersSkipsSortedCopiesAndScope) {
   const ra::AnalyzeResult r = run("determinism", {"unordered-iter"});
   EXPECT_EQ(file_keys(r),
             (std::multiset<std::pair<std::string, std::string>>{
+                {"apps/bad_iter.cpp", "ids_"},
                 {"sched/bad_iter.cpp", "weights_"},
             }));
 }
@@ -532,7 +533,7 @@ TEST(AnalyzeFullCatalogue, FixtureTreesProduceExactlyTheSeededFindings) {
   // Fixture functions are mostly unreferenced by construction, so the
   // full catalogue adds deterministic dead-symbol (and in sim/sched
   // trees missing-expects) findings on top of each tree's seeded rule.
-  EXPECT_EQ(run("determinism").findings.size(), 25u);  // 5 rand + 3 thread + 1 iter + 2 scan + 2 expects + 12 dead
+  EXPECT_EQ(run("determinism").findings.size(), 26u);  // 5 rand + 3 thread + 2 iter + 2 scan + 2 expects + 12 dead
   EXPECT_EQ(run("hygiene").findings.size(), 5u);  // 1 guard + 2 redundant + 1 unused + 1 dead
   EXPECT_EQ(run("layering").findings.size(), 2u);
   EXPECT_EQ(run("cycle").findings.size(), 1u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "common/error.hpp"
 #include "sim/engine.hpp"
@@ -223,6 +224,26 @@ TEST(Execution, IntrinsicNoiseVariesRunTimes) {
   for (double d : durations)
     if (std::abs(d - durations[0]) > 1e-6) any_different = true;
   EXPECT_TRUE(any_different);
+}
+
+TEST(Execution, OneCompletionEventWhateverTheRunningCount) {
+  World w;
+  for (cluster::NodeId n = 0; n < 4; ++n)
+    w.exec->launch(test_app(), {2 * n, 2 * n + 1}, ScalingMode::Strong, nullptr);
+  ASSERT_EQ(w.exec->running_count(), 4u);
+  // The earliest completion plus the re-evaluation tick.
+  EXPECT_EQ(w.engine.pending_events(), 2u);
+}
+
+TEST(Execution, EqualFinishTimesCompleteInLaunchOrder) {
+  World w;
+  std::vector<ExecutionModel::RunId> launched;
+  std::vector<ExecutionModel::RunId> finished;
+  for (cluster::NodeId n = 0; n < 4; ++n)
+    launched.push_back(w.exec->launch(test_app(0.0), {n}, ScalingMode::Strong,
+                                      [&](const RunRecord& r) { finished.push_back(r.run_id); }));
+  w.engine.run();
+  EXPECT_EQ(finished, launched);
 }
 
 TEST(Execution, LaunchRejectsEmptyNodeSet) {

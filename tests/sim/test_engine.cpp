@@ -158,11 +158,19 @@ TEST(Engine, PeriodicSelfCancelFromCallback) {
   Engine e;
   int count = 0;
   EventId id = 0;
+  bool first = false;
+  bool second = true;
   id = e.schedule_periodic(1.0, 1.0, [&] {
-    if (++count == 2) e.cancel(id);
+    if (++count == 2) {
+      first = e.cancel(id);
+      second = e.cancel(id);
+    }
   });
   e.run_until(10.0);
   EXPECT_EQ(count, 2);
+  EXPECT_TRUE(first);
+  EXPECT_FALSE(second);
+  EXPECT_EQ(e.pending_events(), 0u);
 }
 
 TEST(Engine, PeriodicValidatesArguments) {

@@ -2,8 +2,9 @@
 """Perf-baseline harness: run the micro-benchmarks, write BENCH_micro.json.
 
 Runs the google-benchmark binaries (bench_micro_network,
-bench_micro_telemetry, bench_micro_pool, bench_micro_ml, and
-bench_micro_sched by default) from a release build tree and distills
+bench_micro_telemetry, bench_micro_pool, bench_micro_ml,
+bench_micro_sched, and bench_micro_engine by default) from a release
+build tree and distills
 their JSON output into one machine-readable file at the repo root:
 
     {
@@ -51,7 +52,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_BENCHES = ["bench_micro_network", "bench_micro_telemetry", "bench_micro_pool",
-                   "bench_micro_ml", "bench_micro_sched"]
+                   "bench_micro_ml", "bench_micro_sched", "bench_micro_engine"]
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 SPEEDUP_NUMERATOR = "bench_micro_network/BM_NetworkChurnFullRebuild"
