@@ -1,11 +1,9 @@
 // Micro-benchmarks of the ML library: fits and single-sample inference at
 // the corpus scale the pipeline actually uses (282 features).
 //
-// BM_TreeFit pins the per-node-sort reference trainer so its history
-// stays comparable; BM_TreeFitPresorted measures the production presorted
-// trainer on the same workload (tools/bench_baseline.py derives the
-// speedup from the pair). BM_AdaBoostFitPipeline is the pipeline's own
-// production fit shape and reports its allocation count. The predict
+// BM_TreeFitPresorted measures the presorted CART trainer.
+// BM_AdaBoostFitPipeline is the pipeline's own production fit shape and
+// reports its allocation count. The predict
 // benchmarks run over the compiled flat planes and assert zero
 // steady-state heap allocations via bench/alloc_counter's replaced global
 // operator new. BM_OraclePredictEndToEnd covers the
@@ -69,23 +67,8 @@ ml::Dataset three_class(std::size_t rows, std::size_t cols, std::uint64_t seed) 
   return d;
 }
 
-/// Per-node-sort reference trainer (presort off), kept measurable so the
-/// presorted speedup stays an observable ratio rather than a changelog
-/// claim.
-void BM_TreeFit(benchmark::State& state) {
-  const auto d = synthetic(static_cast<std::size_t>(state.range(0)), 282, 1);
-  ml::TreeConfig cfg;
-  cfg.presort = false;
-  for (auto _ : state) {
-    ml::DecisionTree tree(cfg);
-    tree.fit(d);
-    benchmark::DoNotOptimize(tree.node_count());
-  }
-}
-BENCHMARK(BM_TreeFit)->Arg(250)->Arg(1000)->Unit(benchmark::kMillisecond);
-
 /// Production trainer: one sort per feature per fit, stable partitioning
-/// down the recursion. Produces bit-identical trees to BM_TreeFit's.
+/// down the recursion.
 void BM_TreeFitPresorted(benchmark::State& state) {
   const auto d = synthetic(static_cast<std::size_t>(state.range(0)), 282, 1);
   for (auto _ : state) {

@@ -2,15 +2,11 @@
 // and end-to-end submit→drain throughput at queue depths 64/512/4096 on
 // 512- and 4096-node clusters.
 //
-// Each measurement exists in two flavors: the production incremental
-// Scheduler (indexed queue + reservation timeline + word-bitset
-// allocator) and the pinned ReferenceScheduler baseline
-// (sched/reference_scheduler.hpp), so tools/bench_baseline.py can derive
-// the speedup from the pair exactly like the tree-fit trainers in
-// bench_micro_ml. The production pass benchmark additionally counts heap
-// allocations via bench/alloc_counter and fails if a
-// steady-state pass (saturated machine, nothing launchable) allocates at
-// all — the scratch-buffer reuse contract of DESIGN.md §14.
+// Both measure the incremental Scheduler (indexed queue + reservation
+// timeline + word-bitset allocator). The pass benchmark also counts heap
+// allocations via bench/alloc_counter and fails if a steady-state pass
+// (saturated machine, nothing launchable) allocates at all — the
+// scratch-buffer reuse contract of DESIGN.md §14.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -20,7 +16,6 @@
 
 #include "alloc_counter.hpp"
 #include "common/rng.hpp"
-#include "sched/reference_scheduler.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
 
@@ -76,12 +71,11 @@ struct BenchWorld {
     return nodes;
   }
 
-  template <typename SchedulerT>
-  std::unique_ptr<SchedulerT> make_scheduler() {
-    return std::make_unique<SchedulerT>(engine, allocator, exec,
-                                        std::make_unique<sched::FcfsPolicy>(),
-                                        std::make_unique<sched::SjfPolicy>(),
-                                        sched::SchedulerConfig{});
+  std::unique_ptr<sched::Scheduler> make_scheduler() {
+    return std::make_unique<sched::Scheduler>(engine, allocator, exec,
+                                              std::make_unique<sched::FcfsPolicy>(),
+                                              std::make_unique<sched::SjfPolicy>(),
+                                              sched::SchedulerConfig{});
   }
 
   sim::Engine engine;
@@ -96,12 +90,11 @@ struct BenchWorld {
 /// one scheduling pass: reservation for the head job, backfill candidate
 /// scan over the whole queue, nothing launchable. This is the pass a
 /// busy cluster runs thousands of times between completions.
-template <typename SchedulerT>
-void pass_saturated(benchmark::State& state) {
+void BM_SchedPassSaturated(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   const int nodes = static_cast<int>(state.range(1));
   BenchWorld w(nodes);
-  auto sched = w.template make_scheduler<SchedulerT>();
+  auto sched = w.make_scheduler();
 
   const int wide = nodes / 16;
   for (int i = 0; i < 16; ++i)
@@ -114,27 +107,10 @@ void pass_saturated(benchmark::State& state) {
     sched->schedule_pass();
     benchmark::DoNotOptimize(sched->queue_length());
   }
-  const std::uint64_t allocs = bench::g_alloc_count - allocs_before;
-  if constexpr (std::is_same_v<SchedulerT, sched::Scheduler>) {
-    bench::report_allocs(state, allocs, "steady-state scheduling pass allocated");
-  } else {
-    bench::count_allocs(state, allocs);
-  }
-}
-
-void BM_SchedPassSaturated(benchmark::State& state) {
-  pass_saturated<sched::Scheduler>(state);
+  bench::report_allocs(state, bench::g_alloc_count - allocs_before,
+                       "steady-state scheduling pass allocated");
 }
 BENCHMARK(BM_SchedPassSaturated)
-    ->Args({64, 512})
-    ->Args({512, 512})
-    ->Args({4096, 4096})
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_SchedPassSaturatedReference(benchmark::State& state) {
-  pass_saturated<sched::ReferenceScheduler>(state);
-}
-BENCHMARK(BM_SchedPassSaturatedReference)
     ->Args({64, 512})
     ->Args({512, 512})
     ->Args({4096, 4096})
@@ -143,15 +119,14 @@ BENCHMARK(BM_SchedPassSaturatedReference)
 /// End-to-end throughput: submit `depth` mixed-width jobs at t=0 and
 /// drain the simulation. Covers submit ordering, launch, backfill,
 /// completion bookkeeping, and the allocator under churn.
-template <typename SchedulerT>
-void submit_drain(benchmark::State& state) {
+void BM_SchedSubmitDrain(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   const int nodes = static_cast<int>(state.range(1));
   std::uint64_t drained = 0;
   for (auto _ : state) {
     state.PauseTiming();
     auto w = std::make_unique<BenchWorld>(nodes);
-    auto sched = w->template make_scheduler<SchedulerT>();
+    auto sched = w->make_scheduler();
     Rng rng(42);
     state.ResumeTiming();
 
@@ -171,18 +146,7 @@ void submit_drain(benchmark::State& state) {
   state.counters["jobs_per_s"] =
       benchmark::Counter(static_cast<double>(drained), benchmark::Counter::kIsRate);
 }
-
-void BM_SchedSubmitDrain(benchmark::State& state) { submit_drain<sched::Scheduler>(state); }
 BENCHMARK(BM_SchedSubmitDrain)
-    ->Args({64, 512})
-    ->Args({512, 512})
-    ->Args({4096, 4096})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SchedSubmitDrainReference(benchmark::State& state) {
-  submit_drain<sched::ReferenceScheduler>(state);
-}
-BENCHMARK(BM_SchedSubmitDrainReference)
     ->Args({64, 512})
     ->Args({512, 512})
     ->Args({4096, 4096})

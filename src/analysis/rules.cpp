@@ -207,7 +207,7 @@ void check_unordered_iter(const SourceFile& f,
 void check_sched_linear_scan(const SourceFile& f, std::vector<Finding>& out) {
   static const std::set<SV> kLinear = {"find",  "find_if", "count",
                                        "count_if", "remove", "remove_if"};
-  if (f.module() != "sched" || stem_is(f.rel, "sched/reference_scheduler")) return;
+  if (f.module() != "sched") return;
   const std::size_t n = f.tokens.size();
   for (std::size_t i = 0; i + 3 < n; ++i) {
     if (!is_ident(f, i, "std") || !is_punct(f, i + 1, "::")) continue;

@@ -44,9 +44,8 @@ void check_unordered_iter(const SourceFile& f,
 /// sched-linear-scan (sched/ only): std::find/find_if/count/remove over a
 /// member container (trailing-underscore name) — the incremental
 /// scheduler core keeps its hot containers sorted, so membership tests
-/// and erases must be binary searches. The pinned
-/// sched/reference_scheduler baseline is exempt by design; deliberate
-/// fallbacks (the AfterFront unsorted regime) carry allow markers.
+/// and erases must be binary searches. Deliberate fallbacks (the
+/// AfterFront unsorted regime) carry allow markers.
 void check_sched_linear_scan(const SourceFile& f, std::vector<Finding>& out);
 
 /// pragma-once: every header must open with #pragma once.

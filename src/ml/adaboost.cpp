@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
-#include <optional>
 #include <ostream>
 
 #include "common/error.hpp"
@@ -36,15 +35,7 @@ void AdaBoost::fit(const Dataset& data, std::span<const double> sample_weights) 
 
   // Rounds change only the sample weights, so one presort of the dataset
   // serves every round's tree.
-  std::optional<PresortedIndex> presorted;
-  if (config_.presort) presorted.emplace(data);
-  const auto fit_stage = [&](DecisionTree& tree, std::span<const double> w) {
-    if (presorted) {
-      tree.fit(data, w, *presorted);
-    } else {
-      tree.fit(data, w);
-    }
-  };
+  const PresortedIndex presorted(data);
 
   Rng rng(config_.seed);
   std::vector<bool> wrong(data.rows());
@@ -52,10 +43,9 @@ void AdaBoost::fit(const Dataset& data, std::span<const double> sample_weights) 
     TreeConfig tc;
     tc.max_depth = config_.base_max_depth;
     tc.min_samples_leaf = 1;
-    tc.presort = config_.presort;
     tc.seed = rng.next();
     Stage stage{DecisionTree(tc), 0.0};
-    fit_stage(stage.tree, weights);
+    stage.tree.fit(data, weights, presorted);
 
     double error = 0.0;
     for (std::size_t i = 0; i < data.rows(); ++i) {
@@ -88,10 +78,9 @@ void AdaBoost::fit(const Dataset& data, std::span<const double> sample_weights) 
   if (stages_.empty()) {
     TreeConfig tc;
     tc.max_depth = config_.base_max_depth;
-    tc.presort = config_.presort;
     tc.seed = rng.next();
     Stage stage{DecisionTree(tc), 1.0};
-    fit_stage(stage.tree, {});
+    stage.tree.fit(data, {}, presorted);
     stages_.push_back(std::move(stage));
   }
 
@@ -101,19 +90,6 @@ void AdaBoost::fit(const Dataset& data, std::span<const double> sample_weights) 
 void AdaBoost::compile_() {
   compiled_.clear();
   for (const Stage& s : stages_) compiled_.add_tree(s.tree.compiled(), s.alpha);
-}
-
-std::vector<double> AdaBoost::predict_proba(std::span<const double> x) const {
-  RUSH_EXPECTS(is_fitted());
-  std::vector<double> votes(static_cast<std::size_t>(num_classes_), 0.0);
-  double total_alpha = 0.0;
-  for (const Stage& s : stages_) {
-    votes[static_cast<std::size_t>(s.tree.predict(x))] += s.alpha;
-    total_alpha += s.alpha;
-  }
-  if (total_alpha > 0.0)
-    for (double& v : votes) v /= total_alpha;
-  return votes;
 }
 
 int AdaBoost::predict(std::span<const double> x) const {
@@ -196,6 +172,8 @@ void AdaBoost::load_body(std::istream& is) {
     is >> s.alpha;
     if (!is) throw ParseError("adaboost: malformed alpha");
     s.tree.load_body(is);
+    if (s.tree.num_features() != num_features_ || s.tree.num_classes() > num_classes_)
+      throw ParseError("adaboost: stage tree shape does not match the header");
     stages_.push_back(std::move(s));
   }
   compile_();

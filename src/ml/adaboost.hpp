@@ -15,8 +15,6 @@ namespace rush::ml {
 struct AdaBoostConfig {
   std::size_t num_rounds = 80;
   int base_max_depth = 3;
-  /// Threaded to TreeConfig::presort for every base tree (see tree.hpp).
-  bool presort = true;
   std::uint64_t seed = 11;
 };
 
@@ -28,9 +26,6 @@ class AdaBoost final : public Classifier {
   /// Argmax over the compiled forest's weighted votes; no temporary
   /// vector for ensembles up to 16 classes.
   [[nodiscard]] int predict(std::span<const double> x) const override;
-  /// Nested stage-loop accumulation kept as the differential-test
-  /// reference.
-  [[nodiscard]] std::vector<double> predict_proba(std::span<const double> x) const override;
   void predict_proba_into(std::span<const double> x, std::span<double> out) const override;
   void predict_many(const Dataset& data, std::span<int> out) const override;
   [[nodiscard]] int num_classes() const noexcept override { return num_classes_; }

@@ -1,16 +1,8 @@
 #include "ml/classifier.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace rush::ml {
-
-void Classifier::predict_proba_into(std::span<const double> x, std::span<double> out) const {
-  const auto p = predict_proba(x);
-  RUSH_EXPECTS(out.size() == p.size());
-  std::copy(p.begin(), p.end(), out.begin());
-}
 
 void Classifier::predict_many(const Dataset& data, std::span<int> out) const {
   RUSH_EXPECTS(out.size() == data.rows());

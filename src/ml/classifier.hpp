@@ -22,14 +22,10 @@ class Classifier {
   /// Predicted class label for one feature vector.
   [[nodiscard]] virtual int predict(std::span<const double> x) const = 0;
 
-  /// Per-class scores summing to 1 (vote fractions / weighted votes).
-  [[nodiscard]] virtual std::vector<double> predict_proba(std::span<const double> x) const = 0;
-
-  /// Write the same per-class scores predict_proba returns into `out`
-  /// (size num_classes()). The base implementation routes through
-  /// predict_proba and allocates; the compiled-tree models override it
-  /// with an allocation-free flat-array walk.
-  virtual void predict_proba_into(std::span<const double> x, std::span<double> out) const;
+  /// Per-class scores summing to 1 (vote fractions / weighted votes)
+  /// written into `out` (size num_classes()). The compiled-tree models
+  /// walk their flat arrays without allocating.
+  virtual void predict_proba_into(std::span<const double> x, std::span<double> out) const = 0;
 
   /// Scores into `out` plus the argmax label in one call — the zero-alloc
   /// steady-state entry point (given a zero-alloc predict_proba_into).

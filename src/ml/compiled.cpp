@@ -123,7 +123,7 @@ void CompiledForest::mean_proba_into(std::span<const double> x, std::span<double
   for (std::size_t base = 0; base < roots_.size(); base += kWalkGroup) {
     const std::size_t n = std::min(kWalkGroup, roots_.size() - base);
     walk_group(x, base, n, cur);
-    // Accumulate in tree order — bit-identical to the nested loop.
+    // Accumulate in tree order.
     for (std::size_t i = 0; i < n; ++i) {
       const double* leaf = leaf_proba_.data() + nodes_[static_cast<std::size_t>(cur[i])].index;
       const std::size_t k = std::min(out.size(), static_cast<std::size_t>(classes_[base + i]));

@@ -14,10 +14,8 @@
 // group one level, so the walks' independent cache misses overlap
 // instead of serializing. It supports the two combine rules used by the
 // ensembles: mean of leaf probabilities (Forest) and weighted argmax
-// votes (AdaBoost/SAMME). Both reproduce the nested predict_proba paths
-// bit for bit — leaf values are accumulated in tree order with the same
-// division — which the differential tests in tests/ml/test_compiled.cpp
-// assert.
+// votes (AdaBoost/SAMME), both accumulated in tree order. The golden
+// digests in tests/ml/test_compiled.cpp pin the bytes they write.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +24,7 @@
 
 namespace rush::ml {
 
-/// Index of the first maximum, matching std::max_element over a
-/// predict_proba vector.
+/// Index of the first maximum, as std::max_element returns.
 [[nodiscard]] inline int argmax_first(std::span<const double> v) noexcept {
   int best = 0;
   for (std::size_t i = 1; i < v.size(); ++i) {
@@ -89,8 +86,7 @@ class CompiledForest {
 
   /// Forest combine: per-class mean of every tree's leaf probabilities,
   /// written into `out`. Trees fitted on bootstrap samples may carry
-  /// fewer classes than the ensemble; their missing tail contributes 0,
-  /// exactly as the nested accumulation does.
+  /// fewer classes than the ensemble; their missing tail contributes 0.
   void mean_proba_into(std::span<const double> x, std::span<double> out) const noexcept;
   /// AdaBoost/SAMME combine: weight-normalized argmax votes into `out`.
   void vote_proba_into(std::span<const double> x, std::span<double> out) const noexcept;

@@ -41,10 +41,8 @@ void Forest::fit(const Dataset& data, std::span<const double> sample_weights) {
   for (std::size_t t = 0; t < config_.num_trees; ++t) {
     TreeConfig tc;
     tc.max_depth = config_.max_depth;
-    tc.min_samples_leaf = config_.min_samples_leaf;
     tc.max_features = max_features;
     tc.random_thresholds = config_.random_thresholds;
-    tc.presort = config_.presort;
     tc.seed = tree_seeds[t];
     trees_.emplace_back(tc);
   }
@@ -78,17 +76,6 @@ void Forest::fit(const Dataset& data, std::span<const double> sample_weights) {
 void Forest::compile_() {
   compiled_.clear();
   for (const DecisionTree& tree : trees_) compiled_.add_tree(tree.compiled());
-}
-
-std::vector<double> Forest::predict_proba(std::span<const double> x) const {
-  RUSH_EXPECTS(is_fitted());
-  std::vector<double> proba(static_cast<std::size_t>(num_classes_), 0.0);
-  for (const DecisionTree& tree : trees_) {
-    const auto p = tree.predict_proba(x);
-    for (std::size_t c = 0; c < proba.size() && c < p.size(); ++c) proba[c] += p[c];
-  }
-  for (double& p : proba) p /= static_cast<double>(trees_.size());
-  return proba;
 }
 
 int Forest::predict(std::span<const double> x) const {
@@ -171,6 +158,8 @@ void Forest::load_body(std::istream& is) {
   for (std::size_t t = 0; t < tree_count; ++t) {
     DecisionTree tree;
     tree.load_body(is);
+    if (tree.num_features() != num_features_ || tree.num_classes() > num_classes_)
+      throw ParseError("forest: tree shape does not match the header");
     trees_.push_back(std::move(tree));
   }
   config_.num_trees = tree_count;

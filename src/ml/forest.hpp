@@ -13,13 +13,10 @@ namespace rush::ml {
 struct ForestConfig {
   std::size_t num_trees = 60;
   int max_depth = 14;
-  std::size_t min_samples_leaf = 1;
   /// Candidate features per node; 0 means sqrt(num_features).
   std::size_t max_features = 0;
   bool bootstrap = true;
   bool random_thresholds = false;
-  /// Threaded to TreeConfig::presort (exact mode only; see tree.hpp).
-  bool presort = true;
   std::uint64_t seed = 7;
 };
 
@@ -31,8 +28,6 @@ class Forest : public Classifier {
   /// Argmax over the compiled forest's mean leaf probabilities; no
   /// temporary vector for ensembles up to 16 classes.
   [[nodiscard]] int predict(std::span<const double> x) const override;
-  /// Nested per-tree accumulation kept as the differential-test reference.
-  [[nodiscard]] std::vector<double> predict_proba(std::span<const double> x) const override;
   void predict_proba_into(std::span<const double> x, std::span<double> out) const override;
   void predict_many(const Dataset& data, std::span<int> out) const override;
   [[nodiscard]] int num_classes() const noexcept override { return num_classes_; }

@@ -59,19 +59,18 @@ void Knn::votes_into(std::span<const double> q, std::span<double> votes,
     for (double& v : votes) v /= total;
 }
 
-std::vector<double> Knn::predict_proba(std::span<const double> x) const {
+void Knn::predict_proba_into(std::span<const double> x, std::span<double> out) const {
   RUSH_EXPECTS(is_fitted());
   RUSH_EXPECTS(x.size() == num_features_);
+  RUSH_EXPECTS(out.size() == static_cast<std::size_t>(num_classes_));
   const auto q = scaler_.transform(x);
-  std::vector<double> votes(static_cast<std::size_t>(num_classes_), 0.0);
   std::vector<std::pair<double, std::size_t>> dist;
-  votes_into(q, votes, dist);
-  return votes;
+  votes_into(q, out, dist);
 }
 
 int Knn::predict(std::span<const double> x) const {
-  const auto votes = predict_proba(x);
-  return static_cast<int>(std::max_element(votes.begin(), votes.end()) - votes.begin());
+  std::vector<double> votes(static_cast<std::size_t>(num_classes_));
+  return predict_into(x, votes);
 }
 
 void Knn::predict_many(const Dataset& data, std::span<int> out) const {

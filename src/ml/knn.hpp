@@ -25,7 +25,7 @@ class Knn final : public Classifier {
   /// Sample weights are ignored (noted in the interface contract).
   void fit(const Dataset& data, std::span<const double> sample_weights = {}) override;
   [[nodiscard]] int predict(std::span<const double> x) const override;
-  [[nodiscard]] std::vector<double> predict_proba(std::span<const double> x) const override;
+  void predict_proba_into(std::span<const double> x, std::span<double> out) const override;
   /// Batched labels reusing one query/distance scratch across all rows.
   void predict_many(const Dataset& data, std::span<int> out) const override;
   [[nodiscard]] int num_classes() const noexcept override { return num_classes_; }

@@ -45,12 +45,11 @@ PresortedIndex::PresortedIndex(const Dataset& data)
 }
 
 // Exact-mode presort state. `order` starts as a copy of the index's
-// per-feature blocks, each sorted by (value, row) — the same total order
-// the per-node std::sort over (value, row) pairs produces, so any
-// contiguous sub-range visits a node's samples in the identical sequence.
-// When a node splits, every block's [lo, hi) range is stable-partitioned
-// into left members then right members, which preserves that order for
-// both children without re-sorting. The index itself stays untouched, so
+// per-feature blocks, each sorted by (value, row), so any contiguous
+// sub-range visits a node's samples in (value, row) order. When a node
+// splits, every block's [lo, hi) range is stable-partitioned into left
+// members then right members, which preserves that order for both
+// children without re-sorting. The index itself stays untouched, so
 // the next tree fitted on the same dataset can copy it again.
 struct DecisionTree::FitWorkspace {
   std::size_t rows = 0;
@@ -70,12 +69,11 @@ struct DecisionTree::FitWorkspace {
 
 DecisionTree::DecisionTree(TreeConfig config) : config_(config) {
   RUSH_EXPECTS(config_.max_depth > 0);
-  RUSH_EXPECTS(config_.min_samples_split >= 2);
   RUSH_EXPECTS(config_.min_samples_leaf >= 1);
 }
 
 void DecisionTree::fit(const Dataset& data, std::span<const double> sample_weights) {
-  if (!config_.random_thresholds && config_.presort) {
+  if (!config_.random_thresholds) {
     const PresortedIndex presorted(data);
     fit_impl(data, sample_weights, &presorted);
   } else {
@@ -85,7 +83,7 @@ void DecisionTree::fit(const Dataset& data, std::span<const double> sample_weigh
 
 void DecisionTree::fit(const Dataset& data, std::span<const double> sample_weights,
                        const PresortedIndex& presorted) {
-  RUSH_EXPECTS(!config_.random_thresholds && config_.presort);
+  RUSH_EXPECTS(!config_.random_thresholds);
   RUSH_EXPECTS(presorted.rows() == data.rows() && presorted.features() == data.cols());
   fit_impl(data, sample_weights, &presorted);
 }
@@ -180,8 +178,6 @@ DecisionTree::SplitResult DecisionTree::find_split(const Dataset& data,
   }
 
   SplitResult best;
-  std::vector<std::pair<double, std::size_t>> sorted;  // (value, row)
-
   for (std::size_t f : candidates) {
     if (config_.random_thresholds) {
       // Extra-trees: one uniform threshold in (min, max).
@@ -214,12 +210,11 @@ DecisionTree::SplitResult DecisionTree::find_split(const Dataset& data,
       if (decrease > best.impurity_decrease) {
         best = SplitResult{true, static_cast<int>(f), threshold, decrease};
       }
-    } else if (ws.presorted != nullptr) {
+    } else {
       // Exact CART over the presorted index: the node's samples arrive in
-      // (value, row) order directly from the partitioned block, so the
-      // boundary scan is identical to the per-node-sort path below minus
-      // the sort. Values come from the index's feature-major column, not
-      // the row-major matrix.
+      // (value, row) order directly from the partitioned block. Values
+      // come from the index's feature-major column, not the row-major
+      // matrix.
       const std::uint32_t* blk = ws.block(f) + lo;
       const double* col = ws.presorted->column(f).data();
       const std::size_t count = hi - lo;
@@ -249,38 +244,6 @@ DecisionTree::SplitResult DecisionTree::find_split(const Dataset& data,
           best.impurity_decrease = decrease;
         }
       }
-    } else {
-      // Exact CART, reference path: sort this node's samples by feature
-      // value and scan boundaries.
-      sorted.clear();
-      sorted.reserve(indices.size());
-      for (std::size_t i : indices) sorted.emplace_back(data.row(i)[f], i);
-      std::sort(sorted.begin(), sorted.end());
-      if (sorted.front().first == sorted.back().first) continue;
-
-      std::fill(left_w.begin(), left_w.end(), 0.0);
-      double lw = 0.0;
-      for (std::size_t pos = 0; pos + 1 < sorted.size(); ++pos) {
-        const auto [value, row] = sorted[pos];
-        left_w[static_cast<std::size_t>(data.label(row))] += weights[row];
-        lw += weights[row];
-        if (value == sorted[pos + 1].first) continue;  // not a boundary
-        const std::size_t left_n = pos + 1;
-        const std::size_t right_n = sorted.size() - left_n;
-        if (left_n < config_.min_samples_leaf || right_n < config_.min_samples_leaf) continue;
-        std::vector<double> right_w(k);
-        for (std::size_t c = 0; c < k; ++c) right_w[c] = parent_w[c] - left_w[c];
-        const double rw = total_w - lw;
-        const double child =
-            (lw * gini(left_w, lw) + rw * gini(right_w, rw)) / total_w;
-        const double decrease = parent_gini - child;
-        if (decrease > best.impurity_decrease) {
-          best.found = true;
-          best.feature = static_cast<int>(f);
-          best.threshold = 0.5 * (value + sorted[pos + 1].first);
-          best.impurity_decrease = decrease;
-        }
-      }
     }
   }
   return best;
@@ -291,10 +254,8 @@ std::int32_t DecisionTree::build(const Dataset& data, std::span<const double> we
                                  FitWorkspace& ws, std::size_t lo, std::size_t hi) {
   RUSH_ASSERT(!indices.empty());
   RUSH_ASSERT(ws.presorted == nullptr || hi - lo == indices.size());
-  const bool can_split = depth < config_.max_depth &&
-                         indices.size() >= config_.min_samples_split;
   SplitResult split;
-  if (can_split) split = find_split(data, weights, indices, rng, ws, lo, hi);
+  if (depth < config_.max_depth) split = find_split(data, weights, indices, rng, ws, lo, hi);
   if (!split.found) return make_leaf(data, weights, indices);
 
   // Total node weight scales the recorded importance so splits near the
@@ -350,18 +311,6 @@ std::int32_t DecisionTree::build(const Dataset& data, std::span<const double> we
   nodes_[static_cast<std::size_t>(self)].left = left;
   nodes_[static_cast<std::size_t>(self)].right = right;
   return self;
-}
-
-std::vector<double> DecisionTree::predict_proba(std::span<const double> x) const {
-  RUSH_EXPECTS(is_fitted());
-  RUSH_EXPECTS(x.size() == num_features_);
-  std::int32_t node = 0;
-  while (nodes_[static_cast<std::size_t>(node)].feature >= 0) {
-    const Node& n = nodes_[static_cast<std::size_t>(node)];
-    node = x[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left : n.right;
-    RUSH_ASSERT(node >= 0);
-  }
-  return nodes_[static_cast<std::size_t>(node)].proba;
 }
 
 int DecisionTree::predict(std::span<const double> x) const {
@@ -465,6 +414,10 @@ void DecisionTree::load_body(std::istream& is) {
 
   nodes_.clear();
   nodes_.reserve(node_count);
+  // save_body writes pre-order, so a split's children follow it and no
+  // node is anyone's child twice. Holding every file to that keeps
+  // compile() and the predict walks inside the node array and the input.
+  std::vector<bool> is_child(node_count, false);
   for (std::size_t i = 0; i < node_count; ++i) {
     is >> tag;
     Node n;
@@ -472,6 +425,14 @@ void DecisionTree::load_body(std::istream& is) {
       is >> n.feature >> n.threshold >> n.left >> n.right;
       if (!is || n.feature < 0 || n.left < 0 || n.right < 0)
         throw ParseError("tree: malformed split node");
+      if (static_cast<std::size_t>(n.feature) >= num_features_)
+        throw ParseError("tree: split feature out of range");
+      for (const std::int32_t child : {n.left, n.right}) {
+        const auto c = static_cast<std::size_t>(child);
+        if (c <= i || c >= node_count) throw ParseError("tree: child index out of range");
+        if (is_child[c]) throw ParseError("tree: node is the child of two splits");
+        is_child[c] = true;
+      }
     } else if (tag == "leaf") {
       n.proba.resize(static_cast<std::size_t>(num_classes_));
       for (double& p : n.proba) is >> p;

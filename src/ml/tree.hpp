@@ -1,9 +1,9 @@
 // CART decision tree with weighted samples.
 //
 // One implementation serves two ensemble styles:
-//  - exact mode: every candidate feature is sorted and the best weighted
-//    Gini split chosen (classic CART, used by DecisionForest and as the
-//    AdaBoost base learner);
+//  - exact mode: every candidate feature is scanned in the sorted order
+//    of a PresortedIndex and the best weighted Gini split chosen (classic
+//    CART, used by DecisionForest and as the AdaBoost base learner);
 //  - random-threshold mode: one uniform threshold per candidate feature
 //    (Extremely Randomized Trees).
 // Per-node feature subsampling (`max_features`) supports both forests.
@@ -19,20 +19,11 @@ namespace rush::ml {
 
 struct TreeConfig {
   int max_depth = 18;
-  std::size_t min_samples_split = 2;
   std::size_t min_samples_leaf = 1;
   /// Candidate features per node; 0 means all features.
   std::size_t max_features = 0;
   /// Extra-trees style uniform random thresholds instead of exact search.
   bool random_thresholds = false;
-  /// Exact mode only: start from a PresortedIndex of the dataset (one
-  /// O(features·n log n) sort, shared by every tree fitted on the same
-  /// dataset) and thread it through the recursion by stable partitioning,
-  /// O(depth·features·n) per tree, instead of re-sorting every candidate
-  /// feature at every node (O(depth·features·n log n) per tree). Both
-  /// algorithms produce bit-identical trees; the per-node-sort path is
-  /// retained as the reference for differential testing.
-  bool presort = true;
   std::uint64_t seed = 1;
 };
 
@@ -65,17 +56,14 @@ class DecisionTree final : public Classifier {
  public:
   explicit DecisionTree(TreeConfig config = {});
 
-  /// Exact presorted mode builds its own PresortedIndex of `data`.
+  /// Exact mode builds its own PresortedIndex of `data`.
   void fit(const Dataset& data, std::span<const double> sample_weights = {}) override;
-  /// Exact presorted mode only: fit from a shared index, which must have
-  /// been built for a dataset of `data`'s shape (in practice, `data`).
+  /// Exact mode only: fit from a shared index, which must have been built
+  /// for a dataset of `data`'s shape (in practice, `data`).
   void fit(const Dataset& data, std::span<const double> sample_weights,
            const PresortedIndex& presorted);
   /// Direct argmax walk over the compiled arrays — no temporary vector.
   [[nodiscard]] int predict(std::span<const double> x) const override;
-  /// Nested-node walk kept as the reference the compiled plane is
-  /// differentially tested against.
-  [[nodiscard]] std::vector<double> predict_proba(std::span<const double> x) const override;
   void predict_proba_into(std::span<const double> x, std::span<double> out) const override;
   void predict_many(const Dataset& data, std::span<int> out) const override;
   [[nodiscard]] int num_classes() const noexcept override { return num_classes_; }
@@ -114,7 +102,7 @@ class DecisionTree final : public Classifier {
   /// split scan's per-class weight buffers.
   struct FitWorkspace;
 
-  /// `presorted` is null on the per-node-sort and random-threshold paths.
+  /// `presorted` is null on the random-threshold path.
   void fit_impl(const Dataset& data, std::span<const double> sample_weights,
                 const PresortedIndex* presorted);
   std::int32_t build(const Dataset& data, std::span<const double> weights,

@@ -72,8 +72,8 @@ void Scheduler::insert_in_queue(JobId id) {
   const Job& job = job_ref(id);
   if (queue_unsorted_) {
     // AfterFront regime: the head pair is out of policy order, so binary
-    // search is invalid. The reference linear walk is the semantics both
-    // regimes must produce.
+    // search is invalid. This linear walk defines the position ("before
+    // the first element the new job precedes") that both regimes produce.
     // rush-analyze: allow(sched-linear-scan) sorted invariant suspended
     const auto pos = std::find_if(queue_.begin(), queue_.end(), [&](JobId other) {
       return main_policy_->before(job, job_ref(other));
@@ -81,8 +81,8 @@ void Scheduler::insert_in_queue(JobId id) {
     queue_.insert(pos, id);
     return;
   }
-  // queue_ is sorted by main policy: the reference "before the first
-  // element the new job precedes" position is exactly upper_bound.
+  // queue_ is sorted by main policy: the "before the first element the
+  // new job precedes" position is exactly upper_bound.
   const auto pos =
       std::upper_bound(queue_.begin(), queue_.end(), job, [&](const Job& j, JobId other) {
         return main_policy_->before(j, job_ref(other));
@@ -206,11 +206,11 @@ void Scheduler::timeline_erase(sim::Time end_est, int count) {
 
 Scheduler::Reservation Scheduler::compute_reservation(const Job& job) const {
   // The timeline already holds every running job's (walltime-estimate
-  // end, node count) in sorted order. The reference sorts the *clamped*
-  // ends (max(now, end)): entries whose estimate has already passed all
-  // re-key to (now, count), which keeps them a prefix but orders them by
-  // count among themselves — so only that prefix's counts need sorting
-  // here, into a reused scratch buffer.
+  // end, node count) in sorted order. The reservation walks the
+  // *clamped* ends (max(now, end)) in order: entries whose estimate has
+  // already passed all re-key to (now, count), which keeps them a prefix
+  // but orders them by count among themselves — so only that prefix's
+  // counts need sorting here, into a reused scratch buffer.
   const sim::Time now = engine_.now();
   const int need = job.spec.num_nodes;
   int free = allocator_.free_count();
@@ -254,7 +254,7 @@ Scheduler::StartOutcome Scheduler::try_start(JobId id, bool via_backfill) {
   if (config_.rush_enabled && job.skip_count < job.spec.skip_threshold) {
     const VariabilityPrediction pred = oracle_->predict(job, *nodes);
     const bool delay =
-        (pred == VariabilityPrediction::Variation && config_.delay_on_variation) ||
+        pred == VariabilityPrediction::Variation ||
         (pred == VariabilityPrediction::LittleVariation && config_.delay_on_little_variation);
     if (delay) {
       allocator_.release(*nodes);
@@ -334,8 +334,6 @@ void Scheduler::handle_node_fault(const faults::NodeFaultEvent& ev) {
   // running_); running_ is sorted by id, so the requeue order is the
   // deterministic job-id order already.
   std::vector<JobId> victims;
-  // running_ is a sorted vector in this scheduler; the flagged name is
-  // the reference scheduler's set. rush-analyze: allow(unordered-iter)
   for (JobId id : running_) {
     const Job& r = job_ref(id);
     if (std::binary_search(r.nodes.begin(), r.nodes.end(), ev.node)) victims.push_back(id);
@@ -435,8 +433,8 @@ void Scheduler::schedule_pass() {
 
         // Candidates that can never launch this pass (wider than the
         // current free count, which only shrinks below) are dropped up
-        // front — unless tracing, where the scored top-8 must be drawn
-        // from the full candidate list as the reference does.
+        // front — unless tracing, where the scored top-8 is drawn from
+        // the full candidate list.
         candidates_.clear();
         for (JobId c : queue_) {
           if (c == id || delayed_pass_[c - 1] == passes_) continue;

@@ -30,11 +30,9 @@
 //    pass-numbered stamp per job, so a steady-state pass that launches
 //    nothing performs no allocation at all.
 // Every scheduling decision — launch order, node assignments, trace
-// bytes — is byte-identical to the pinned pre-optimization
-// ReferenceScheduler (sched/reference_scheduler.hpp); the differential
-// suite in tests/sched/test_differential.cpp enforces that, and
-// bench/bench_micro_sched.cpp measures the resulting pass latency and
-// allocation counts against it.
+// bytes — is pinned by the golden digests in tests/sched/test_golden.cpp;
+// bench/bench_micro_sched.cpp measures the pass latency and allocation
+// count.
 #pragma once
 
 #include <deque>
@@ -78,9 +76,9 @@ struct SchedulerConfig {
   bool enable_backfill = true;  // EASY
   /// Consult the oracle in Start() (Algorithm 2). Requires an oracle.
   bool rush_enabled = false;
-  /// Predictions that cause a delay ("variation labels" in Algorithm 2).
+  /// Also delay jobs predicted to vary a little; a predicted variation
+  /// always delays ("variation labels" in Algorithm 2).
   bool delay_on_little_variation = false;
-  bool delay_on_variation = true;
   SkipPlacement skip_placement = SkipPlacement::Front;
   /// A pass that delays jobs while nothing is running re-arms itself
   /// after this long so delayed jobs cannot stall the system.
@@ -219,7 +217,7 @@ class Scheduler {
   // SkipPlacement::AfterFront swaps the head pair, putting a
   // policy-later job in front: binary search is off the table until the
   // queue drains to a single element. While set, queue ops fall back to
-  // the reference linear walk, which is exactly the legacy semantics.
+  // linear walks.
   bool queue_unsorted_ = false;
   std::vector<JobId> running_;  // sorted by id
   // (start_s + walltime_estimate_s, node count) per running job, sorted.

@@ -411,9 +411,8 @@ TEST(AnalyzeUnorderedIter, SeesCrossFileMembersSkipsSortedCopiesAndScope) {
 
 TEST(AnalyzeSchedLinearScan, FlagsMemberScansHonoursExemptionAndMarkers) {
   const ra::AnalyzeResult r = run("determinism", {"sched-linear-scan"});
-  // queue_ and pending_ fire; the allow-markered running_ scan, the
-  // local-container scan, and everything in reference_scheduler.cpp
-  // (home-file exemption) stay quiet.
+  // queue_ and pending_ fire; the allow-markered running_ scan and the
+  // local-container scan stay quiet.
   EXPECT_EQ(file_keys(r),
             (std::multiset<std::pair<std::string, std::string>>{
                 {"sched/bad_scan.cpp", "queue_"},

@@ -106,7 +106,8 @@ TEST(AdaBoost, PredictProbaIsNormalized) {
   Rng rng(8);
   for (int i = 0; i < 30; ++i) {
     const std::vector<double> x{rng.uniform(-1, 1), rng.uniform(-1, 1)};
-    const auto p = model.predict_proba(x);
+    std::vector<double> p(static_cast<std::size_t>(model.num_classes()));
+    model.predict_proba_into(x, p);
     double total = 0.0;
     for (double v : p) total += v;
     EXPECT_NEAR(total, 1.0, 1e-9);

@@ -72,7 +72,8 @@ TEST(Forest, ProbaIsAveragedAndNormalized) {
   Rng rng(7);
   for (int i = 0; i < 30; ++i) {
     const std::vector<double> x{rng.uniform(-1, 1), rng.uniform(-1, 1), 0.0};
-    const auto p = forest.predict_proba(x);
+    std::vector<double> p(static_cast<std::size_t>(forest.num_classes()));
+    forest.predict_proba_into(x, p);
     double total = 0.0;
     for (double v : p) {
       EXPECT_GE(v, 0.0);
@@ -104,9 +105,13 @@ TEST(Forest, DifferentSeedsDifferentModels) {
   b.fit(d);
   Rng rng(11);
   bool any_diff = false;
+  std::vector<double> pa(static_cast<std::size_t>(a.num_classes()));
+  std::vector<double> pb(static_cast<std::size_t>(b.num_classes()));
   for (int i = 0; i < 200 && !any_diff; ++i) {
     const std::vector<double> x{rng.uniform(-1, 1), rng.uniform(-1, 1), 0.0};
-    if (a.predict_proba(x) != b.predict_proba(x)) any_diff = true;
+    a.predict_proba_into(x, pa);
+    b.predict_proba_into(x, pb);
+    if (pa != pb) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
 }

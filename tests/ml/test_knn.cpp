@@ -84,7 +84,8 @@ TEST(Knn, KLargerThanDatasetIsClamped) {
 TEST(Knn, ProbaIsNormalized) {
   Knn knn(KnnConfig{.k = 5});
   knn.fit(two_blobs(100, 4));
-  const auto p = knn.predict_proba(std::vector<double>{0.0, 0.0});
+  std::vector<double> p(static_cast<std::size_t>(knn.num_classes()));
+  knn.predict_proba_into(std::vector<double>{0.0, 0.0}, p);
   double total = 0.0;
   for (double v : p) total += v;
   EXPECT_NEAR(total, 1.0, 1e-9);

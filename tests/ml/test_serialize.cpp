@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -79,6 +81,59 @@ TEST(Serialize, LoadRejectsWrongVersion) {
 TEST(Serialize, LoadRejectsUnknownEmbeddedType) {
   std::stringstream ss("rush-model 1\ntype mystery\n");
   EXPECT_THROW((void)load_classifier(ss), ParseError);
+}
+
+/// Loads `text` and predicts once, so a malformed body that slipped past
+/// the loader would walk out of bounds (caught under ASan).
+void load_and_predict(const std::string& text) {
+  std::stringstream ss(text);
+  const auto model = load_classifier(ss);
+  const std::vector<double> x(model->num_features(), 0.0);
+  std::vector<double> out(static_cast<std::size_t>(model->num_classes()));
+  model->predict_proba_into(x, out);
+}
+
+TEST(Serialize, LoadRejectsChildIndexPastTheNodeCount) {
+  EXPECT_THROW(load_and_predict("rush-model 1\ntype decision_tree\nclasses 2\nfeatures 1\n"
+                                "nodes 3\nsplit 0 0.5 7 8\nleaf 1 0\nleaf 0 1\n"
+                                "importances 1\n"),
+               ParseError);
+}
+
+TEST(Serialize, LoadRejectsASplitThatIsItsOwnChild) {
+  EXPECT_THROW(load_and_predict("rush-model 1\ntype decision_tree\nclasses 2\nfeatures 1\n"
+                                "nodes 3\nsplit 0 0.5 0 2\nleaf 1 0\nleaf 0 1\n"
+                                "importances 1\n"),
+               ParseError);
+}
+
+TEST(Serialize, LoadRejectsANodeThatIsTheChildOfTwoSplits) {
+  EXPECT_THROW(load_and_predict("rush-model 1\ntype decision_tree\nclasses 2\nfeatures 1\n"
+                                "nodes 4\nsplit 0 0.5 1 2\nsplit 0 0.2 2 3\nleaf 1 0\n"
+                                "leaf 0 1\nimportances 1\n"),
+               ParseError);
+}
+
+TEST(Serialize, LoadRejectsSplitFeatureOutOfRange) {
+  EXPECT_THROW(load_and_predict("rush-model 1\ntype decision_tree\nclasses 2\nfeatures 3\n"
+                                "nodes 3\nsplit 99 0.5 1 2\nleaf 1 0\nleaf 0 1\n"
+                                "importances 1 0 0\n"),
+               ParseError);
+}
+
+TEST(Serialize, LoadRejectsForestTreeOfAnotherFeatureCount) {
+  EXPECT_THROW(load_and_predict("rush-model 1\ntype decision_forest\nflavor 0\nclasses 2\n"
+                                "features 1\ntrees 1\nclasses 2\nfeatures 3\nnodes 3\n"
+                                "split 2 0.5 1 2\nleaf 1 0\nleaf 0 1\nimportances 0 0 1\n"),
+               ParseError);
+}
+
+TEST(Serialize, LoadRejectsAdaBoostStageWithMoreClasses) {
+  EXPECT_THROW(load_and_predict("rush-model 1\ntype adaboost\nclasses 2\nfeatures 1\n"
+                                "stages 1\nalpha 1\nclasses 4\nfeatures 1\nnodes 3\n"
+                                "split 0 0.5 1 2\nleaf 0 0 0 1\nleaf 0 0 1 0\n"
+                                "importances 1\n"),
+               ParseError);
 }
 
 TEST(Serialize, ForestFlavorSurvivesRoundTrip) {

@@ -108,7 +108,8 @@ TEST(DecisionTree, PredictProbaSumsToOne) {
   Rng rng(10);
   for (int i = 0; i < 50; ++i) {
     const std::vector<double> x{rng.uniform(-1, 1), rng.uniform(-1, 1)};
-    const auto p = tree.predict_proba(x);
+    std::vector<double> p(static_cast<std::size_t>(tree.num_classes()));
+    tree.predict_proba_into(x, p);
     double total = 0.0;
     for (double v : p) total += v;
     EXPECT_NEAR(total, 1.0, 1e-9);

@@ -150,6 +150,23 @@ TEST(Scheduler, BackfillCanUseSpareNodesAtReservation) {
   EXPECT_NEAR(sched_ptr->job(j1).wait_s(), 100.0, 1.0);  // reservation honored
 }
 
+TEST(Scheduler, BackfillsAJobEndingExactlyAtTheReservation) {
+  World w;
+  const auto sched_ptr = w.make(SchedulerConfig{});
+  // A holds 48 of the 64 nodes with a 100 s walltime.
+  const JobId a = sched_ptr->submit(make_spec(48, 100.0, 100.0));
+  // B wants the whole machine: reservation at t=100, zero spare nodes.
+  const JobId b = sched_ptr->submit(make_spec(64, 100.0, 100.0));
+  // C's walltime ends exactly at the reservation, which EASY allows.
+  const JobId c = sched_ptr->submit(make_spec(16, 100.0, 100.0));
+  EXPECT_DOUBLE_EQ(sched_ptr->job(c).start_s, 0.0);
+  EXPECT_TRUE(sched_ptr->job(c).backfilled);
+  w.engine.run();
+  EXPECT_DOUBLE_EQ(sched_ptr->job(a).wait_s(), 0.0);
+  EXPECT_NEAR(sched_ptr->job(b).wait_s(), 100.0, 1.0);
+  EXPECT_DOUBLE_EQ(sched_ptr->job(c).wait_s(), 0.0);
+}
+
 TEST(Scheduler, BackfillDisabledMeansStrictFcfs) {
   World w;
   SchedulerConfig cfg;

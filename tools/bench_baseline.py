@@ -25,6 +25,8 @@ BM_NetworkChurnIncremental — the incremental-engine headline number
 (>= 5x is the PR 2 acceptance floor). `trial_parallel_speedup` is
 derived only when the host has at least as many cores as the wide pool
 (BM_PoolScaling/4); on a smaller host it is omitted and the run says why.
+These are the only two derived ratios; every other entry is an absolute
+measurement.
 
 Usage:
     tools/bench_baseline.py [--quick] [--build-dir DIR] [--output FILE]
@@ -65,17 +67,6 @@ SPEEDUP_DENOMINATOR = "bench_micro_network/BM_NetworkChurnIncremental"
 POOL_SCALING_SERIAL = "bench_micro_pool/BM_PoolScaling/1"
 POOL_SCALING_WIDE = "bench_micro_pool/BM_PoolScaling/4"
 POOL_SCALING_WIDTH = int(POOL_SCALING_WIDE.rsplit("/", 1)[1])
-
-# Per-node-sort reference trainer vs the presorted production trainer on
-# the same 1000x282 fit (both produce bit-identical trees).
-TREE_FIT_REFERENCE = "bench_micro_ml/BM_TreeFit/1000"
-TREE_FIT_PRESORTED = "bench_micro_ml/BM_TreeFitPresorted/1000"
-
-# Steady-state scheduling pass at queue depth 4096 on a 4096-node
-# cluster: pinned ReferenceScheduler vs the incremental Scheduler (both
-# make byte-identical decisions; >= 5x is the PR 9 acceptance floor).
-SCHED_PASS_REFERENCE = "bench_micro_sched/BM_SchedPassSaturatedReference/4096/4096"
-SCHED_PASS_INCREMENTAL = "bench_micro_sched/BM_SchedPassSaturated/4096/4096"
 
 
 def find_build_dir(explicit: str | None) -> Path:
@@ -235,16 +226,6 @@ def main() -> int:
             # Wall-clock ratio (cpu_time only meters the dispatching thread).
             report["derived"]["trial_parallel_speedup"] = (
                 serial["real_ns_per_op"] / wide["real_ns_per_op"])
-    ref = benchmarks.get(TREE_FIT_REFERENCE)
-    pre = benchmarks.get(TREE_FIT_PRESORTED)
-    if ref and pre and pre["ns_per_op"] > 0.0:
-        report["derived"]["tree_fit_presort_speedup"] = (
-            ref["ns_per_op"] / pre["ns_per_op"])
-    sref = benchmarks.get(SCHED_PASS_REFERENCE)
-    sinc = benchmarks.get(SCHED_PASS_INCREMENTAL)
-    if sref and sinc and sinc["ns_per_op"] > 0.0:
-        report["derived"]["sched_pass_speedup"] = (
-            sref["ns_per_op"] / sinc["ns_per_op"])
 
     failures = [k for k, v in benchmarks.items() if "error" in v]
     out_path = Path(args.output)
@@ -258,13 +239,6 @@ def main() -> int:
         print(f"trial fan-out speedup (pool width 1 / width 4, "
               f"{report['jobs']} cores): "
               f"{report['derived']['trial_parallel_speedup']:.2f}x")
-    if "tree_fit_presort_speedup" in report["derived"]:
-        print(f"tree fit speedup (per-node-sort reference / presorted): "
-              f"{report['derived']['tree_fit_presort_speedup']:.2f}x")
-    if "sched_pass_speedup" in report["derived"]:
-        print(f"scheduling pass speedup (reference / incremental, "
-              f"depth 4096 on 4096 nodes): "
-              f"{report['derived']['sched_pass_speedup']:.1f}x")
     if failures:
         sys.exit(f"error: benchmarks reported failures: {failures}")
     if regressions:
