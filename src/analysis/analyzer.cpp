@@ -172,105 +172,50 @@ std::string render_sarif(const AnalyzeResult& result) {
   w.field("$schema", "https://json.schemastore.org/sarif-2.1.0.json");
   w.field("version", "2.1.0");
   w.begin_array("runs");
-
-  std::string run;
-  obs::JsonWriter rw(run);
-  rw.begin_object();
-  {
-    std::string tool;
-    obs::JsonWriter tw(tool);
-    tw.begin_object();
-    {
-      std::string driver;
-      obs::JsonWriter dw(driver);
-      dw.begin_object();
-      dw.field("name", "rush_analyze");
-      dw.field("informationUri", "docs/static-analysis.md");
-      dw.begin_array("rules");
-      for (const RuleInfo& r : rule_catalogue()) {
-        std::string rule;
-        obs::JsonWriter rdw(rule);
-        rdw.begin_object();
-        rdw.field("id", r.name);
-        {
-          std::string desc;
-          obs::JsonWriter sdw(desc);
-          sdw.begin_object();
-          sdw.field("text", r.summary);
-          sdw.end_object();
-          rdw.raw_field("shortDescription", desc);
-        }
-        rdw.end_object();
-        dw.raw_element(rule);
-      }
-      dw.end_array();
-      dw.end_object();
-      tw.raw_field("driver", driver);
-    }
-    tw.end_object();
-    rw.raw_field("tool", tool);
+  w.begin_object();
+  w.begin_object("tool");
+  w.begin_object("driver");
+  w.field("name", "rush_analyze");
+  w.field("informationUri", "docs/static-analysis.md");
+  w.begin_array("rules");
+  for (const RuleInfo& r : rule_catalogue()) {
+    w.begin_object();
+    w.field("id", r.name);
+    w.begin_object("shortDescription");
+    w.field("text", r.summary);
+    w.end_object();
+    w.end_object();
   }
-  rw.begin_array("results");
+  w.end_array();
+  w.end_object();  // driver
+  w.end_object();  // tool
+  w.begin_array("results");
   for (const Finding& f : result.findings) {
-    std::string res;
-    obs::JsonWriter sw(res);
-    sw.begin_object();
-    sw.field("ruleId", f.rule);
-    sw.field("level", "error");
-    {
-      std::string msg;
-      obs::JsonWriter mw(msg);
-      mw.begin_object();
-      mw.field("text", f.message);
-      mw.end_object();
-      sw.raw_field("message", msg);
-    }
-    {
-      std::string loc;
-      obs::JsonWriter lw(loc);
-      lw.begin_object();
-      {
-        std::string phys;
-        obs::JsonWriter pw(phys);
-        pw.begin_object();
-        {
-          std::string art;
-          obs::JsonWriter aw(art);
-          aw.begin_object();
-          aw.field("uri", f.file);
-          aw.end_object();
-          pw.raw_field("artifactLocation", art);
-        }
-        {
-          std::string region;
-          obs::JsonWriter gw(region);
-          gw.begin_object();
-          gw.field("startLine", static_cast<std::int64_t>(f.line > 0 ? f.line : 1));
-          gw.end_object();
-          pw.raw_field("region", region);
-        }
-        pw.end_object();
-        lw.raw_field("physicalLocation", phys);
-      }
-      lw.end_object();
-      sw.begin_array("locations");
-      sw.raw_element(loc);
-      sw.end_array();
-    }
-    {
-      std::string fp;
-      obs::JsonWriter fpw(fp);
-      fpw.begin_object();
-      fpw.field("rushKey", f.rule + ":" + f.file + ":" + f.key);
-      fpw.end_object();
-      sw.raw_field("partialFingerprints", fp);
-    }
-    sw.end_object();
-    rw.raw_element(res);
+    w.begin_object();
+    w.field("ruleId", f.rule);
+    w.field("level", "error");
+    w.begin_object("message");
+    w.field("text", f.message);
+    w.end_object();
+    w.begin_array("locations");
+    w.begin_object();
+    w.begin_object("physicalLocation");
+    w.begin_object("artifactLocation");
+    w.field("uri", f.file);
+    w.end_object();
+    w.begin_object("region");
+    w.field("startLine", f.line > 0 ? f.line : 1);
+    w.end_object();
+    w.end_object();  // physicalLocation
+    w.end_object();
+    w.end_array();
+    w.begin_object("partialFingerprints");
+    w.field("rushKey", f.rule + ":" + f.file + ":" + f.key);
+    w.end_object();
+    w.end_object();
   }
-  rw.end_array();
-  rw.end_object();
-  w.raw_element(run);
+  w.end_array();
+  w.end_object();
   w.end_array();
   w.end_object();
   out += "\n";

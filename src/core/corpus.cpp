@@ -1,6 +1,7 @@
 #include "core/corpus.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <iterator>
 #include <ostream>
@@ -113,10 +114,15 @@ Corpus Corpus::from_csv(std::istream& is) {
     CollectedSample s;
     s.app = cells[0];
     s.app_index = static_cast<int>(str::to_int(cells[1]));
-    s.workload = static_cast<telemetry::WorkloadClass>(str::to_int(cells[2]));
+    const long long workload = str::to_int(cells[2]);
+    if (workload < 0 || workload > static_cast<int>(telemetry::WorkloadClass::Io))
+      throw ParseError("corpus CSV row " + std::to_string(i) + " has an unknown workload class");
+    s.workload = static_cast<telemetry::WorkloadClass>(workload);
     s.node_count = static_cast<int>(str::to_int(cells[3]));
     s.start_s = str::to_double(cells[4]);
     s.runtime_s = str::to_double(cells[5]);
+    if (!std::isfinite(s.runtime_s) || s.runtime_s <= 0.0)
+      throw ParseError("corpus CSV row " + std::to_string(i) + " needs a finite runtime_s > 0");
     s.features_all.resize(kF);
     s.features_job.resize(kF);
     for (std::size_t f = 0; f < kF; ++f) s.features_all[f] = str::to_double(cells[6 + f]);

@@ -1,230 +1,17 @@
 #include "faults/plan.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
-#include <utility>
 
 #include "common/error.hpp"
+#include "obs/json.hpp"
 
 namespace rush::faults {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader. obs::JsonWriter is write-only, and fault plans are
-// the repo's first JSON *input*, so this is a purpose-built recursive
-// descent parser for the subset plans need: objects, arrays, strings,
-// numbers, booleans, null. It rejects trailing garbage and duplicate work
-// is irrelevant — plans are tiny and parsed once per run.
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind : std::uint8_t { Null, Bool, Number, String, Array, Object };
-  Kind kind = Kind::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<JsonValue> items;                            // Array
-  std::vector<std::pair<std::string, JsonValue>> members;  // Object, in file order
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  JsonValue parse_document() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after JSON document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw ParseError("fault plan JSON: " + what + " (at byte " + std::to_string(pos_) + ")");
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::String;
-        v.text = parse_string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Bool;
-        if (consume_literal("true")) {
-          v.boolean = true;
-        } else if (consume_literal("false")) {
-          v.boolean = false;
-        } else {
-          fail("invalid literal");
-        }
-        return v;
-      }
-      case 'n': {
-        if (!consume_literal("null")) fail("invalid literal");
-        return JsonValue{};
-      }
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Object;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      v.members.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Array;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.items.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4U;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("invalid \\u escape");
-            }
-          }
-          // Plan strings are ASCII identifiers; anything wider is noise.
-          out += code < 0x80 ? static_cast<char>(code) : '?';
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    auto digits = [&] {
-      bool any = false;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-        any = true;
-      }
-      return any;
-    };
-    if (!digits()) fail("invalid number");
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (!digits()) fail("invalid number");
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      if (!digits()) fail("invalid number");
-    }
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    v.number = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(), nullptr);
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+using obs::JsonValue;
 
 [[noreturn]] void plan_error(std::size_t event_index, const std::string& what) {
   throw ParseError("fault plan event[" + std::to_string(event_index) + "]: " + what);
@@ -233,6 +20,14 @@ class JsonParser {
 double require_number(const JsonValue& v, std::size_t index, const std::string& key) {
   if (v.kind != JsonValue::Kind::Number) plan_error(index, "\"" + key + "\" must be a number");
   return v.number;
+}
+
+std::int32_t require_int32(const JsonValue& v, std::size_t index, const std::string& key) {
+  const double x = require_number(v, index, key);
+  if (!(x >= std::numeric_limits<std::int32_t>::min() &&
+        x <= std::numeric_limits<std::int32_t>::max() && x == std::trunc(x)))
+    plan_error(index, "\"" + key + "\" must be an integer that fits int32");
+  return static_cast<std::int32_t>(x);
 }
 
 FaultEvent parse_event(const JsonValue& obj, std::size_t index) {
@@ -249,9 +44,9 @@ FaultEvent parse_event(const JsonValue& obj, std::size_t index) {
       ev.at_s = require_number(value, index, key);
       have_at = true;
     } else if (key == "node") {
-      ev.node = static_cast<cluster::NodeId>(require_number(value, index, key));
+      ev.node = require_int32(value, index, key);
     } else if (key == "link") {
-      ev.link = static_cast<cluster::LinkId>(require_number(value, index, key));
+      ev.link = require_int32(value, index, key);
     } else if (key == "factor") {
       ev.factor = require_number(value, index, key);
     } else if (key == "duration_s") {
@@ -324,8 +119,7 @@ void FaultPlan::validate() const {
 }
 
 FaultPlan FaultPlan::from_json(std::string_view text) {
-  JsonParser parser(text);
-  const JsonValue doc = parser.parse_document();
+  const JsonValue doc = obs::parse_json(text);
   if (doc.kind != JsonValue::Kind::Object)
     throw ParseError("fault plan JSON: top level must be an object");
   FaultPlan plan;

@@ -164,7 +164,6 @@ void AdaBoost::load_body(std::istream& is) {
   is >> tag >> stage_count;
   if (tag != "stages" || stage_count == 0) throw ParseError("adaboost: bad stages header");
   stages_.clear();
-  stages_.reserve(stage_count);
   for (std::size_t i = 0; i < stage_count; ++i) {
     is >> tag;
     Stage s;

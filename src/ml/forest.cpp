@@ -154,7 +154,6 @@ void Forest::load_body(std::istream& is) {
   is >> tag >> tree_count;
   if (tag != "trees" || tree_count == 0) throw ParseError("forest: bad trees header");
   trees_.clear();
-  trees_.reserve(tree_count);
   for (std::size_t t = 0; t < tree_count; ++t) {
     DecisionTree tree;
     tree.load_body(is);

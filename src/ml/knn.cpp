@@ -119,13 +119,21 @@ void Knn::load_body(std::istream& is) {
   is >> tag >> rows;
   if (tag != "rows" || rows == 0) throw ParseError("knn: bad rows header");
   scaler_.load(is);
-  labels_.resize(rows);
-  x_.resize(rows * num_features_);
+  if (scaler_.num_features() != num_features_)
+    throw ParseError("knn: scaler width differs from features");
+  labels_.clear();
+  x_.clear();
   for (std::size_t i = 0; i < rows; ++i) {
-    is >> labels_[i];
-    for (std::size_t f = 0; f < num_features_; ++f) is >> x_[i * num_features_ + f];
+    int label = -1;
+    is >> label;
+    if (!is || label < 0 || label >= num_classes_) throw ParseError("knn: bad row label");
+    labels_.push_back(label);
+    for (std::size_t f = 0; f < num_features_; ++f) {
+      double v = 0.0;
+      if (!(is >> v)) throw ParseError("knn: malformed body");
+      x_.push_back(v);
+    }
   }
-  if (!is) throw ParseError("knn: malformed body");
 }
 
 }  // namespace rush::ml

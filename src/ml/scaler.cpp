@@ -66,10 +66,15 @@ void StandardScaler::load(std::istream& is) {
   std::size_t d = 0;
   is >> tag >> d;
   if (tag != "scaler" || d == 0) throw ParseError("scaler: bad header");
-  means_.resize(d);
-  stddevs_.resize(d);
-  for (std::size_t f = 0; f < d; ++f) is >> means_[f] >> stddevs_[f];
-  if (!is) throw ParseError("scaler: malformed body");
+  means_.clear();
+  stddevs_.clear();
+  for (std::size_t f = 0; f < d; ++f) {
+    double mean = 0.0;
+    double stddev = 0.0;
+    if (!(is >> mean >> stddev)) throw ParseError("scaler: malformed body");
+    means_.push_back(mean);
+    stddevs_.push_back(stddev);
+  }
 }
 
 }  // namespace rush::ml

@@ -412,12 +412,9 @@ void DecisionTree::load_body(std::istream& is) {
   is >> tag >> node_count;
   if (tag != "nodes" || node_count == 0) throw ParseError("tree: bad nodes header");
 
+  // Containers grow as entries arrive, so a huge count in a header fails
+  // at the first missing entry instead of allocating up front.
   nodes_.clear();
-  nodes_.reserve(node_count);
-  // save_body writes pre-order, so a split's children follow it and no
-  // node is anyone's child twice. Holding every file to that keeps
-  // compile() and the predict walks inside the node array and the input.
-  std::vector<bool> is_child(node_count, false);
   for (std::size_t i = 0; i < node_count; ++i) {
     is >> tag;
     Node n;
@@ -427,26 +424,38 @@ void DecisionTree::load_body(std::istream& is) {
         throw ParseError("tree: malformed split node");
       if (static_cast<std::size_t>(n.feature) >= num_features_)
         throw ParseError("tree: split feature out of range");
-      for (const std::int32_t child : {n.left, n.right}) {
-        const auto c = static_cast<std::size_t>(child);
-        if (c <= i || c >= node_count) throw ParseError("tree: child index out of range");
-        if (is_child[c]) throw ParseError("tree: node is the child of two splits");
-        is_child[c] = true;
-      }
     } else if (tag == "leaf") {
-      n.proba.resize(static_cast<std::size_t>(num_classes_));
-      for (double& p : n.proba) is >> p;
-      if (!is) throw ParseError("tree: malformed leaf node");
+      for (int c = 0; c < num_classes_; ++c) {
+        double p = 0.0;
+        if (!(is >> p)) throw ParseError("tree: malformed leaf node");
+        n.proba.push_back(p);
+      }
     } else {
       throw ParseError("tree: unknown node tag '" + tag + "'");
     }
     nodes_.push_back(std::move(n));
   }
+  // save_body writes pre-order, so a split's children follow it and no
+  // node is anyone's child twice. Holding every file to that keeps
+  // compile() and the predict walks inside the node array and the input.
+  std::vector<bool> is_child(node_count, false);
+  for (std::size_t i = 0; i < node_count; ++i) {
+    if (nodes_[i].feature < 0) continue;
+    for (const std::int32_t child : {nodes_[i].left, nodes_[i].right}) {
+      const auto c = static_cast<std::size_t>(child);
+      if (c <= i || c >= node_count) throw ParseError("tree: child index out of range");
+      if (is_child[c]) throw ParseError("tree: node is the child of two splits");
+      is_child[c] = true;
+    }
+  }
   is >> tag;
   if (tag != "importances") throw ParseError("tree: missing importances");
-  importances_.resize(num_features_);
-  for (double& v : importances_) is >> v;
-  if (!is) throw ParseError("tree: malformed importances");
+  importances_.clear();
+  for (std::size_t f = 0; f < num_features_; ++f) {
+    double v = 0.0;
+    if (!(is >> v)) throw ParseError("tree: malformed importances");
+    importances_.push_back(v);
+  }
   compile();
 }
 

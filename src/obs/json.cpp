@@ -3,8 +3,13 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+
+#include "common/error.hpp"
 
 namespace rush::obs {
+
+namespace {
 
 void append_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
@@ -38,6 +43,7 @@ void append_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
 }
 
+/// Shortest round-trip formatting ("1.5", "0.25", never "1.5000000").
 void append_double(std::string& out, double value) {
   if (!std::isfinite(value)) {
     out += "null";
@@ -47,6 +53,194 @@ void append_double(std::string& out, double value) {
   const auto res = std::to_chars(buf, buf + sizeof buf, value);
   out.append(buf, res.ptr);
 }
+
+/// Recursive descent over one document. Plans and test inputs are small
+/// and parsed once, so the reader favours clarity over speed.
+class JsonParser {
+ public:
+  explicit JsonParser(std::string_view text) : text_(text) {}
+
+  JsonValue parse_document() {
+    JsonValue v = parse_value(0);
+    skip_ws();
+    if (pos_ != text_.size()) fail("trailing characters after JSON document");
+    return v;
+  }
+
+ private:
+  [[noreturn]] void fail(const std::string& what) const {
+    throw ParseError("JSON: " + what + " (at byte " + std::to_string(pos_) + ")");
+  }
+
+  void skip_ws() {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+      ++pos_;
+    }
+  }
+
+  char peek() {
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    return text_[pos_];
+  }
+
+  void expect(char c) {
+    if (peek() != c) fail(std::string("expected '") + c + "'");
+    ++pos_;
+  }
+
+  bool consume_literal(std::string_view lit) {
+    if (text_.substr(pos_, lit.size()) != lit) return false;
+    pos_ += lit.size();
+    return true;
+  }
+
+  /// `depth` counts the arrays and objects enclosing this value.
+  JsonValue parse_value(int depth) {
+    skip_ws();
+    const char c = peek();
+    if ((c == '{' || c == '[') && depth == kMaxJsonDepth)
+      fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+    switch (c) {
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
+      case '"': {
+        JsonValue v;
+        v.kind = JsonValue::Kind::String;
+        v.text = parse_string();
+        return v;
+      }
+      case 't':
+      case 'f': {
+        JsonValue v;
+        v.kind = JsonValue::Kind::Bool;
+        v.boolean = c == 't';
+        if (!consume_literal(v.boolean ? "true" : "false")) fail("invalid literal");
+        return v;
+      }
+      case 'n': {
+        if (!consume_literal("null")) fail("invalid literal");
+        return JsonValue{};
+      }
+      default: return parse_number();
+    }
+  }
+
+  JsonValue parse_object(int depth) {
+    expect('{');
+    JsonValue v;
+    v.kind = JsonValue::Kind::Object;
+    skip_ws();
+    if (peek() == '}') {
+      ++pos_;
+      return v;
+    }
+    while (true) {
+      skip_ws();
+      std::string key = parse_string();
+      skip_ws();
+      expect(':');
+      v.members.emplace_back(std::move(key), parse_value(depth));
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect('}');
+      return v;
+    }
+  }
+
+  JsonValue parse_array(int depth) {
+    expect('[');
+    JsonValue v;
+    v.kind = JsonValue::Kind::Array;
+    skip_ws();
+    if (peek() == ']') {
+      ++pos_;
+      return v;
+    }
+    while (true) {
+      v.items.push_back(parse_value(depth));
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect(']');
+      return v;
+    }
+  }
+
+  std::string parse_string() {
+    expect('"');
+    std::string out;
+    while (true) {
+      if (pos_ >= text_.size()) fail("unterminated string");
+      const char c = text_[pos_++];
+      if (c == '"') return out;
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (pos_ >= text_.size()) fail("unterminated escape");
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': {
+          const std::string_view hex = text_.substr(pos_, 4);
+          unsigned code = 0;
+          const auto [end, ec] = std::from_chars(hex.data(), hex.data() + hex.size(), code, 16);
+          if (ec != std::errc() || end != hex.data() + 4) fail("invalid \\u escape");
+          pos_ += 4;
+          out += code < 0x80 ? static_cast<char>(code) : '?';
+          break;
+        }
+        default: fail("unknown escape");
+      }
+    }
+  }
+
+  JsonValue parse_number() {
+    const std::size_t start = pos_;
+    if (peek() == '-') ++pos_;
+    auto digits = [&] {
+      bool any = false;
+      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+        ++pos_;
+        any = true;
+      }
+      return any;
+    };
+    if (!digits()) fail("invalid number");
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      if (!digits()) fail("invalid number");
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
+      if (!digits()) fail("invalid number");
+    }
+    JsonValue v;
+    v.kind = JsonValue::Kind::Number;
+    v.number = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(), nullptr);
+    return v;
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+}  // namespace
 
 void JsonWriter::comma() {
   if (need_comma_) out_.push_back(',');
@@ -60,7 +254,13 @@ void JsonWriter::key(std::string_view k) {
 }
 
 void JsonWriter::begin_object() {
-  if (!out_.empty() && need_comma_) out_.push_back(',');
+  comma();
+  out_.push_back('{');
+  need_comma_ = false;
+}
+
+void JsonWriter::begin_object(std::string_view k) {
+  key(k);
   out_.push_back('{');
   need_comma_ = false;
 }
@@ -119,7 +319,7 @@ void JsonWriter::element(double value) {
   append_double(out_, value);
 }
 
-void JsonWriter::element(std::uint64_t value) {
+void JsonWriter::element(int value) {
   comma();
   out_ += std::to_string(value);
 }
@@ -133,5 +333,7 @@ void JsonWriter::raw_field(std::string_view k, std::string_view json) {
   key(k);
   out_.append(json);
 }
+
+JsonValue parse_json(std::string_view text) { return JsonParser(text).parse_document(); }
 
 }  // namespace rush::obs

@@ -49,17 +49,7 @@ std::string manifest_json(const RunManifest& manifest) {
   w.field("build_type", build_type());
   w.field("compiler", compiler());
   w.field("audit_enabled", audit_enabled());
-  if (!manifest.extra.empty()) {
-    out += ",\"extra\":{";
-    for (std::size_t i = 0; i < manifest.extra.size(); ++i) {
-      if (i) out.push_back(',');
-      append_escaped(out, manifest.extra[i].first);
-      out.push_back(':');
-      append_escaped(out, manifest.extra[i].second);
-    }
-    out += "}";
-  }
-  out += "}";
+  w.end_object();
   return out;
 }
 

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace rush::obs {
 
@@ -23,8 +22,6 @@ struct RunManifest {
   int days = 0;
   /// Path of the JSONL trace this manifest describes (empty if none).
   std::string trace_path;
-  /// Free-form extra configuration, rendered as a JSON string map.
-  std::vector<std::pair<std::string, std::string>> extra;
 };
 
 /// Compile-time build provenance (git SHA injected by src/obs/CMakeLists).

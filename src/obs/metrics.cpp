@@ -144,46 +144,26 @@ std::string MetricsRegistry::snapshot_json() const {
   std::string out;
   JsonWriter w(out);
   w.begin_object();
-  out += "\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_escaped(out, name);
-    out.push_back(':');
-    out += std::to_string(c->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_escaped(out, name);
-    out.push_back(':');
-    append_double(out, g->value());
-  }
-  out += "},\"histograms\":{";
-  first = true;
+  w.begin_object("counters");
+  for (const auto& [name, c] : counters_) w.field(name, c->value());
+  w.end_object();
+  w.begin_object("gauges");
+  for (const auto& [name, g] : gauges_) w.field(name, g->value());
+  w.end_object();
+  w.begin_object("histograms");
   for (const auto& [name, h] : histograms_) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_escaped(out, name);
-    out += ":{\"count\":" + std::to_string(h->count());
-    out += ",\"mean\":";
-    append_double(out, h->mean());
-    out += ",\"min\":";
-    append_double(out, h->min());
-    out += ",\"max\":";
-    append_double(out, h->max());
-    out += ",\"p50\":";
-    append_double(out, h->percentile(0.50));
-    out += ",\"p90\":";
-    append_double(out, h->percentile(0.90));
-    out += ",\"p99\":";
-    append_double(out, h->percentile(0.99));
-    out += "}";
+    w.begin_object(name);
+    w.field("count", h->count());
+    w.field("mean", h->mean());
+    w.field("min", h->min());
+    w.field("max", h->max());
+    w.field("p50", h->percentile(0.50));
+    w.field("p90", h->percentile(0.90));
+    w.field("p99", h->percentile(0.99));
+    w.end_object();
   }
-  out += "}}";
+  w.end_object();
+  w.end_object();
   return out;
 }
 

@@ -75,214 +75,183 @@ void EventTrace::absorb(EventTrace& child) {
   child.seq_ = 0;
 }
 
-void EventTrace::begin_record(double t_s, std::string_view event) {
-  buffer_ += "{\"v\":";
-  buffer_ += std::to_string(kSchemaVersion);
-  buffer_ += ",\"seq\":";
-  buffer_ += std::to_string(seq_);
-  buffer_ += ",\"t\":";
-  append_double(buffer_, t_s);
-  buffer_ += ",\"ev\":";
-  append_escaped(buffer_, event);
-}
-
-void EventTrace::end_record() {
-  buffer_ += "}\n";
+template <class Fields>
+void EventTrace::record(double t_s, std::string_view event, const Fields& fields) {
+  JsonWriter w(buffer_);
+  w.begin_object();
+  w.field("v", kSchemaVersion);
+  w.field("seq", seq_);
+  w.field("t", t_s);
+  w.field("ev", event);
+  fields(w);
+  w.end_object();
+  buffer_.push_back('\n');
   ++seq_;
   if (buffer_.size() >= kFlushThreshold) flush();
 }
 
 void EventTrace::emit_trial_start(double t_s, std::string_view policy, std::uint64_t seed) {
   if (!enabled_) return;
-  begin_record(t_s, "trial_start");
-  buffer_ += ",\"policy\":";
-  append_escaped(buffer_, policy);
-  buffer_ += ",\"seed\":" + std::to_string(seed);
-  end_record();
+  record(t_s, "trial_start", [&](JsonWriter& w) {
+    w.field("policy", policy);
+    w.field("seed", seed);
+  });
 }
 
 void EventTrace::emit_trial_end(double t_s, std::string_view policy, std::uint64_t seed,
                                 double makespan_s, std::uint64_t total_skips) {
   if (!enabled_) return;
-  begin_record(t_s, "trial_end");
-  buffer_ += ",\"policy\":";
-  append_escaped(buffer_, policy);
-  buffer_ += ",\"seed\":" + std::to_string(seed);
-  buffer_ += ",\"makespan_s\":";
-  append_double(buffer_, makespan_s);
-  buffer_ += ",\"total_skips\":" + std::to_string(total_skips);
-  end_record();
+  record(t_s, "trial_end", [&](JsonWriter& w) {
+    w.field("policy", policy);
+    w.field("seed", seed);
+    w.field("makespan_s", makespan_s);
+    w.field("total_skips", total_skips);
+  });
 }
 
 void EventTrace::emit_job_submit(double t_s, std::uint64_t job_id, std::string_view app,
                                  int num_nodes, double walltime_estimate_s) {
   if (!enabled_) return;
-  begin_record(t_s, "job_submit");
-  buffer_ += ",\"job\":" + std::to_string(job_id);
-  buffer_ += ",\"app\":";
-  append_escaped(buffer_, app);
-  buffer_ += ",\"nodes\":" + std::to_string(num_nodes);
-  buffer_ += ",\"walltime_est_s\":";
-  append_double(buffer_, walltime_estimate_s);
-  end_record();
+  record(t_s, "job_submit", [&](JsonWriter& w) {
+    w.field("job", job_id);
+    w.field("app", app);
+    w.field("nodes", num_nodes);
+    w.field("walltime_est_s", walltime_estimate_s);
+  });
 }
 
 void EventTrace::emit_job_start(double t_s, std::uint64_t job_id, double wait_s, bool backfilled,
                                 const std::vector<int>& nodes) {
   if (!enabled_) return;
-  begin_record(t_s, "job_start");
-  buffer_ += ",\"job\":" + std::to_string(job_id);
-  buffer_ += ",\"wait_s\":";
-  append_double(buffer_, wait_s);
-  buffer_ += ",\"backfilled\":";
-  buffer_ += backfilled ? "true" : "false";
-  buffer_ += ",\"node_ids\":[";
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (i) buffer_.push_back(',');
-    buffer_ += std::to_string(nodes[i]);
-  }
-  buffer_ += "]";
-  end_record();
+  record(t_s, "job_start", [&](JsonWriter& w) {
+    w.field("job", job_id);
+    w.field("wait_s", wait_s);
+    w.field("backfilled", backfilled);
+    w.begin_array("node_ids");
+    for (const int node : nodes) w.element(node);
+    w.end_array();
+  });
 }
 
 void EventTrace::emit_job_end(double t_s, std::uint64_t job_id, double runtime_s, double slowdown,
                               int skips) {
   if (!enabled_) return;
-  begin_record(t_s, "job_end");
-  buffer_ += ",\"job\":" + std::to_string(job_id);
-  buffer_ += ",\"runtime_s\":";
-  append_double(buffer_, runtime_s);
-  buffer_ += ",\"slowdown\":";
-  append_double(buffer_, slowdown);
-  buffer_ += ",\"skips\":" + std::to_string(skips);
-  end_record();
+  record(t_s, "job_end", [&](JsonWriter& w) {
+    w.field("job", job_id);
+    w.field("runtime_s", runtime_s);
+    w.field("slowdown", slowdown);
+    w.field("skips", skips);
+  });
 }
 
 void EventTrace::emit_alloc_decision(double t_s, std::uint64_t head_job_id, double reservation_s,
                                      const std::vector<CandidateScore>& scores) {
   if (!enabled_) return;
-  begin_record(t_s, "alloc_decision");
-  buffer_ += ",\"head_job\":" + std::to_string(head_job_id);
-  buffer_ += ",\"reservation_s\":";
-  append_double(buffer_, reservation_s);
-  buffer_ += ",\"candidates\":[";
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (i) buffer_.push_back(',');
-    buffer_ += "{\"job\":" + std::to_string(scores[i].job_id) + ",\"score\":";
-    append_double(buffer_, scores[i].score);
-    buffer_ += "}";
-  }
-  buffer_ += "]";
-  end_record();
+  record(t_s, "alloc_decision", [&](JsonWriter& w) {
+    w.field("head_job", head_job_id);
+    w.field("reservation_s", reservation_s);
+    w.begin_array("candidates");
+    for (const CandidateScore& c : scores) {
+      w.begin_object();
+      w.field("job", c.job_id);
+      w.field("score", c.score);
+      w.end_object();
+    }
+    w.end_array();
+  });
 }
 
 void EventTrace::emit_alg2_skip(double t_s, std::uint64_t job_id, std::string_view prediction,
                                 int skip_count, int skip_threshold) {
   if (!enabled_) return;
-  begin_record(t_s, "alg2_skip");
-  buffer_ += ",\"job\":" + std::to_string(job_id);
-  buffer_ += ",\"prediction\":";
-  append_escaped(buffer_, prediction);
-  buffer_ += ",\"skip_count\":" + std::to_string(skip_count);
-  buffer_ += ",\"skip_threshold\":" + std::to_string(skip_threshold);
-  end_record();
+  record(t_s, "alg2_skip", [&](JsonWriter& w) {
+    w.field("job", job_id);
+    w.field("prediction", prediction);
+    w.field("skip_count", skip_count);
+    w.field("skip_threshold", skip_threshold);
+  });
 }
 
 void EventTrace::emit_predict(double t_s, std::uint64_t job_id, std::string_view label,
                               std::uint64_t feature_hash) {
   if (!enabled_) return;
-  begin_record(t_s, "predict");
-  buffer_ += ",\"job\":" + std::to_string(job_id);
-  buffer_ += ",\"label\":";
-  append_escaped(buffer_, label);
-  buffer_ += ",\"feature_hash\":\"";
   // Hex, quoted: 64-bit values are not exactly representable as JSON
   // numbers in every consumer.
   constexpr char digits[] = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4)
-    buffer_.push_back(digits[(feature_hash >> shift) & 0xF]);
-  buffer_ += "\"";
-  end_record();
+  char hex[16];
+  for (int i = 0; i < 16; ++i) hex[i] = digits[(feature_hash >> (60 - 4 * i)) & 0xF];
+  record(t_s, "predict", [&](JsonWriter& w) {
+    w.field("job", job_id);
+    w.field("label", label);
+    w.field("feature_hash", std::string_view(hex, sizeof hex));
+  });
 }
 
 void EventTrace::emit_congestion_episode(double t_s, double start_s, int link_id,
                                          double peak_utilization) {
   if (!enabled_) return;
-  begin_record(t_s, "congestion");
-  buffer_ += ",\"start_s\":";
-  append_double(buffer_, start_s);
-  buffer_ += ",\"link\":" + std::to_string(link_id);
-  buffer_ += ",\"peak_util\":";
-  append_double(buffer_, peak_utilization);
-  end_record();
+  record(t_s, "congestion", [&](JsonWriter& w) {
+    w.field("start_s", start_s);
+    w.field("link", link_id);
+    w.field("peak_util", peak_utilization);
+  });
 }
 
 void EventTrace::emit_fault_node_down(double t_s, int node, bool drain, double duration_s) {
   if (!enabled_) return;
-  begin_record(t_s, "fault_node_down");
-  buffer_ += ",\"node\":" + std::to_string(node);
-  buffer_ += ",\"drain\":";
-  buffer_ += drain ? "true" : "false";
-  buffer_ += ",\"duration_s\":";
-  append_double(buffer_, duration_s);
-  end_record();
+  record(t_s, "fault_node_down", [&](JsonWriter& w) {
+    w.field("node", node);
+    w.field("drain", drain);
+    w.field("duration_s", duration_s);
+  });
 }
 
 void EventTrace::emit_fault_node_restore(double t_s, int node) {
   if (!enabled_) return;
-  begin_record(t_s, "fault_node_restore");
-  buffer_ += ",\"node\":" + std::to_string(node);
-  end_record();
+  record(t_s, "fault_node_restore", [&](JsonWriter& w) { w.field("node", node); });
 }
 
 void EventTrace::emit_fault_link_degrade(double t_s, int link, double factor, double duration_s) {
   if (!enabled_) return;
-  begin_record(t_s, "fault_link_degrade");
-  buffer_ += ",\"link\":" + std::to_string(link);
-  buffer_ += ",\"factor\":";
-  append_double(buffer_, factor);
-  buffer_ += ",\"duration_s\":";
-  append_double(buffer_, duration_s);
-  end_record();
+  record(t_s, "fault_link_degrade", [&](JsonWriter& w) {
+    w.field("link", link);
+    w.field("factor", factor);
+    w.field("duration_s", duration_s);
+  });
 }
 
 void EventTrace::emit_fault_link_restore(double t_s, int link) {
   if (!enabled_) return;
-  begin_record(t_s, "fault_link_restore");
-  buffer_ += ",\"link\":" + std::to_string(link);
-  end_record();
+  record(t_s, "fault_link_restore", [&](JsonWriter& w) { w.field("link", link); });
 }
 
 void EventTrace::emit_fault_window(double t_s, std::string_view kind, int node, double until_s) {
   if (!enabled_) return;
   std::string event = "fault_";
   event += kind;
-  begin_record(t_s, event);
-  buffer_ += ",\"node\":" + std::to_string(node);
-  buffer_ += ",\"until_s\":";
-  append_double(buffer_, until_s);
-  end_record();
+  record(t_s, event, [&](JsonWriter& w) {
+    w.field("node", node);
+    w.field("until_s", until_s);
+  });
 }
 
 void EventTrace::emit_fault_job_requeue(double t_s, std::uint64_t job_id, int node, int requeues) {
   if (!enabled_) return;
-  begin_record(t_s, "fault_job_requeue");
-  buffer_ += ",\"job\":" + std::to_string(job_id);
-  buffer_ += ",\"node\":" + std::to_string(node);
-  buffer_ += ",\"requeues\":" + std::to_string(requeues);
-  end_record();
+  record(t_s, "fault_job_requeue", [&](JsonWriter& w) {
+    w.field("job", job_id);
+    w.field("node", node);
+    w.field("requeues", requeues);
+  });
 }
 
 void EventTrace::emit_fault_oracle_fallback(double t_s, std::uint64_t job_id,
                                             std::string_view reason, std::string_view label) {
   if (!enabled_) return;
-  begin_record(t_s, "fault_oracle_fallback");
-  buffer_ += ",\"job\":" + std::to_string(job_id);
-  buffer_ += ",\"reason\":";
-  append_escaped(buffer_, reason);
-  buffer_ += ",\"label\":";
-  append_escaped(buffer_, label);
-  end_record();
+  record(t_s, "fault_oracle_fallback", [&](JsonWriter& w) {
+    w.field("job", job_id);
+    w.field("reason", reason);
+    w.field("label", label);
+  });
 }
 
 std::uint64_t feature_hash(const std::vector<double>& values) noexcept {

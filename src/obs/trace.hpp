@@ -148,9 +148,10 @@ class EventTrace {
                                   std::string_view label);
 
  private:
-  /// Opens a record ({"v":..,"seq":..,"t":..,"ev":..) ready for fields.
-  void begin_record(double t_s, std::string_view event);
-  void end_record();
+  /// Appends one record: the {"v","seq","t","ev"} envelope, then the
+  /// fields `fields(JsonWriter&)` writes.
+  template <class Fields>
+  void record(double t_s, std::string_view event, const Fields& fields);
 
   std::ostream* sink_ = nullptr;  // null = disabled or buffered
   bool enabled_ = false;

@@ -17,6 +17,7 @@
 #include "analysis/outline.hpp"
 #include "analysis/rules.hpp"
 #include "analysis/symbols.hpp"
+#include "golden.hpp"
 
 namespace ra = rush::analysis;
 
@@ -585,4 +586,13 @@ TEST(AnalyzeReport, SarifCarriesRulesResultsAndLocations) {
   for (const ra::RuleInfo& info : ra::rule_catalogue()) {
     EXPECT_NE(sarif.find("\"id\":\"" + info.name + "\""), std::string::npos) << info.name;
   }
+}
+
+TEST(AnalyzeReport, SarifKeepsItsBytes) {
+  ra::AnalyzeResult r;
+  r.findings.push_back({"layer-dag", "sim/engine.cpp", 12, "core/pipeline.hpp",
+                        "sim may not include core/pipeline.hpp"});
+  r.findings.push_back({"pragma-once", "obs/a \"b\".hpp", 0, "pragma", "missing #pragma once"});
+  const std::string sarif = ra::render_sarif(r);
+  EXPECT_EQ(rush::golden::hex(rush::golden::fnv1a(sarif)), "0xf563fdbd4a06751c") << sarif;
 }

@@ -94,6 +94,31 @@ TEST(Corpus, FromCsvRejectsWrongShape) {
   EXPECT_THROW((void)Corpus::from_csv(empty), ParseError);
 }
 
+TEST(Corpus, FromCsvRejectsBadRuntimeAndWorkload) {
+  // One good row, then the same row with one cell replaced.
+  const auto with_cell = [](std::size_t col, const std::string& value) {
+    Corpus c;
+    c.add(make_sample("AMG", 0, 100.0));
+    std::stringstream ss;
+    c.to_csv(ss);
+    std::string text = ss.str();
+    const std::size_t row = text.find('\n') + 1;
+    std::size_t start = row;
+    for (std::size_t i = 0; i < col; ++i) start = text.find(',', start) + 1;
+    text.replace(start, text.find(',', start) - start, value);
+    return text;
+  };
+  {
+    std::stringstream ok(with_cell(5, "250"));
+    EXPECT_EQ(Corpus::from_csv(ok).size(), 1u);
+  }
+  for (const auto& [col, value] : std::vector<std::pair<std::size_t, std::string>>{
+           {5, "0"}, {5, "-3"}, {5, "nan"}, {5, "inf"}, {2, "7"}, {2, "-1"}}) {
+    std::stringstream bad(with_cell(col, value));
+    EXPECT_THROW((void)Corpus::from_csv(bad), ParseError) << "column " << col << " = " << value;
+  }
+}
+
 TEST(Corpus, AddValidatesSample) {
   Corpus c;
   CollectedSample bad = make_sample("AMG", 0, 100.0);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "faults/plan.hpp"
@@ -73,6 +74,8 @@ TEST(FaultPlan, MalformedDocumentsAreRejected) {
                ParseError);
   EXPECT_THROW((void)FaultPlan::from_json(R"({"events": [{"kind": "warp_core", "at_s": 1}]})"),
                ParseError);
+  // Nesting past obs::kMaxJsonDepth stops the reader before the stack does.
+  EXPECT_THROW((void)FaultPlan::from_json(std::string(100000, '[')), ParseError);
 }
 
 TEST(FaultPlan, ValidationRejectsBadTargetsAndRanges) {
@@ -92,6 +95,10 @@ TEST(FaultPlan, ValidationRejectsBadTargetsAndRanges) {
   // Times must be finite and non-negative.
   reject(R"({"events": [{"kind": "node_crash", "at_s": -5, "node": 0}]})");
   reject(R"({"events": [{"kind": "node_crash", "at_s": 1, "node": 0, "duration_s": -1}]})");
+  // Targets are integers that fit int32: no truncation, no overflow.
+  reject(R"({"events": [{"kind": "node_crash", "at_s": 1, "node": 2.5}]})");
+  reject(R"({"events": [{"kind": "node_crash", "at_s": 1, "node": 1e30}]})");
+  reject(R"({"events": [{"kind": "link_restore", "at_s": 1, "link": -3000000000}]})");
   // factor = 1.0 is legal (degenerate but harmless).
   const FaultPlan ok = FaultPlan::from_json(
       R"({"events": [{"kind": "link_degrade", "at_s": 1, "link": 0, "factor": 1.0}]})");
@@ -100,6 +107,9 @@ TEST(FaultPlan, ValidationRejectsBadTargetsAndRanges) {
   const FaultPlan all = FaultPlan::from_json(
       R"({"events": [{"kind": "counter_corrupt", "at_s": 1, "duration_s": 10}]})");
   EXPECT_EQ(all.events[0].node, -1);
+  const FaultPlan widest = FaultPlan::from_json(
+      R"({"events": [{"kind": "node_crash", "at_s": 1, "node": 2147483647}]})");
+  EXPECT_EQ(widest.events[0].node, 2147483647);
 }
 
 TEST(FaultPlan, StreamOverloadMatchesStringOverload) {

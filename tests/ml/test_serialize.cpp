@@ -136,6 +136,50 @@ TEST(Serialize, LoadRejectsAdaBoostStageWithMoreClasses) {
                ParseError);
 }
 
+TEST(Serialize, LoadRejectsKnnRowLabelOutsideTheClasses) {
+  EXPECT_THROW(load_and_predict("rush-model 1\ntype knn\nk 1 0\nclasses 2\nfeatures 1\n"
+                                "rows 1\nscaler 1\n0 1\n7 0.5\n"),
+               ParseError);
+}
+
+TEST(Serialize, LoadRejectsKnnScalerOfAnotherWidth) {
+  EXPECT_THROW(load_and_predict("rush-model 1\ntype knn\nk 1 0\nclasses 2\nfeatures 2\n"
+                                "rows 1\nscaler 1\n0 1\n1 0.5 0.5\n"),
+               ParseError);
+}
+
+TEST(Serialize, HugeHeaderCountsFailAtTheFirstMissingEntry) {
+  // Each body is a valid model except for one count of 10^11, so a loader
+  // that sizes a container from the header runs out of memory before it
+  // reads the entry that is not there. `classes` is an int, where 10^11
+  // fails to parse, so its body also carries the largest int.
+  const char* tree_tail = "leaf 1 0\nimportances 1\n";
+  for (const std::string& body : {
+           std::string("type decision_tree\nclasses 2\nfeatures 1\nnodes 100000000000\n") +
+               tree_tail,
+           std::string("type decision_tree\nclasses 100000000000\nfeatures 1\nnodes 1\n") +
+               tree_tail,
+           std::string("type decision_tree\nclasses 2147483647\nfeatures 1\nnodes 1\n") +
+               tree_tail,
+           std::string("type decision_tree\nclasses 2\nfeatures 100000000000\nnodes 1\n") +
+               tree_tail,
+           std::string("type decision_forest\nflavor 0\nclasses 2\nfeatures 1\n"
+                       "trees 100000000000\nclasses 2\nfeatures 1\nnodes 1\n") +
+               tree_tail,
+           std::string("type adaboost\nclasses 2\nfeatures 1\nstages 100000000000\nalpha 1\n"
+                       "classes 2\nfeatures 1\nnodes 1\n") +
+               tree_tail,
+           std::string("type knn\nk 1 0\nclasses 2\nfeatures 1\nrows 100000000000\n"
+                       "scaler 1\n0 1\n1 0.5\n"),
+           std::string("type knn\nk 1 0\nclasses 2\nfeatures 100000000000\nrows 1\n"
+                       "scaler 1\n0 1\n1 0.5\n"),
+           std::string("type knn\nk 1 0\nclasses 2\nfeatures 1\nrows 1\n"
+                       "scaler 100000000000\n0 1\n1 0.5\n"),
+       }) {
+    EXPECT_THROW(load_and_predict("rush-model 1\n" + body), ParseError) << body;
+  }
+}
+
 TEST(Serialize, ForestFlavorSurvivesRoundTrip) {
   const Dataset d = tiny_data(8);
   Forest extra(extra_trees_config(5));

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace rush::obs {
 namespace {
@@ -17,7 +20,7 @@ TEST(JsonWriter, FieldsAndNumericElements) {
   w.begin_array("samples");
   w.element(0.25);
   w.element(1.5);
-  w.element(std::uint64_t{7});
+  w.element(7);
   w.end_array();
   w.end_object();
   EXPECT_EQ(out, R"({"name":"trial","ok":true,"runs":3,"samples":[0.25,1.5,7]})");
@@ -61,6 +64,53 @@ TEST(JsonWriter, NonFiniteDoublesRenderAsNull) {
   w.end_array();
   w.end_object();
   EXPECT_EQ(out, R"({"v":[null,null]})");
+}
+
+TEST(ParseJson, ReadsWhatTheWriterWrites) {
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object();
+  w.field("name", "a \"b\"\n");
+  w.field("n", -2.5);
+  w.field("ok", false);
+  w.begin_object("inner");
+  w.begin_array("xs");
+  w.element(1.0);
+  w.element(std::numeric_limits<double>::quiet_NaN());
+  w.end_array();
+  w.end_object();
+  w.end_object();
+  EXPECT_EQ(out, R"({"name":"a \"b\"\n","n":-2.5,"ok":false,"inner":{"xs":[1,null]}})");
+
+  const JsonValue doc = parse_json(out);
+  ASSERT_EQ(doc.kind, JsonValue::Kind::Object);
+  ASSERT_EQ(doc.members.size(), 4u);
+  EXPECT_EQ(doc.members[0].second.text, "a \"b\"\n");
+  EXPECT_EQ(doc.members[1].second.number, -2.5);
+  EXPECT_EQ(doc.members[2].second.kind, JsonValue::Kind::Bool);
+  const JsonValue& xs = doc.members[3].second.members.at(0).second;
+  ASSERT_EQ(xs.items.size(), 2u);
+  EXPECT_EQ(xs.items[0].number, 1.0);
+  EXPECT_EQ(xs.items[1].kind, JsonValue::Kind::Null);
+}
+
+TEST(ParseJson, NestingStopsAtTheCap) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(parse_json(nested(kMaxJsonDepth)).kind, JsonValue::Kind::Array);
+  EXPECT_THROW((void)parse_json(nested(kMaxJsonDepth + 1)), ParseError);
+}
+
+TEST(ParseJson, ErrorsNameTheByteOffset) {
+  try {
+    (void)parse_json(R"({"a": 1,})");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("at byte 8"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW((void)parse_json(R"(["unterminated)"), ParseError);
 }
 
 }  // namespace

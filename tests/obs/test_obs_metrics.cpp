@@ -214,6 +214,20 @@ TEST(MetricsRegistry, SnapshotJsonContainsEveryInstrument) {
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
 
+TEST(MetricsRegistry, SnapshotKeepsItsBytes) {
+  MetricsRegistry reg;
+  reg.counter("sched.passes").inc(3);
+  reg.gauge("queue \"depth\"").set(2.5);
+  Histogram& h = reg.histogram("wait_s", 0.0, 100.0, 10);
+  h.record(10.0);
+  h.record(25.0);
+  h.record(0.1);
+  EXPECT_EQ(reg.snapshot_json(),
+            R"({"counters":{"sched.passes":3},"gauges":{"queue \"depth\"":2.5},)"
+            R"("histograms":{"wait_s":{"count":3,"mean":11.700000000000001,"min":0.1,"max":25,)"
+            R"("p50":15,"p90":25,"p99":25}}})");
+}
+
 TEST(MetricsRegistry, SnapshotIsDeterministic) {
   auto build = [] {
     MetricsRegistry reg;

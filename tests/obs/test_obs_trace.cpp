@@ -1,12 +1,11 @@
 // EventTrace behaviour: zero-overhead no-op mode, and a round-trip that
 // drives a real scheduler run into a trace, then parses every JSONL line
-// with a strict little JSON reader and checks the schema invariants
-// documented in docs/trace-format.md.
+// with obs::parse_json and checks the schema invariants documented in
+// docs/trace-format.md.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -15,129 +14,22 @@
 
 #include "apps/execution.hpp"
 #include "cluster/allocator.hpp"
-#include "sim/engine.hpp"
+#include "obs/json.hpp"
 #include "obs/manifest.hpp"
+#include "sim/engine.hpp"
 #include "sched/scheduler.hpp"
 
 namespace rush::obs {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal strict JSON reader (objects, arrays, strings, numbers, bools,
-// null). Fails the test on any syntax error; collects top-level scalar
-// fields so assertions can inspect them.
-// ---------------------------------------------------------------------------
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : s_(text) {}
-
-  /// Parses one complete JSON value; returns false on any syntax error
-  /// or trailing garbage.
-  bool parse_top(std::map<std::string, std::string>& top_fields) {
-    top_ = &top_fields;
-    skip_ws();
-    if (!parse_value(/*depth=*/0)) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool parse_string(std::string& out) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != '"') return false;
-    ++pos_;
-    out.clear();
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-        switch (s_[pos_]) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 >= s_.size()) return false;
-            pos_ += 4;  // not decoded; presence-checked only
-            out += '?';
-            break;
-          }
-          default: return false;
-        }
-        ++pos_;
-      } else {
-        out += s_[pos_++];
-      }
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool parse_number(std::string& out) {
-    skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) return false;
-    out = s_.substr(start, pos_ - start);
-    return true;
-  }
-  bool parse_value(int depth, std::string* scalar_out = nullptr) {
-    skip_ws();
-    if (pos_ >= s_.size()) return false;
-    const char c = s_[pos_];
-    std::string scratch;
-    std::string& scalar = scalar_out ? *scalar_out : scratch;
-    if (c == '{') {
-      ++pos_;
-      if (eat('}')) return true;
-      do {
-        std::string key;
-        if (!parse_string(key)) return false;
-        if (!eat(':')) return false;
-        std::string value;
-        if (!parse_value(depth + 1, &value)) return false;
-        if (depth == 0 && top_ != nullptr && !value.empty()) (*top_)[key] = value;
-      } while (eat(','));
-      return eat('}');
-    }
-    if (c == '[') {
-      ++pos_;
-      if (eat(']')) return true;
-      do {
-        if (!parse_value(depth + 1)) return false;
-      } while (eat(','));
-      return eat(']');
-    }
-    if (c == '"') return parse_string(scalar);
-    if (s_.compare(pos_, 4, "true") == 0) { pos_ += 4; scalar = "true"; return true; }
-    if (s_.compare(pos_, 5, "false") == 0) { pos_ += 5; scalar = "false"; return true; }
-    if (s_.compare(pos_, 4, "null") == 0) { pos_ += 4; scalar = "null"; return true; }
-    return parse_number(scalar);
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-  std::map<std::string, std::string>* top_ = nullptr;
-};
+/// Parses one JSON object and indexes its members by key.
+std::map<std::string, JsonValue> object_of(const std::string& json) {
+  JsonValue doc = parse_json(json);
+  EXPECT_EQ(doc.kind, JsonValue::Kind::Object) << json;
+  std::map<std::string, JsonValue> out;
+  for (auto& [key, value] : doc.members) out.emplace(key, std::move(value));
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // A tiny deterministic scheduler world (no traffic, no noise).
@@ -258,15 +150,13 @@ TEST(EventTrace, RoundTripThroughSchedulerRun) {
   std::uint64_t prev_seq = 0;
   std::map<std::string, int> event_counts;
   for (const std::string& line : lines) {
-    std::map<std::string, std::string> f;
-    JsonReader reader(line);
-    ASSERT_TRUE(reader.parse_top(f)) << "bad JSON: " << line;
+    const auto f = object_of(line);
     // Schema envelope: every record carries v/seq/t/ev.
     ASSERT_TRUE(f.contains("v") && f.contains("seq") && f.contains("t") && f.contains("ev"))
         << line;
-    EXPECT_EQ(f["v"], std::to_string(EventTrace::kSchemaVersion));
-    const double t = std::stod(f["t"]);
-    const std::uint64_t seq = std::stoull(f["seq"]);
+    EXPECT_EQ(f.at("v").number, EventTrace::kSchemaVersion);
+    const double t = f.at("t").number;
+    const auto seq = static_cast<std::uint64_t>(f.at("seq").number);
     EXPECT_GE(t, prev_t) << "sim time went backwards: " << line;
     if (prev_seq != 0) {
       EXPECT_EQ(seq, prev_seq + 1) << "seq gap: " << line;
@@ -274,7 +164,7 @@ TEST(EventTrace, RoundTripThroughSchedulerRun) {
     prev_t = t;
     prev_seq = seq;
 
-    const std::string ev = f["ev"];
+    const std::string& ev = f.at("ev").text;
     ++event_counts[ev];
     if (ev == "job_submit") {
       EXPECT_TRUE(f.contains("job") && f.contains("app") && f.contains("nodes") &&
@@ -290,7 +180,7 @@ TEST(EventTrace, RoundTripThroughSchedulerRun) {
       EXPECT_TRUE(f.contains("job") && f.contains("prediction") && f.contains("skip_count") &&
                   f.contains("skip_threshold"))
           << line;
-      EXPECT_EQ(f["prediction"], "variation");
+      EXPECT_EQ(f.at("prediction").text, "variation");
     } else if (ev == "trial_start" || ev == "trial_end") {
       EXPECT_TRUE(f.contains("policy") && f.contains("seed")) << line;
     }
@@ -308,13 +198,63 @@ TEST(EventTrace, PredictRecordCarriesHexFeatureHash) {
   EventTrace trace(sink);
   trace.emit_predict(1.5, 42, "no-variation", 0x0123456789abcdefULL);
   trace.flush();
-  std::map<std::string, std::string> f;
-  const std::string line = lines_of(sink.str()).at(0);
-  JsonReader reader(line);
-  ASSERT_TRUE(reader.parse_top(f));
-  EXPECT_EQ(f["ev"], "predict");
-  EXPECT_EQ(f["label"], "no-variation");
-  EXPECT_EQ(f["feature_hash"], "0123456789abcdef");
+  const auto f = object_of(lines_of(sink.str()).at(0));
+  EXPECT_EQ(f.at("ev").text, "predict");
+  EXPECT_EQ(f.at("label").text, "no-variation");
+  EXPECT_EQ(f.at("feature_hash").text, "0123456789abcdef");
+}
+
+TEST(EventTrace, EveryRecordKindKeepsItsBytes) {
+  std::ostringstream sink;
+  {
+    EventTrace trace(sink);
+    trace.emit_trial_start(0.0, "rush", 7);
+    trace.emit_trial_end(86400.5, "rush", 7, 86000.25, 12);
+    trace.emit_job_submit(1.5, 3, "AMG \"v2\"", 16, 120.0);
+    trace.emit_job_start(2.0, 3, 0.5, true, {4, 5, 6});
+    trace.emit_job_end(130.125, 3, 128.125, 1.0625, 2);
+    trace.emit_alloc_decision(2.0, 3, 310.0, {{4, 0.1}, {5, -2.5}});
+    trace.emit_alg2_skip(3.0, 4, "variation", 1, 10);
+    trace.emit_predict(3.0, 4, "variation", 0x00ab00cd00ef0012ULL);
+    trace.emit_congestion_episode(90.0, 60.0, 17, 1.75);
+    trace.emit_fault_node_down(100.0, 9, false, 0.0);
+    trace.emit_fault_node_restore(160.0, 9);
+    trace.emit_fault_link_degrade(170.0, 2, 0.25, 30.0);
+    trace.emit_fault_link_restore(200.0, 2);
+    trace.emit_fault_window(210.0, "sampler_dropout", -1, 300.0);
+    trace.emit_fault_job_requeue(100.0, 8, 9, 1);
+    trace.emit_fault_oracle_fallback(220.0, 11, "stale-counters", "no-variation");
+  }
+  EXPECT_EQ(sink.str(),
+            R"({"v":1,"seq":0,"t":0,"ev":"trial_start","policy":"rush","seed":7})" "\n"
+            R"({"v":1,"seq":1,"t":86400.5,"ev":"trial_end","policy":"rush","seed":7,)"
+            R"("makespan_s":86000.25,"total_skips":12})" "\n"
+            R"({"v":1,"seq":2,"t":1.5,"ev":"job_submit","job":3,"app":"AMG \"v2\"",)"
+            R"("nodes":16,"walltime_est_s":120})" "\n"
+            R"({"v":1,"seq":3,"t":2,"ev":"job_start","job":3,"wait_s":0.5,)"
+            R"("backfilled":true,"node_ids":[4,5,6]})" "\n"
+            R"({"v":1,"seq":4,"t":130.125,"ev":"job_end","job":3,"runtime_s":128.125,)"
+            R"("slowdown":1.0625,"skips":2})" "\n"
+            R"({"v":1,"seq":5,"t":2,"ev":"alloc_decision","head_job":3,"reservation_s":310,)"
+            R"("candidates":[{"job":4,"score":0.1},{"job":5,"score":-2.5}]})" "\n"
+            R"({"v":1,"seq":6,"t":3,"ev":"alg2_skip","job":4,"prediction":"variation",)"
+            R"("skip_count":1,"skip_threshold":10})" "\n"
+            R"({"v":1,"seq":7,"t":3,"ev":"predict","job":4,"label":"variation",)"
+            R"("feature_hash":"00ab00cd00ef0012"})" "\n"
+            R"({"v":1,"seq":8,"t":90,"ev":"congestion","start_s":60,"link":17,)"
+            R"("peak_util":1.75})" "\n"
+            R"({"v":1,"seq":9,"t":100,"ev":"fault_node_down","node":9,"drain":false,)"
+            R"("duration_s":0})" "\n"
+            R"({"v":1,"seq":10,"t":160,"ev":"fault_node_restore","node":9})" "\n"
+            R"({"v":1,"seq":11,"t":170,"ev":"fault_link_degrade","link":2,"factor":0.25,)"
+            R"("duration_s":30})" "\n"
+            R"({"v":1,"seq":12,"t":200,"ev":"fault_link_restore","link":2})" "\n"
+            R"({"v":1,"seq":13,"t":210,"ev":"fault_sampler_dropout","node":-1,)"
+            R"("until_s":300})" "\n"
+            R"({"v":1,"seq":14,"t":100,"ev":"fault_job_requeue","job":8,"node":9,)"
+            R"("requeues":1})" "\n"
+            R"({"v":1,"seq":15,"t":220,"ev":"fault_oracle_fallback","job":11,)"
+            R"("reason":"stale-counters","label":"no-variation"})" "\n");
 }
 
 TEST(FeatureHash, DeterministicAndSensitive) {
@@ -334,17 +274,27 @@ TEST(RunManifest, JsonIsValidAndCarriesProvenance) {
   m.trials = 3;
   m.days = 2;
   m.trace_path = "/tmp/t.jsonl";
-  m.extra.emplace_back("note", "hello \"world\"");
-  const std::string json = manifest_json(m);
-  std::map<std::string, std::string> f;
-  JsonReader reader(json);
-  ASSERT_TRUE(reader.parse_top(f)) << json;
-  EXPECT_EQ(f["tool"], "test_tool");
-  EXPECT_EQ(f["seed"], "99");
+  const auto f = object_of(manifest_json(m));
+  EXPECT_EQ(f.at("tool").text, "test_tool");
+  EXPECT_EQ(f.at("seed").number, 99.0);
   EXPECT_TRUE(f.contains("git_sha"));
   EXPECT_TRUE(f.contains("build_type"));
   EXPECT_TRUE(f.contains("compiler"));
   EXPECT_TRUE(f.contains("schema"));
+}
+
+TEST(RunManifest, KeepsItsBytes) {
+  RunManifest m;
+  m.tool = "bench_headline_summary";
+  m.seed = 42;
+  m.trials = 1;
+  m.days = 2;
+  m.trace_path = "run/t.jsonl";
+  EXPECT_EQ(manifest_json(m),
+            R"({"schema":1,"tool":"bench_headline_summary","seed":42,"trials":1,"days":2,)"
+            R"("trace_path":"run/t.jsonl","git_sha":")" + git_sha() + R"(","build_type":")" +
+                build_type() + R"(","compiler":")" + compiler() + R"(","audit_enabled":)" +
+                (audit_enabled() ? "true" : "false") + "}");
 }
 
 }  // namespace

@@ -14,6 +14,14 @@ the lines that depend on the host are masked: the `jobs=` count in the
 `seed=... jobs=...` banner, and the cache paths after `[bench] corpus:`,
 `[bench] experiment CODE:` and `[bench] trace:`.
 
+After the cache CSVs are hashed (a `--trace` run deletes the experiment
+caches it bypasses), bench_headline_summary runs twice more with
+`--trace`, once plain and once under bench/e2e/fault_plan.json, and the
+two JSONL traces are digested too; together they hold every trace
+record kind. The `.metrics.json` and `.manifest.json` files beside them
+are not digested: histogram sums may differ in the last bits across
+worker counts, and the manifest records the git SHA and the compiler.
+
 Usage:
     tools/paper_digests.py [--build-dir DIR] [--write]
 
@@ -38,6 +46,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = REPO_ROOT / "tools" / "paper_digests.json"
 BENCH_ARGS = ["--days", "2", "--trials", "1", "--jobs", "2"]
+TRACE_BENCH = "bench_headline_summary"
+TRACE_RUNS = {
+    "headline.jsonl": [],
+    "headline_faults.jsonl": ["--faults", str(REPO_ROOT / "bench" / "e2e" / "fault_plan.json")],
+}
 MASKS = [
     (re.compile(r"^(seed=.* jobs=)\d+", re.M), r"\1*"),
     (re.compile(r"^(\[bench\] (?:corpus|experiment [^:\n]*|trace): ).*$", re.M), r"\1*"),
@@ -77,23 +90,34 @@ def mask(stdout: str) -> str:
     return stdout
 
 
+def run_bench(binary: Path, args: list[str], cwd: str, env: dict[str, str]) -> str:
+    start = time.monotonic()
+    result = subprocess.run([str(binary), *args], cwd=cwd, env=env,
+                            capture_output=True, text=True)
+    if result.returncode != 0:
+        sys.stderr.write(result.stdout + result.stderr)
+        sys.exit(f"error: {binary.name} exited with {result.returncode}")
+    print(f"  {binary.name:<28} {time.monotonic() - start:6.1f} s", flush=True)
+    return result.stdout
+
+
 def sweep(benches: list[Path]) -> dict[str, dict[str, str]]:
-    """Run the benches in one fresh directory; digest stdout and cache CSVs."""
+    """Run the benches in one fresh directory; digest stdout, cache CSVs and traces."""
     stdout_digests: dict[str, str] = {}
+    trace_digests: dict[str, str] = {}
     with tempfile.TemporaryDirectory(prefix="rush-paper-") as tmp:
         env = dict(os.environ, RUSH_CACHE_DIR=tmp)
         for binary in benches:
-            start = time.monotonic()
-            result = subprocess.run([str(binary), *BENCH_ARGS], cwd=tmp, env=env,
-                                    capture_output=True, text=True)
-            if result.returncode != 0:
-                sys.stderr.write(result.stdout + result.stderr)
-                sys.exit(f"error: {binary.name} exited with {result.returncode}")
-            stdout_digests[binary.name] = digest(mask(result.stdout).encode())
-            print(f"  {binary.name:<28} {time.monotonic() - start:6.1f} s", flush=True)
+            stdout = run_bench(binary, BENCH_ARGS, tmp, env)
+            stdout_digests[binary.name] = digest(mask(stdout).encode())
         files = {p.relative_to(tmp).as_posix(): digest(p.read_bytes())
                  for p in sorted(Path(tmp).rglob("*.csv"))}
-    return {"stdout": stdout_digests, "files": files}
+        for binary in (b for b in benches if b.name == TRACE_BENCH):
+            for name, extra in TRACE_RUNS.items():
+                trace = Path(tmp) / name
+                run_bench(binary, [*BENCH_ARGS, "--trace", str(trace), *extra], tmp, env)
+                trace_digests[name] = digest(trace.read_bytes())
+    return {"stdout": stdout_digests, "files": files, "traces": trace_digests}
 
 
 def differences(recorded: dict[str, str], current: dict[str, str]) -> list[str]:
@@ -137,14 +161,18 @@ def main() -> int:
     recorded = json.loads(DIGESTS.read_text())
     benches_differ = differences(recorded.get("stdout", {}), current["stdout"])
     files_differ = differences(recorded.get("files", {}), current["files"])
-    if not benches_differ and not files_differ:
-        print(f"all {len(current['stdout'])} bench outputs and "
-              f"{len(current['files'])} cache CSVs match")
+    traces_differ = differences(recorded.get("traces", {}), current["traces"])
+    if not benches_differ and not files_differ and not traces_differ:
+        print(f"all {len(current['stdout'])} bench outputs, "
+              f"{len(current['files'])} cache CSVs and "
+              f"{len(current['traces'])} traces match")
         return 0
     if benches_differ:
         print("benches whose output differs:\n  " + "\n  ".join(benches_differ))
     if files_differ:
         print("cache CSVs that differ:\n  " + "\n  ".join(files_differ))
+    if traces_differ:
+        print("traces that differ:\n  " + "\n  ".join(traces_differ))
     return 1
 
 
