@@ -1,5 +1,6 @@
 #include "common/strings.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -57,8 +58,22 @@ long long to_int(std::string_view s) {
   const std::string tmp(trim(s));
   if (tmp.empty()) throw ParseError("empty integer field");
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(tmp.c_str(), &end, 10);
   if (end != tmp.c_str() + tmp.size()) throw ParseError("malformed integer: '" + tmp + "'");
+  if (errno == ERANGE) throw ParseError("integer out of range: '" + tmp + "'");
+  return v;
+}
+
+std::uint64_t to_uint(std::string_view s) {
+  const std::string tmp(trim(s));
+  if (tmp.empty()) throw ParseError("empty integer field");
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(tmp.c_str(), &end, 10);
+  if (tmp.front() == '-' || end != tmp.c_str() + tmp.size())
+    throw ParseError("malformed unsigned integer: '" + tmp + "'");
+  if (errno == ERANGE) throw ParseError("integer out of range: '" + tmp + "'");
   return v;
 }
 

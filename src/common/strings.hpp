@@ -1,6 +1,7 @@
 // Small string utilities shared across modules (no external deps).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,9 +13,12 @@ std::string join(const std::vector<std::string>& parts, std::string_view delim);
 std::string_view trim(std::string_view s) noexcept;
 bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 
-/// Strict numeric parses; throw ParseError on malformed input.
+/// Strict numeric parses; throw ParseError on malformed or out-of-range
+/// input (to_double returns inf for an overflowing value).
 double to_double(std::string_view s);
 long long to_int(std::string_view s);
+/// Rejects a '-', which strtoull would wrap around.
+std::uint64_t to_uint(std::string_view s);
 
 /// "1h2m3s"-style duration rendering for report output (input in seconds).
 std::string format_duration(double seconds);

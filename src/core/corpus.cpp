@@ -1,16 +1,11 @@
 #include "core/corpus.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <istream>
 #include <iterator>
-#include <ostream>
-#include <sstream>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "common/strings.hpp"
 
 namespace rush::core {
 
@@ -64,69 +59,51 @@ Corpus Corpus::filter_apps(const std::vector<std::string>& apps) const {
 
 void Corpus::to_csv(std::ostream& os) const {
   CsvWriter writer(os);
-  std::vector<std::string> header{"app", "app_index", "workload", "node_count", "start_s",
-                                  "runtime_s"};
-  const auto names = telemetry::FeatureAssembler::feature_names();
-  for (const auto& n : names) header.push_back("all_" + n);
-  for (const auto& n : names) header.push_back("job_" + n);
-  writer.write_row(header);
+  for (const char* name : {"app", "app_index", "workload", "node_count", "start_s", "runtime_s"})
+    writer.text(name);
+  const auto& names = telemetry::FeatureAssembler::feature_names();
+  for (const auto& n : names) writer.text("all_" + n);
+  for (const auto& n : names) writer.text("job_" + n);
+  writer.end_row();
 
   for (const auto& s : samples_) {
-    std::vector<std::string> row;
-    row.reserve(header.size());
-    row.push_back(s.app);
-    row.push_back(std::to_string(s.app_index));
-    row.push_back(std::to_string(static_cast<int>(s.workload)));
-    row.push_back(std::to_string(s.node_count));
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6f", s.start_s);
-    row.emplace_back(buf);
-    std::snprintf(buf, sizeof(buf), "%.9g", s.runtime_s);
-    row.emplace_back(buf);
-    for (double v : s.features_all) {
-      std::snprintf(buf, sizeof(buf), "%.9g", v);
-      row.emplace_back(buf);
-    }
-    for (double v : s.features_job) {
-      std::snprintf(buf, sizeof(buf), "%.9g", v);
-      row.emplace_back(buf);
-    }
-    writer.write_row(row);
+    writer.text(s.app);
+    writer.integer(s.app_index);
+    writer.integer(static_cast<int>(s.workload));
+    writer.integer(s.node_count);
+    writer.fixed(s.start_s, 6);
+    writer.general(s.runtime_s, 9);
+    for (double v : s.features_all) writer.general(v, 9);
+    for (double v : s.features_job) writer.general(v, 9);
+    writer.end_row();
   }
 }
 
 Corpus Corpus::from_csv(std::istream& is) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const auto rows = parse_csv(buffer.str());
-  if (rows.empty()) throw ParseError("empty corpus CSV");
-
+  CsvReader reader(is, "corpus CSV");
+  if (!reader.next()) throw ParseError("empty corpus CSV");
   constexpr std::size_t kF = telemetry::FeatureAssembler::kNumFeatures;
-  const std::size_t expected_cols = 6 + 2 * kF;
-  if (rows.front().size() != expected_cols)
-    throw ParseError("corpus CSV has wrong column count");
+  constexpr std::size_t kColumns = 6 + 2 * kF;
+  if (reader.size() != kColumns) throw reader.error("wrong column count");
 
   Corpus out;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& cells = rows[i];
-    if (cells.size() != expected_cols)
-      throw ParseError("corpus CSV row " + std::to_string(i) + " has wrong arity");
+  while (reader.next()) {
+    if (reader.size() != kColumns) throw reader.error("wrong arity");
     CollectedSample s;
-    s.app = cells[0];
-    s.app_index = static_cast<int>(str::to_int(cells[1]));
-    const long long workload = str::to_int(cells[2]);
+    s.app = reader.text(0);
+    s.app_index = reader.integer<int>(1);
+    const int workload = reader.integer<int>(2);
     if (workload < 0 || workload > static_cast<int>(telemetry::WorkloadClass::Io))
-      throw ParseError("corpus CSV row " + std::to_string(i) + " has an unknown workload class");
+      throw reader.error("unknown workload class", 2);
     s.workload = static_cast<telemetry::WorkloadClass>(workload);
-    s.node_count = static_cast<int>(str::to_int(cells[3]));
-    s.start_s = str::to_double(cells[4]);
-    s.runtime_s = str::to_double(cells[5]);
-    if (!std::isfinite(s.runtime_s) || s.runtime_s <= 0.0)
-      throw ParseError("corpus CSV row " + std::to_string(i) + " needs a finite runtime_s > 0");
+    s.node_count = reader.integer<int>(3);
+    s.start_s = reader.number(4);
+    s.runtime_s = reader.number(5);
+    if (s.runtime_s <= 0.0) throw reader.error("runtime_s must be > 0", 5);
     s.features_all.resize(kF);
     s.features_job.resize(kF);
-    for (std::size_t f = 0; f < kF; ++f) s.features_all[f] = str::to_double(cells[6 + f]);
-    for (std::size_t f = 0; f < kF; ++f) s.features_job[f] = str::to_double(cells[6 + kF + f]);
+    for (std::size_t f = 0; f < kF; ++f) s.features_all[f] = reader.number(6 + f);
+    for (std::size_t f = 0; f < kF; ++f) s.features_job[f] = reader.number(6 + kF + f);
     out.add(std::move(s));
   }
   return out;

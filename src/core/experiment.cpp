@@ -201,7 +201,7 @@ ExperimentResult ExperimentRunner::run(const ExperimentSpec& spec) {
   // Concurrent trials must not interleave records in the shared trace:
   // each gets a buffered child, absorbed below in task order so the
   // trace bytes match a serial run.
-  const bool tracing = config_.trace != nullptr && config_.trace->enabled();
+  const bool tracing = config_.trace != nullptr;
   std::vector<std::unique_ptr<obs::EventTrace>> trial_traces;
   if (tracing) {
     trial_traces.reserve(tasks);

@@ -106,7 +106,8 @@ TrainedPredictor TrainedPredictor::load(std::istream& is) {
   TrainedPredictor out;
   std::string tag, scope;
   is >> tag >> scope;
-  if (tag != "scope") throw ParseError("predictor: missing scope");
+  if (tag != "scope" || (scope != "all" && scope != "job"))
+    throw ParseError("predictor: missing or unknown scope");
   out.scope_ = scope == "all" ? telemetry::AggregationScope::AllNodes
                               : telemetry::AggregationScope::JobNodes;
   is >> tag >> out.thresholds_.little_sigma >> out.thresholds_.variation_sigma;
@@ -115,11 +116,18 @@ TrainedPredictor TrainedPredictor::load(std::istream& is) {
   if (tag != "confidence" || !is) throw ParseError("predictor: missing confidence");
   std::size_t count = 0;
   is >> tag >> count;
-  if (tag != "selected") throw ParseError("predictor: missing selected features");
-  out.selected_.resize(count);
-  for (std::size_t& f : out.selected_) is >> f;
-  if (!is) throw ParseError("predictor: malformed selected features");
+  if (tag != "selected" || !is) throw ParseError("predictor: missing selected features");
+  // The list grows as entries arrive, so a huge count fails at the first
+  // missing entry instead of allocating up front.
+  constexpr std::size_t kF = telemetry::FeatureAssembler::kNumFeatures;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::size_t f = 0;
+    if (!(is >> f) || f >= kF) throw ParseError("predictor: malformed selected feature");
+    out.selected_.push_back(f);
+  }
   out.model_ = ml::load_classifier(is);
+  if (out.model_->num_features() != (count == 0 ? kF : count))
+    throw ParseError("predictor: model width differs from the selected features");
   return out;
 }
 

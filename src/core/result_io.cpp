@@ -1,19 +1,18 @@
 #include "core/result_io.hpp"
 
-#include <cstdio>
+#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <sstream>
+#include <string_view>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
-#include "common/strings.hpp"
 
 namespace rush::core {
 
 namespace {
-const std::vector<std::string> kHeader{
+constexpr std::array<std::string_view, 15> kHeader{
     "policy", "trial",    "seed",    "makespan_s", "total_skips", "oracle_evals",
     "app",    "nodes",    "submit_s", "wait_s",    "runtime_s",   "slowdown",
     "initial", "backfilled", "skips"};
@@ -21,67 +20,57 @@ const std::vector<std::string> kHeader{
 
 void save_trials_csv(const std::vector<TrialResult>& trials, std::ostream& os) {
   CsvWriter writer(os);
-  writer.write_row(kHeader);
-  char buf[64];
+  for (const std::string_view name : kHeader) writer.text(name);
+  writer.end_row();
   for (std::size_t t = 0; t < trials.size(); ++t) {
     const TrialResult& trial = trials[t];
     for (const JobOutcome& job : trial.jobs) {
-      std::vector<std::string> row;
-      row.push_back(trial.policy);
-      row.push_back(std::to_string(t));
-      row.push_back(std::to_string(trial.seed));
-      std::snprintf(buf, sizeof(buf), "%.6f", trial.makespan_s);
-      row.emplace_back(buf);
-      row.push_back(std::to_string(trial.total_skips));
-      row.push_back(std::to_string(trial.oracle_evaluations));
-      row.push_back(job.app);
-      row.push_back(std::to_string(job.node_count));
-      std::snprintf(buf, sizeof(buf), "%.6f", job.submit_s);
-      row.emplace_back(buf);
-      std::snprintf(buf, sizeof(buf), "%.6f", job.wait_s);
-      row.emplace_back(buf);
-      std::snprintf(buf, sizeof(buf), "%.6f", job.runtime_s);
-      row.emplace_back(buf);
-      std::snprintf(buf, sizeof(buf), "%.9f", job.slowdown);
-      row.emplace_back(buf);
-      row.push_back(job.submitted_at_start ? "1" : "0");
-      row.push_back(job.backfilled ? "1" : "0");
-      row.push_back(std::to_string(job.skips));
-      writer.write_row(row);
+      writer.text(trial.policy);
+      writer.integer(std::uint64_t{t});
+      writer.integer(trial.seed);
+      writer.fixed(trial.makespan_s, 6);
+      writer.integer(trial.total_skips);
+      writer.integer(trial.oracle_evaluations);
+      writer.text(job.app);
+      writer.integer(job.node_count);
+      writer.fixed(job.submit_s, 6);
+      writer.fixed(job.wait_s, 6);
+      writer.fixed(job.runtime_s, 6);
+      writer.fixed(job.slowdown, 9);
+      writer.integer(int{job.submitted_at_start});
+      writer.integer(int{job.backfilled});
+      writer.integer(job.skips);
+      writer.end_row();
     }
   }
 }
 
 std::vector<TrialResult> load_trials_csv(std::istream& is) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const auto rows = parse_csv(buffer.str());
-  if (rows.empty() || rows.front() != kHeader)
-    throw ParseError("trials CSV: missing or stale header");
+  CsvReader reader(is, "trials CSV");
+  bool header = reader.next() && reader.size() == kHeader.size();
+  for (std::size_t c = 0; header && c < kHeader.size(); ++c) header = reader.text(c) == kHeader[c];
+  if (!header) throw ParseError("trials CSV: missing or stale header");
 
   std::map<std::pair<std::string, int>, TrialResult> trials;  // keeps (policy, index) order
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& cells = rows[i];
-    if (cells.size() != kHeader.size())
-      throw ParseError("trials CSV row " + std::to_string(i) + " has wrong arity");
-    const std::string& policy = cells[0];
-    const int trial_index = static_cast<int>(str::to_int(cells[1]));
-    TrialResult& trial = trials[{policy, trial_index}];
+  while (reader.next()) {
+    if (reader.size() != kHeader.size()) throw reader.error("wrong arity");
+    const std::string policy(reader.text(0));
+    TrialResult& trial = trials[{policy, reader.integer<int>(1)}];
     trial.policy = policy;
-    trial.seed = static_cast<std::uint64_t>(str::to_int(cells[2]));
-    trial.makespan_s = str::to_double(cells[3]);
-    trial.total_skips = static_cast<std::uint64_t>(str::to_int(cells[4]));
-    trial.oracle_evaluations = static_cast<std::uint64_t>(str::to_int(cells[5]));
+    trial.seed = reader.integer<std::uint64_t>(2);
+    trial.makespan_s = reader.number(3);
+    trial.total_skips = reader.integer<std::uint64_t>(4);
+    trial.oracle_evaluations = reader.integer<std::uint64_t>(5);
     JobOutcome job;
-    job.app = cells[6];
-    job.node_count = static_cast<int>(str::to_int(cells[7]));
-    job.submit_s = str::to_double(cells[8]);
-    job.wait_s = str::to_double(cells[9]);
-    job.runtime_s = str::to_double(cells[10]);
-    job.slowdown = str::to_double(cells[11]);
-    job.submitted_at_start = cells[12] == "1";
-    job.backfilled = cells[13] == "1";
-    job.skips = static_cast<int>(str::to_int(cells[14]));
+    job.app = reader.text(6);
+    job.node_count = reader.integer<int>(7);
+    job.submit_s = reader.number(8);
+    job.wait_s = reader.number(9);
+    job.runtime_s = reader.number(10);
+    job.slowdown = reader.number(11);
+    job.submitted_at_start = reader.flag(12);
+    job.backfilled = reader.flag(13);
+    job.skips = reader.integer<int>(14);
     trial.jobs.push_back(std::move(job));
   }
 

@@ -1,13 +1,8 @@
 #include "ml/dataset.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <sstream>
 
-#include "common/csv.hpp"
 #include "common/error.hpp"
-#include "common/strings.hpp"
 
 namespace rush::ml {
 
@@ -104,46 +99,6 @@ void Dataset::set_labels(std::vector<int> labels) {
   RUSH_EXPECTS(labels.size() == labels_.size());
   for (int y : labels) RUSH_EXPECTS(y >= 0);
   labels_ = std::move(labels);
-}
-
-void Dataset::to_csv(std::ostream& os) const {
-  CsvWriter writer(os);
-  std::vector<std::string> header = feature_names_;
-  header.emplace_back("label");
-  header.emplace_back("group");
-  writer.write_row(header);
-  std::vector<double> buf(num_features_ + 2);
-  for (std::size_t i = 0; i < rows(); ++i) {
-    const auto r = row(i);
-    std::copy(r.begin(), r.end(), buf.begin());
-    buf[num_features_] = labels_[i];
-    buf[num_features_ + 1] = groups_[i];
-    writer.write_numeric_row(buf);
-  }
-}
-
-Dataset Dataset::from_csv(std::istream& is) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const auto rows = parse_csv(buffer.str());
-  if (rows.empty()) throw ParseError("empty dataset CSV");
-  const auto& header = rows.front();
-  if (header.size() < 3 || header[header.size() - 2] != "label" || header.back() != "group")
-    throw ParseError("dataset CSV must end with 'label,group' columns");
-
-  std::vector<std::string> names(header.begin(), header.end() - 2);
-  Dataset out(std::move(names));
-  std::vector<double> buf(out.cols());
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& cells = rows[i];
-    if (cells.size() != header.size())
-      throw ParseError("dataset CSV row " + std::to_string(i) + " has wrong arity");
-    for (std::size_t j = 0; j < buf.size(); ++j) buf[j] = str::to_double(cells[j]);
-    const int label = static_cast<int>(str::to_int(cells[cells.size() - 2]));
-    const int group = static_cast<int>(str::to_int(cells.back()));
-    out.add_row(buf, label, group);
-  }
-  return out;
 }
 
 }  // namespace rush::ml

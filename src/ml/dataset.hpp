@@ -3,11 +3,10 @@
 // Row-major feature matrix with integer class labels and an optional
 // group id per row (the application index, used by leave-one-app-out
 // cross-validation). Plays the role of the paper's pickled Pandas
-// dataframe, including CSV persistence so collected corpora can be cached
-// and inspected.
+// dataframe; the corpora it is built from are cached as CSV by
+// core::Corpus.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -52,10 +51,6 @@ class Dataset {
   /// Overwrite all labels (e.g., re-labeling binary -> 3-class). Size must
   /// match rows().
   void set_labels(std::vector<int> labels);
-
-  /// CSV round-trip: header is feature names + "label" + "group".
-  void to_csv(std::ostream& os) const;
-  static Dataset from_csv(std::istream& is);
 
  private:
   std::size_t num_features_ = 0;

@@ -17,16 +17,13 @@ EventTrace::EventTrace(const std::string& path) {
   auto file = std::make_unique<std::ofstream>(path, std::ios::trunc);
   if (!file->is_open()) throw ParseError("EventTrace: cannot open " + path);
   sink_ = file.release();
-  enabled_ = true;
   owns_sink_ = true;
   buffer_.reserve(kFlushThreshold);
 }
 
-EventTrace::EventTrace(std::ostream& os) : sink_(&os), enabled_(true) {
-  buffer_.reserve(kFlushThreshold);
-}
+EventTrace::EventTrace(std::ostream& os) : sink_(&os) { buffer_.reserve(kFlushThreshold); }
 
-EventTrace::EventTrace(Buffered) : enabled_(true) { buffer_.reserve(kFlushThreshold); }
+EventTrace::EventTrace(Buffered) { buffer_.reserve(kFlushThreshold); }
 
 EventTrace::~EventTrace() {
   flush();
@@ -43,11 +40,6 @@ void EventTrace::flush() {
 
 void EventTrace::absorb(EventTrace& child) {
   const std::scoped_lock lock(absorb_mu_);
-  if (!enabled_ || !child.enabled_ || child.buffer_.empty()) {
-    child.buffer_.clear();
-    child.seq_ = 0;
-    return;
-  }
   // Child records carry their own 0-based "seq"; splice them in line by
   // line, rewriting each seq to continue this trace's sequence. The
   // format is ours ({"v":..,"seq":<digits>,...), so a bounded scan for
@@ -91,7 +83,6 @@ void EventTrace::record(double t_s, std::string_view event, const Fields& fields
 }
 
 void EventTrace::emit_trial_start(double t_s, std::string_view policy, std::uint64_t seed) {
-  if (!enabled_) return;
   record(t_s, "trial_start", [&](JsonWriter& w) {
     w.field("policy", policy);
     w.field("seed", seed);
@@ -100,7 +91,6 @@ void EventTrace::emit_trial_start(double t_s, std::string_view policy, std::uint
 
 void EventTrace::emit_trial_end(double t_s, std::string_view policy, std::uint64_t seed,
                                 double makespan_s, std::uint64_t total_skips) {
-  if (!enabled_) return;
   record(t_s, "trial_end", [&](JsonWriter& w) {
     w.field("policy", policy);
     w.field("seed", seed);
@@ -111,7 +101,6 @@ void EventTrace::emit_trial_end(double t_s, std::string_view policy, std::uint64
 
 void EventTrace::emit_job_submit(double t_s, std::uint64_t job_id, std::string_view app,
                                  int num_nodes, double walltime_estimate_s) {
-  if (!enabled_) return;
   record(t_s, "job_submit", [&](JsonWriter& w) {
     w.field("job", job_id);
     w.field("app", app);
@@ -122,7 +111,6 @@ void EventTrace::emit_job_submit(double t_s, std::uint64_t job_id, std::string_v
 
 void EventTrace::emit_job_start(double t_s, std::uint64_t job_id, double wait_s, bool backfilled,
                                 const std::vector<int>& nodes) {
-  if (!enabled_) return;
   record(t_s, "job_start", [&](JsonWriter& w) {
     w.field("job", job_id);
     w.field("wait_s", wait_s);
@@ -135,7 +123,6 @@ void EventTrace::emit_job_start(double t_s, std::uint64_t job_id, double wait_s,
 
 void EventTrace::emit_job_end(double t_s, std::uint64_t job_id, double runtime_s, double slowdown,
                               int skips) {
-  if (!enabled_) return;
   record(t_s, "job_end", [&](JsonWriter& w) {
     w.field("job", job_id);
     w.field("runtime_s", runtime_s);
@@ -146,7 +133,6 @@ void EventTrace::emit_job_end(double t_s, std::uint64_t job_id, double runtime_s
 
 void EventTrace::emit_alloc_decision(double t_s, std::uint64_t head_job_id, double reservation_s,
                                      const std::vector<CandidateScore>& scores) {
-  if (!enabled_) return;
   record(t_s, "alloc_decision", [&](JsonWriter& w) {
     w.field("head_job", head_job_id);
     w.field("reservation_s", reservation_s);
@@ -163,7 +149,6 @@ void EventTrace::emit_alloc_decision(double t_s, std::uint64_t head_job_id, doub
 
 void EventTrace::emit_alg2_skip(double t_s, std::uint64_t job_id, std::string_view prediction,
                                 int skip_count, int skip_threshold) {
-  if (!enabled_) return;
   record(t_s, "alg2_skip", [&](JsonWriter& w) {
     w.field("job", job_id);
     w.field("prediction", prediction);
@@ -174,7 +159,6 @@ void EventTrace::emit_alg2_skip(double t_s, std::uint64_t job_id, std::string_vi
 
 void EventTrace::emit_predict(double t_s, std::uint64_t job_id, std::string_view label,
                               std::uint64_t feature_hash) {
-  if (!enabled_) return;
   // Hex, quoted: 64-bit values are not exactly representable as JSON
   // numbers in every consumer.
   constexpr char digits[] = "0123456789abcdef";
@@ -189,7 +173,6 @@ void EventTrace::emit_predict(double t_s, std::uint64_t job_id, std::string_view
 
 void EventTrace::emit_congestion_episode(double t_s, double start_s, int link_id,
                                          double peak_utilization) {
-  if (!enabled_) return;
   record(t_s, "congestion", [&](JsonWriter& w) {
     w.field("start_s", start_s);
     w.field("link", link_id);
@@ -198,7 +181,6 @@ void EventTrace::emit_congestion_episode(double t_s, double start_s, int link_id
 }
 
 void EventTrace::emit_fault_node_down(double t_s, int node, bool drain, double duration_s) {
-  if (!enabled_) return;
   record(t_s, "fault_node_down", [&](JsonWriter& w) {
     w.field("node", node);
     w.field("drain", drain);
@@ -207,12 +189,10 @@ void EventTrace::emit_fault_node_down(double t_s, int node, bool drain, double d
 }
 
 void EventTrace::emit_fault_node_restore(double t_s, int node) {
-  if (!enabled_) return;
   record(t_s, "fault_node_restore", [&](JsonWriter& w) { w.field("node", node); });
 }
 
 void EventTrace::emit_fault_link_degrade(double t_s, int link, double factor, double duration_s) {
-  if (!enabled_) return;
   record(t_s, "fault_link_degrade", [&](JsonWriter& w) {
     w.field("link", link);
     w.field("factor", factor);
@@ -221,12 +201,10 @@ void EventTrace::emit_fault_link_degrade(double t_s, int link, double factor, do
 }
 
 void EventTrace::emit_fault_link_restore(double t_s, int link) {
-  if (!enabled_) return;
   record(t_s, "fault_link_restore", [&](JsonWriter& w) { w.field("link", link); });
 }
 
 void EventTrace::emit_fault_window(double t_s, std::string_view kind, int node, double until_s) {
-  if (!enabled_) return;
   std::string event = "fault_";
   event += kind;
   record(t_s, event, [&](JsonWriter& w) {
@@ -236,7 +214,6 @@ void EventTrace::emit_fault_window(double t_s, std::string_view kind, int node, 
 }
 
 void EventTrace::emit_fault_job_requeue(double t_s, std::uint64_t job_id, int node, int requeues) {
-  if (!enabled_) return;
   record(t_s, "fault_job_requeue", [&](JsonWriter& w) {
     w.field("job", job_id);
     w.field("node", node);
@@ -246,7 +223,6 @@ void EventTrace::emit_fault_job_requeue(double t_s, std::uint64_t job_id, int no
 
 void EventTrace::emit_fault_oracle_fallback(double t_s, std::uint64_t job_id,
                                             std::string_view reason, std::string_view label) {
-  if (!enabled_) return;
   record(t_s, "fault_oracle_fallback", [&](JsonWriter& w) {
     w.field("job", job_id);
     w.field("reason", reason);

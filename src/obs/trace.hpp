@@ -9,11 +9,10 @@
 // into a per-trial summary; docs/trace-format.md is the schema
 // reference.
 //
-// A default-constructed EventTrace is disabled: every emit_* returns
-// after one predictable branch and writes nothing ("zero-overhead no-op
-// mode"), so call sites can hold an always-valid pointer without
-// guarding. Enabled traces buffer into an internal string and flush to
-// the sink on destruction or flush().
+// Tracing is off when a caller holds a null EventTrace*: call sites test
+// the pointer once and build no record. Every EventTrace writes; records
+// buffer into an internal string and flush to the sink on destruction or
+// flush().
 //
 // Concurrency: a single EventTrace is NOT safe to emit into from two
 // threads. When trials run concurrently on the task pool, each gets its
@@ -47,25 +46,21 @@ class EventTrace {
   /// Tag selecting the sink-less buffered mode (see the Buffered ctor).
   struct Buffered {};
 
-  /// Disabled trace: every emit is a no-op, zero bytes are written.
-  EventTrace() = default;
-  /// Enabled trace appending to `path` (truncates an existing file).
-  /// Throws ParseError when the file cannot be opened.
+  /// Trace appending to `path` (truncates an existing file). Throws
+  /// ParseError when the file cannot be opened.
   explicit EventTrace(const std::string& path);
-  /// Enabled trace writing to a caller-owned stream (tests, stdout).
+  /// Trace writing to a caller-owned stream (tests, stdout).
   explicit EventTrace(std::ostream& os);
-  /// Enabled trace with no sink: records accumulate in memory (flush()
-  /// is a no-op) until a parent trace absorb()s them. The per-trial
-  /// buffer the parallel experiment runner hands to each trial.
+  /// Trace with no sink: records accumulate in memory (flush() is a
+  /// no-op) until a parent trace absorb()s them. The per-trial buffer the
+  /// parallel experiment runner hands to each trial.
   explicit EventTrace(Buffered);
   ~EventTrace();
 
   EventTrace(const EventTrace&) = delete;
   EventTrace& operator=(const EventTrace&) = delete;
 
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  /// Total bytes handed to the sink plus bytes still buffered. Stays 0
-  /// for a disabled trace however many emits happen.
+  /// Total bytes handed to the sink plus bytes still buffered.
   [[nodiscard]] std::uint64_t bytes_written() const noexcept {
     return bytes_flushed_ + buffer_.size();
   }
@@ -153,8 +148,7 @@ class EventTrace {
   template <class Fields>
   void record(double t_s, std::string_view event, const Fields& fields);
 
-  std::ostream* sink_ = nullptr;  // null = disabled or buffered
-  bool enabled_ = false;
+  std::ostream* sink_ = nullptr;  // null = buffered
   bool owns_sink_ = false;
   std::mutex absorb_mu_;
   std::string buffer_;

@@ -429,7 +429,7 @@ void Scheduler::schedule_pass() {
       if (config_.enable_backfill) {
         const Reservation res = compute_reservation(job);
         const int free_at_start = allocator_.free_count();
-        const bool tracing = config_.trace != nullptr && config_.trace->enabled();
+        const bool tracing = config_.trace != nullptr;
 
         // Candidates that can never launch this pass (wider than the
         // current free count, which only shrinks below) are dropped up

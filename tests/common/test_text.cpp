@@ -1,6 +1,9 @@
 // Tests for Table, CSV, and string utilities.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "common/csv.hpp"
@@ -41,48 +44,108 @@ TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::pct(0.058, 1), "5.8%");
 }
 
+/// Every row of `text`, each as its cells.
+std::vector<std::vector<std::string>> read_rows(const std::string& text) {
+  std::istringstream is(text);
+  CsvReader reader(is, "test CSV");
+  std::vector<std::vector<std::string>> rows;
+  while (reader.next()) {
+    rows.emplace_back();
+    for (std::size_t c = 0; c < reader.size(); ++c) rows.back().emplace_back(reader.text(c));
+  }
+  return rows;
+}
+
 TEST(Csv, WriteSimpleRow) {
   std::ostringstream os;
   CsvWriter w(os);
-  w.write_row({"a", "b", "c"});
+  for (const char* cell : {"a", "b", "c"}) w.text(cell);
+  w.end_row();
   EXPECT_EQ(os.str(), "a,b,c\n");
 }
 
 TEST(Csv, QuotesSpecialCharacters) {
   std::ostringstream os;
   CsvWriter w(os);
-  w.write_row({"has,comma", "has\"quote", "has\nnewline", "plain"});
-  EXPECT_EQ(os.str(), "\"has,comma\",\"has\"\"quote\",\"has\nnewline\",plain\n");
+  for (const char* cell : {"has,comma", "has\"quote", "has\nnewline", "has\rcr", "plain"})
+    w.text(cell);
+  w.end_row();
+  EXPECT_EQ(os.str(),
+            "\"has,comma\",\"has\"\"quote\",\"has\nnewline\",\"has\rcr\",plain\n");
 }
 
 TEST(Csv, NumericRowPrecision) {
   std::ostringstream os;
   CsvWriter w(os);
-  w.write_numeric_row({1.5, 2.0, -0.25}, 6);
-  EXPECT_EQ(os.str(), "1.5,2,-0.25\n");
+  for (const double v : {1.5, 2.0, -0.25}) w.general(v, 6);
+  w.end_row();
+  // The longest cell: every integer digit of the lowest double, then 17
+  // decimals, as printf writes it.
+  const double lowest = std::numeric_limits<double>::lowest();
+  char longest[400];
+  std::snprintf(longest, sizeof longest, "%.17f", lowest);
+  w.fixed(lowest, 17);
+  w.fixed(-0.0, 6);
+  w.general(1e21, 9);
+  w.integer(-7);
+  w.integer(std::uint64_t{18446744073709551615ULL});
+  w.end_row();
+  EXPECT_EQ(os.str(), "1.5,2,-0.25\n" + std::string(longest) +
+                          ",-0.000000,1e+21,-7,18446744073709551615\n");
+  EXPECT_THROW(w.general(std::nan(""), 9), PreconditionError);
+  EXPECT_THROW(w.fixed(HUGE_VAL, 6), PreconditionError);
 }
 
 TEST(Csv, RoundTripWithQuoting) {
   std::ostringstream os;
   CsvWriter w(os);
-  w.write_row({"x,y", "line1\nline2", "q\"q", ""});
-  w.write_row({"1", "2", "3", "4"});
-  const auto rows = parse_csv(os.str());
+  for (const char* cell : {"x,y", "line1\nline2", "q\"q", "", "cr\rcell"}) w.text(cell);
+  w.end_row();
+  for (const char* cell : {"1", "2", "3", "4"}) w.text(cell);
+  w.end_row();
+  const auto rows = read_rows(os.str());
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], (std::vector<std::string>{"x,y", "line1\nline2", "q\"q", ""}));
+  EXPECT_EQ(rows[0], (std::vector<std::string>{"x,y", "line1\nline2", "q\"q", "", "cr\rcell"}));
   EXPECT_EQ(rows[1], (std::vector<std::string>{"1", "2", "3", "4"}));
 }
 
 TEST(Csv, ParsesCrlfAndMissingTrailingNewline) {
-  const auto rows = parse_csv("a,b\r\nc,d");
+  const auto rows = read_rows("a,b\r\nc,d");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[1], (std::vector<std::string>{"c", "d"}));
 }
 
-TEST(Csv, EmptyTextYieldsNoRows) { EXPECT_TRUE(parse_csv("").empty()); }
+TEST(Csv, EmptyTextYieldsNoRows) { EXPECT_TRUE(read_rows("").empty()); }
 
 TEST(Csv, ThrowsOnUnterminatedQuote) {
-  EXPECT_THROW(parse_csv("\"open"), ParseError);
+  EXPECT_THROW(read_rows("\"open"), ParseError);
+}
+
+TEST(Csv, TypedCellsNameTheirRowAndColumn) {
+  std::istringstream is("n,seed,on\n2.5,18446744073709551615,1\nnan,-1,2\n");
+  CsvReader reader(is, "test CSV");
+  ASSERT_TRUE(reader.next());
+  ASSERT_TRUE(reader.next());
+  EXPECT_DOUBLE_EQ(reader.number(0), 2.5);
+  EXPECT_EQ(reader.integer<std::uint64_t>(1), 18446744073709551615ULL);
+  EXPECT_THROW((void)reader.integer<int>(1), ParseError);
+  EXPECT_TRUE(reader.flag(2));
+  ASSERT_TRUE(reader.next());
+  const auto message = [](const auto& parse) -> std::string {
+    try {
+      parse();
+    } catch (const ParseError& e) {
+      return e.what();
+    }
+    return "parsed";
+  };
+  EXPECT_EQ(message([&] { (void)reader.number(0); }),
+            "test CSV row 3, column 1: not a finite number: 'nan'");
+  EXPECT_EQ(message([&] { (void)reader.integer<std::uint64_t>(1); }),
+            "test CSV row 3, column 2: malformed unsigned integer: '-1'");
+  EXPECT_EQ(message([&] { (void)reader.flag(2); }),
+            "test CSV row 3, column 3: flag must be 0 or 1, not '2'");
+  EXPECT_FALSE(reader.next());
 }
 
 TEST(Strings, Split) {
@@ -124,6 +187,10 @@ TEST(Strings, ToIntStrict) {
   EXPECT_EQ(str::to_int(" -7 "), -7);
   EXPECT_THROW((void)str::to_int("4.2"), ParseError);
   EXPECT_THROW((void)str::to_int(""), ParseError);
+  EXPECT_THROW((void)str::to_int("9223372036854775808"), ParseError);
+  EXPECT_EQ(str::to_uint("18446744073709551615"), 18446744073709551615ULL);
+  EXPECT_THROW((void)str::to_uint("18446744073709551616"), ParseError);
+  EXPECT_THROW((void)str::to_uint("-1"), ParseError);
 }
 
 TEST(Strings, FormatDuration) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "golden.hpp"
 
 namespace rush::core {
 namespace {
@@ -87,6 +88,31 @@ TEST(Corpus, CsvRoundTrip) {
   EXPECT_NEAR(s.features_job[0], 5.0, 1e-9);
 }
 
+// The corpus CSV's bytes, pinned: a quoted app name, signed zero, tiny,
+// huge and inexact features, and a start time past 2^20 seconds.
+TEST(Corpus, CsvKeepsItsBytes) {
+  Corpus c;
+  CollectedSample first = make_sample("Lag,\"hos", 3, 291.25, 0.1);
+  first.workload = telemetry::WorkloadClass::Io;
+  first.start_s = 1382400.25;
+  first.features_all[0] = -0.0;
+  first.features_all[1] = 1e-7;
+  first.features_all[2] = 1e21;
+  first.features_job[3] = 1.0 / 3.0;
+  c.add(first);
+  CollectedSample second = make_sample("AMG", 0, 0.1, -2.5e-300);
+  second.workload = telemetry::WorkloadClass::Compute;
+  second.node_count = 128;
+  second.start_s = 0.0;
+  second.features_job[0] = 123456789.123;
+  c.add(second);
+  std::ostringstream os;
+  c.to_csv(os);
+  const std::string text = os.str();
+  EXPECT_EQ(golden::hex(golden::fnv1a(text)), "0xd39a764e73e73077")
+      << text.substr(text.find('\n') + 1, 160);
+}
+
 TEST(Corpus, FromCsvRejectsWrongShape) {
   std::stringstream bad("a,b,c\n1,2,3\n");
   EXPECT_THROW((void)Corpus::from_csv(bad), ParseError);
@@ -113,7 +139,9 @@ TEST(Corpus, FromCsvRejectsBadRuntimeAndWorkload) {
     EXPECT_EQ(Corpus::from_csv(ok).size(), 1u);
   }
   for (const auto& [col, value] : std::vector<std::pair<std::size_t, std::string>>{
-           {5, "0"}, {5, "-3"}, {5, "nan"}, {5, "inf"}, {2, "7"}, {2, "-1"}}) {
+           {5, "0"}, {5, "-3"}, {5, "nan"}, {5, "inf"}, {2, "7"}, {2, "-1"}, {4, "nan"},
+           {4, "-inf"}, {6 + 17, "nan"}, {6 + 300, "inf"}, {6 + 300, "1e400"},
+           {1, "2147483648"}}) {
     std::stringstream bad(with_cell(col, value));
     EXPECT_THROW((void)Corpus::from_csv(bad), ParseError) << "column " << col << " = " << value;
   }

@@ -114,6 +114,33 @@ TEST(Pipeline, LoadRejectsGarbage) {
   EXPECT_THROW((void)TrainedPredictor::load(bad), ParseError);
 }
 
+TEST(Pipeline, LoadRejectsBadHeaderFields) {
+  const Corpus corpus = learnable_corpus(30, 3);
+  const TrainedPredictor predictor = PredictorTrainer().train(corpus, Labeler(corpus));
+  std::stringstream saved;
+  predictor.save(saved);
+  const std::string text = saved.str();
+  ASSERT_NE(text.find("\nscope all\n"), std::string::npos);
+  ASSERT_NE(text.find("\nselected 0\n"), std::string::npos);
+  const auto with_line = [&text](const std::string& from, const std::string& to) {
+    std::string out = text;
+    out.replace(out.find(from), from.size(), to);
+    return out;
+  };
+  for (const std::string& bad : {
+           with_line("\nscope all\n", "\nscope nodes\n"),
+           with_line("\nselected 0\n", "\nselected 1 282\n"),
+           with_line("\nselected 0\n", "\nselected 100000000000 5\n"),
+           with_line("\nselected 0\n", "\nselected 2 5 7\n"),
+       }) {
+    std::stringstream is(bad);
+    EXPECT_THROW((void)TrainedPredictor::load(is), ParseError)
+        << bad.substr(0, bad.find("rush-model"));
+  }
+  std::stringstream good(text);
+  EXPECT_TRUE(TrainedPredictor::load(good).ready());
+}
+
 TEST(Pipeline, RfeSelectionShrinksFeatureSet) {
   const Corpus corpus = learnable_corpus(100, 5);
   const Labeler labeler(corpus);

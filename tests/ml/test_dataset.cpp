@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/error.hpp"
 
 namespace rush::ml {
@@ -83,30 +81,6 @@ TEST(Dataset, SetLabelsReplacesAll) {
   EXPECT_EQ(d.num_classes(), 3);
   EXPECT_THROW(d.set_labels({1}), PreconditionError);
   EXPECT_THROW(d.set_labels({-1, 0, 0}), PreconditionError);
-}
-
-TEST(Dataset, CsvRoundTrip) {
-  const Dataset d = make_small();
-  std::stringstream ss;
-  d.to_csv(ss);
-  const Dataset back = Dataset::from_csv(ss);
-  ASSERT_EQ(back.rows(), d.rows());
-  ASSERT_EQ(back.cols(), d.cols());
-  EXPECT_EQ(back.feature_names(), d.feature_names());
-  for (std::size_t i = 0; i < d.rows(); ++i) {
-    EXPECT_EQ(back.label(i), d.label(i));
-    EXPECT_EQ(back.group(i), d.group(i));
-    for (std::size_t f = 0; f < d.cols(); ++f) EXPECT_DOUBLE_EQ(back.row(i)[f], d.row(i)[f]);
-  }
-}
-
-TEST(Dataset, FromCsvRejectsMalformedInput) {
-  std::stringstream no_label("a,b\n1,2\n");
-  EXPECT_THROW((void)Dataset::from_csv(no_label), ParseError);
-  std::stringstream wrong_arity("a,label,group\n1,0\n");
-  EXPECT_THROW((void)Dataset::from_csv(wrong_arity), ParseError);
-  std::stringstream empty("");
-  EXPECT_THROW((void)Dataset::from_csv(empty), ParseError);
 }
 
 TEST(Dataset, PreconditionViolations) {

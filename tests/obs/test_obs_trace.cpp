@@ -98,27 +98,10 @@ std::vector<std::string> lines_of(const std::string& text) {
 
 // ---------------------------------------------------------------------------
 
-TEST(EventTrace, DisabledTraceWritesNothing) {
-  EventTrace trace;  // no-op mode
-  EXPECT_FALSE(trace.enabled());
-  for (int i = 0; i < 1000; ++i) {
-    trace.emit_job_submit(static_cast<double>(i), 1, "app", 16, 100.0);
-    trace.emit_job_start(static_cast<double>(i), 1, 0.0, false, {1, 2, 3});
-    trace.emit_job_end(static_cast<double>(i), 1, 50.0, 1.0, 0);
-    trace.emit_predict(static_cast<double>(i), 1, "variation", 0xDEADBEEF);
-    trace.emit_alg2_skip(static_cast<double>(i), 1, "variation", 1, 10);
-    trace.emit_congestion_episode(static_cast<double>(i), 0.0, 3, 1.5);
-  }
-  trace.flush();
-  EXPECT_EQ(trace.bytes_written(), 0u);
-  EXPECT_EQ(trace.records_emitted(), 0u);
-}
-
 TEST(EventTrace, RoundTripThroughSchedulerRun) {
   std::ostringstream sink;
   {
     EventTrace trace(sink);
-    ASSERT_TRUE(trace.enabled());
 
     World w;
     AlwaysVariation oracle;
