@@ -9,7 +9,7 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
+#include <vector>
 
 #include "cluster/topology.hpp"
 
@@ -35,10 +35,12 @@ class LustreModel {
   [[nodiscard]] double total_demand_gbps() const noexcept;
   [[nodiscard]] double capacity_gbps() const noexcept { return capacity_; }
 
-  /// Oversubscription factor every client currently experiences (>= 1).
-  [[nodiscard]] double slowdown() const noexcept;
+  /// Oversubscription factor every client currently experiences (>= 1),
+  /// computed once per generation().
+  [[nodiscard]] double slowdown() const noexcept { return slowdown_; }
 
   /// Achieved (post-contention) per-node rates on a host, for counters.
+  /// A node in no client reads 0.
   [[nodiscard]] double node_read_gbps(NodeId node) const;
   [[nodiscard]] double node_write_gbps(NodeId node) const;
 
@@ -51,16 +53,24 @@ class LustreModel {
     double read_fraction;
   };
 
+  /// Ends every mutation: starts the next generation and recomputes the
+  /// slowdown. A client change also marks the per-node demand stale.
+  void bump_generation(bool clients_changed);
   void rebuild_node_demand() const;
+  [[nodiscard]] double achieved(const std::vector<double>& demand, NodeId node) const noexcept;
 
   double capacity_;
   double ambient_ = 0.0;
   std::map<SourceId, Client> clients_;  // ordered: demand sums are reproducible
   std::uint64_t generation_ = 0;
+  double slowdown_ = 1.0;
 
-  mutable bool node_demand_dirty_ = true;
-  mutable std::unordered_map<NodeId, double> node_read_;
-  mutable std::unordered_map<NodeId, double> node_write_;
+  // Per-node demand indexed by node id, summed in client-id order. Only a
+  // sampler that synthesizes counters reads it, so it is rebuilt on the
+  // first read after a client change, at most once per frame.
+  mutable bool node_demand_stale_ = false;
+  mutable std::vector<double> node_read_;
+  mutable std::vector<double> node_write_;
 };
 
 }  // namespace rush::cluster

@@ -58,7 +58,7 @@ class CsvReader {
   // Typed cells; a malformed one throws error(..., col). A text() view
   // stays valid while the reader lives.
   [[nodiscard]] std::string_view text(std::size_t col) const;
-  /// A finite number in strtod syntax.
+  /// A finite number in std::from_chars syntax (see str::to_double).
   [[nodiscard]] double number(std::size_t col) const;
   /// A base-10 integer that fits T, which is int or std::uint64_t.
   template <class T>

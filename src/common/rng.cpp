@@ -16,8 +16,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) noexcept { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -25,18 +23,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& s : s_) s = splitmix64(sm);
   // Guard against the (astronomically unlikely) all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 Rng Rng::split(std::uint64_t tag) noexcept {
@@ -48,13 +34,6 @@ Rng Rng::split(std::uint64_t tag) noexcept {
   return Rng(splitmix64(mix));
 }
 
-double Rng::uniform() noexcept {
-  // 53-bit mantissa method: uniform in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept { return lo + (hi - lo) * uniform(); }
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   if (lo >= hi) return lo;
   const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
@@ -64,21 +43,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   std::uint64_t x = next();
   while (x >= limit) x = next();
   return lo + static_cast<std::int64_t>(x % range);
-}
-
-double Rng::normal() noexcept {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  double u1 = uniform();
-  while (u1 <= 0.0) u1 = uniform();
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * 3.14159265358979323846 * u2;
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
-  return r * std::cos(theta);
 }
 
 double Rng::normal(double mean, double stddev) noexcept { return mean + stddev * normal(); }

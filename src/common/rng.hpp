@@ -6,6 +6,7 @@
 // does not perturb another component's stream).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -26,6 +27,8 @@ class Rng {
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
   result_type operator()() noexcept { return next(); }
+  // next(), uniform() and normal() are defined inline below: the counter
+  // sampler draws one normal per synthesized value.
   std::uint64_t next() noexcept;
 
   /// Derive an independent child stream. Deterministic in (parent state, tag).
@@ -34,7 +37,7 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform() noexcept;
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) noexcept;
+  double uniform(double lo, double hi) noexcept { return lo + (hi - lo) * uniform(); }
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
   /// Standard normal via Box-Muller (cached second value).
@@ -65,9 +68,45 @@ class Rng {
   void sample_indices(std::size_t n, std::size_t k, std::vector<std::size_t>& idx) noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
 };
+
+inline std::uint64_t Rng::next() noexcept {
+  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = rotl(s_[3], 45);
+  return result;
+}
+
+inline double Rng::uniform() noexcept {
+  // 53-bit mantissa method: uniform in [0, 1).
+  return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
+
+inline double Rng::normal() noexcept {
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    return cached_normal_;
+  }
+  double u1 = uniform();
+  while (u1 <= 0.0) u1 = uniform();
+  const double u2 = uniform();
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * 3.14159265358979323846 * u2;
+  cached_normal_ = r * std::sin(theta);
+  has_cached_normal_ = true;
+  return r * std::cos(theta);
+}
 
 }  // namespace rush

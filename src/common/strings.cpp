@@ -1,6 +1,7 @@
 #include "common/strings.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -46,11 +47,14 @@ bool starts_with(std::string_view s, std::string_view prefix) noexcept {
 }
 
 double to_double(std::string_view s) {
-  const std::string tmp(trim(s));
-  if (tmp.empty()) throw ParseError("empty numeric field");
-  char* end = nullptr;
-  const double v = std::strtod(tmp.c_str(), &end);
-  if (end != tmp.c_str() + tmp.size()) throw ParseError("malformed double: '" + tmp + "'");
+  const std::string_view cell = trim(s);
+  if (cell.empty()) throw ParseError("empty numeric field");
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(cell.data(), cell.data() + cell.size(), v);
+  if (ec == std::errc::result_out_of_range)
+    throw ParseError("number out of range: '" + std::string(cell) + "'");
+  if (ec != std::errc{} || end != cell.data() + cell.size())
+    throw ParseError("malformed double: '" + std::string(cell) + "'");
   return v;
 }
 

@@ -14,7 +14,10 @@ std::string_view trim(std::string_view s) noexcept;
 bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 
 /// Strict numeric parses; throw ParseError on malformed or out-of-range
-/// input (to_double returns inf for an overflowing value).
+/// input. Surrounding whitespace is trimmed.
+/// to_double reads std::from_chars syntax, independent of the locale: no
+/// leading '+', no hex. A value that overflows, or underflows to 0, is
+/// out of range; "inf" and "nan" parse.
 double to_double(std::string_view s);
 long long to_int(std::string_view s);
 /// Rejects a '-', which strtoull would wrap around.

@@ -162,6 +162,8 @@ TrialResult ExperimentRunner::run_trial_with_sinks(const ExperimentSpec& spec, b
   session_config.backfill_policy = config_.backfill_policy;
 
   env.background().start();
+  // Only the oracle reads counter frames; the baseline arm skips them.
+  env.sampler().set_synthesize(oracle != nullptr);
   env.sampler().start();
   stage.noise().start();
 

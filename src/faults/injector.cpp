@@ -175,7 +175,9 @@ bool FaultInjector::drop_frame(sim::Time t) {
 
 void FaultInjector::corrupt_frame(sim::Time t, const cluster::NodeSet& nodes,
                                   std::span<float> values) {
-  if (nodes.empty() || values.empty() || !in_window(corrupt_, t)) return;
+  // Whether the frame is touched depends on (t, nodes) alone; NaNs are
+  // written only into values the sampler synthesized.
+  if (nodes.empty() || !in_window(corrupt_, t)) return;
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const std::size_t per_node = values.size() / nodes.size();
   bool touched = false;

@@ -99,7 +99,8 @@ class FaultInjector {
   void notify(FaultKind kind, cluster::NodeId node);
   void count_fault(FaultKind kind);
   [[nodiscard]] static bool in_window(const std::vector<Window>& windows, sim::Time now) noexcept;
-  /// Sampler corrupt hook: NaNs out the targeted node's counters.
+  /// Sampler corrupt hook: NaNs out the targeted node's counters. An
+  /// empty `values` (synthesis off) still counts the frame as corrupted.
   void corrupt_frame(sim::Time t, const cluster::NodeSet& nodes, std::span<float> values);
   [[nodiscard]] bool drop_frame(sim::Time t);
 

@@ -44,13 +44,14 @@ void CounterSampler::set_fault_hooks(FrameDropFilter drop, FrameCorruptFn corrup
 }
 
 void CounterSampler::sample_now() {
+  const sim::Time now_s = engine_.now();
   // A dropped frame never synthesizes: the daemon was down, so its RNG
   // draws never happen and the store keeps a gap for this tick.
-  if (drop_filter_ && drop_filter_(engine_.now())) return;
+  if (drop_filter_ && drop_filter_(now_s)) return;
   const auto schema = counter_schema();
   const auto& tree = net_.tree();
   const auto& nodes = store_.managed_nodes();
-  const double io_pressure = lustre_.slowdown() - 1.0;
+  const double io_pressure = synthesize_ ? lustre_.slowdown() - 1.0 : 0.0;
 
   // Worst fabric utilization this frame and the link responsible — the
   // signal behind max-congestion episode records.
@@ -62,8 +63,6 @@ void CounterSampler::sample_now() {
     NodeSignals s;
     const cluster::LinkId edge_link = tree.edge_uplink(tree.edge_of(node));
     const cluster::LinkId pod_link = tree.pod_uplink(tree.pod_of(node));
-    s.xmit_gbps = net_.node_xmit_gbps(node);
-    s.recv_gbps = net_.node_recv_gbps(node);
     s.edge_util = net_.link_utilization(edge_link);
     s.pod_util = net_.link_utilization(pod_link);
     if (s.edge_util > worst_util) {
@@ -74,14 +73,21 @@ void CounterSampler::sample_now() {
       worst_util = s.pod_util;
       worst_link = pod_link;
     }
+    if (!synthesize_) continue;
+    s.xmit_gbps = net_.node_xmit_gbps(node);
+    s.recv_gbps = net_.node_recv_gbps(node);
     s.io_read_gbps = lustre_.node_read_gbps(node);
     s.io_write_gbps = lustre_.node_write_gbps(node);
     s.io_pressure = io_pressure;
+    const KindSignals signals = kind_signals(s);
     for (const CounterDef& def : schema)
-      *out++ = static_cast<float>(synth_value(def, s, rng_));
+      *out++ = static_cast<float>(synth_step(def, signals, rng_));
   }
-  if (corrupt_fn_) corrupt_fn_(engine_.now(), nodes, std::span<float>(scratch_));
-  store_.add_frame(engine_.now(), scratch_);
+  // An unsynthesized tick hands the corrupt hook no values, so the hook
+  // still counts the frame it would have corrupted.
+  const std::span<float> values = synthesize_ ? std::span<float>(scratch_) : std::span<float>();
+  if (corrupt_fn_) corrupt_fn_(now_s, nodes, values);
+  if (synthesize_) store_.add_frame(now_s, values);
 
   if (metric_worst_util_) metric_worst_util_->record(worst_util);
   if (in_episode_) {
@@ -91,13 +97,12 @@ void CounterSampler::sample_now() {
     }
     if (worst_util < config_.episode_util_threshold) {
       if (trace_)
-        trace_->emit_congestion_episode(engine_.now(), episode_start_s_, episode_link_,
-                                        episode_peak_);
+        trace_->emit_congestion_episode(now_s, episode_start_s_, episode_link_, episode_peak_);
       in_episode_ = false;
     }
   } else if (worst_util >= config_.episode_util_threshold) {
     in_episode_ = true;
-    episode_start_s_ = engine_.now();
+    episode_start_s_ = now_s;
     episode_peak_ = worst_util;
     episode_link_ = worst_link;
   }

@@ -4,7 +4,12 @@
 // state for each managed node, synthesizes the 90-counter frame, and
 // appends it to the CounterStore. Sampling can be paused when no consumer
 // needs data (the longitudinal collector fast-forwards between control
-// jobs), which keeps multi-month simulations cheap.
+// jobs), which keeps multi-month simulations cheap. Synthesis can be
+// switched off where nothing reads the store (a trial arm with no
+// oracle): a tick then still runs the fault hooks and records the worst
+// link utilization and congestion episodes, but draws nothing from its
+// private Rng and writes no frame, so every other stream and every trace
+// record stays as it was.
 #pragma once
 
 #include <functional>
@@ -46,10 +51,15 @@ class CounterSampler {
   /// Capture one frame right now regardless of running state.
   void sample_now();
 
-  /// Attach observability sinks: per-frame worst-utilization histogram
-  /// and frame counter into `metrics`, max-congestion episode records
-  /// into `trace`. Either may be null (that side detaches), so all
-  /// inputs are valid.
+  /// Synthesize counter frames into the store (on by default). Off, a
+  /// tick keeps everything but the values: both fault hooks, the
+  /// worst-utilization histogram and congestion episodes.
+  void set_synthesize(bool on) noexcept { synthesize_ = on; }
+
+  /// Attach observability sinks: the per-tick worst-utilization
+  /// histogram `telemetry.max_link_util` into `metrics`, max-congestion
+  /// episode records into `trace`. Either may be null (that side
+  /// detaches), so all inputs are valid.
   void set_obs(obs::EventTrace* trace, obs::MetricsRegistry* metrics);
 
   /// Fault-injection hooks (installed by faults::FaultInjector). The
@@ -57,7 +67,8 @@ class CounterSampler {
   /// discards the whole tick — the daemon was down, so no values are
   /// synthesized (no RNG draws) and the store gets a gap. The corrupt
   /// mutator runs on the synthesized node-major values just before they
-  /// reach the store. Either hook may be empty (that hook detaches).
+  /// reach the store; with synthesis off it gets an empty span. Either
+  /// hook may be empty (that hook detaches).
   using FrameDropFilter = std::function<bool(sim::Time)>;
   using FrameCorruptFn = std::function<void(sim::Time, const cluster::NodeSet&, std::span<float>)>;
   void set_fault_hooks(FrameDropFilter drop, FrameCorruptFn corrupt);
@@ -71,6 +82,7 @@ class CounterSampler {
   Rng rng_;
   sim::EventId task_ = 0;
   bool running_ = false;
+  bool synthesize_ = true;
   std::vector<float> scratch_;
   FrameDropFilter drop_filter_;
   FrameCorruptFn corrupt_fn_;

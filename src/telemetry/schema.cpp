@@ -140,47 +140,26 @@ std::string qualified_name(const CounterDef& def) {
   return std::string(table_prefix(def.table)) + "." + def.name;
 }
 
-double synth_value(const CounterDef& def, const NodeSignals& s, Rng& rng) noexcept {
+KindSignals kind_signals(const NodeSignals& s) noexcept {
   // Congestion "knee": wait/discard style counters only light up once the
   // shared link is meaningfully loaded, like their hardware counterparts.
   constexpr double kCongestionKnee = 0.55;
 
-  double signal = 0.0;
-  switch (def.kind) {
-    case SignalKind::NodeXmit:
-      signal = s.xmit_gbps;
-      break;
-    case SignalKind::NodeRecv:
-      signal = s.recv_gbps;
-      break;
-    case SignalKind::EdgeUtil:
-      signal = s.edge_util;
-      break;
-    case SignalKind::PodUtil:
-      signal = s.pod_util;
-      break;
-    case SignalKind::EdgeWait:
-      signal = std::max(0.0, s.edge_util - kCongestionKnee);
-      break;
-    case SignalKind::IoRead:
-      signal = s.io_read_gbps;
-      break;
-    case SignalKind::IoWrite:
-      signal = s.io_write_gbps;
-      break;
-    case SignalKind::IoPressure:
-      signal = s.io_pressure;
-      break;
-    case SignalKind::ErrorRate:
-      // Rare integer events; rate rises mildly with congestion.
-      return static_cast<double>(rng.poisson(def.gain * 0.02 * (0.2 + s.edge_util)));
-    case SignalKind::Constant:
-      signal = 0.0;
-      break;
-  }
-  const double clean = def.base + def.gain * signal;
-  const double jitter = 1.0 + def.noise * rng.normal();
-  return std::max(0.0, clean * jitter);
+  // In SignalKind order.
+  return {s.xmit_gbps,
+          s.recv_gbps,
+          s.edge_util,
+          s.pod_util,
+          std::max(0.0, s.edge_util - kCongestionKnee),
+          s.io_read_gbps,
+          s.io_write_gbps,
+          s.io_pressure,
+          0.2 + s.edge_util,
+          0.0};
+}
+
+double synth_value(const CounterDef& def, const NodeSignals& s, Rng& rng) noexcept {
+  return synth_step(def, kind_signals(s), rng);
 }
 
 }  // namespace rush::telemetry

@@ -11,6 +11,8 @@
 // statistical coupling the paper's ML models learn is preserved.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -35,6 +37,7 @@ enum class SignalKind : std::uint8_t {
   ErrorRate,   // rare errors, rate grows with edge utilization
   Constant,    // mostly-static counter (pure noise floor)
 };
+inline constexpr std::size_t kNumSignalKinds = static_cast<std::size_t>(SignalKind::Constant) + 1;
 
 struct CounterDef {
   CounterTable table;
@@ -62,6 +65,23 @@ struct NodeSignals {
   double io_write_gbps = 0.0;
   double io_pressure = 0.0;
 };
+
+/// What each SignalKind reads from one node's signals, indexed by kind.
+/// ErrorRate holds the event-rate multiplier (0.2 + edge utilization).
+using KindSignals = std::array<double, kNumSignalKinds>;
+[[nodiscard]] KindSignals kind_signals(const NodeSignals& signals) noexcept;
+
+/// Synthesize one counter value from its kind's signal. The sampler walks
+/// the schema with this step once per node per tick, so it is inline.
+inline double synth_step(const CounterDef& def, const KindSignals& signals, Rng& rng) noexcept {
+  const double signal = signals[static_cast<std::size_t>(def.kind)];
+  // Rare integer events; rate rises mildly with congestion.
+  if (def.kind == SignalKind::ErrorRate)
+    return static_cast<double>(rng.poisson(def.gain * 0.02 * signal));
+  const double clean = def.base + def.gain * signal;
+  const double jitter = 1.0 + def.noise * rng.normal();
+  return std::max(0.0, clean * jitter);
+}
 
 /// Synthesize one counter value from the node's signals.
 double synth_value(const CounterDef& def, const NodeSignals& signals, Rng& rng) noexcept;

@@ -1,13 +1,19 @@
 #include "telemetry/store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/audit.hpp"
 #include "common/error.hpp"
 
 namespace rush::telemetry {
+
+namespace {
+constexpr std::uint32_t kExponentBits = 0x7f800000;  // of an IEEE-754 float
+}  // namespace
 
 CounterStore::CounterStore(cluster::NodeSet managed, std::size_t num_counters,
                            std::size_t capacity_frames)
@@ -42,44 +48,49 @@ void CounterStore::add_frame(sim::Time t, std::span<const float> values) {
   RUSH_EXPECTS(values.size() == managed_.size() * num_counters_);
   RUSH_EXPECTS(frames_.empty() || t >= frames_.back().t);
 
+  // At capacity the evicted frame's buffers take the new frame, so a
+  // steady-state ingest neither allocates nor zero-fills them.
   Frame frame;
-  frame.t = t;
-  // Quarantine non-finite readings at ingest: store 0 and count them, so
-  // every aggregate below (and the prefix-sum chain the audit checks)
-  // stays finite while the corruption remains visible to
-  // corrupt_frames_in() consumers.
-  frame.values.resize(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const float v = values[i];
-    if (std::isfinite(v)) {
-      frame.values[i] = v;
-    } else {
-      frame.values[i] = 0.0f;
-      ++frame.corrupt_values;
-    }
+  if (frames_.size() == capacity_frames_) {
+    frame = std::move(frames_.front());
+    frames_.pop_front();
+    std::swap(evicted_prefix_, frame.prefix_sum);
   }
+  frame.t = t;
+  frame.values.resize(values.size());
   frame.all_min.assign(num_counters_, std::numeric_limits<float>::max());
   frame.all_max.assign(num_counters_, std::numeric_limits<float>::lowest());
   frame.all_sum.assign(num_counters_, 0.0);
-  const float* row = frame.values.data();
-  for (std::size_t n = 0; n < managed_.size(); ++n, row += num_counters_) {
+  const float* in = values.data();
+  float* row = frame.values.data();
+  float* mn = frame.all_min.data();
+  float* mx = frame.all_max.data();
+  double* sum = frame.all_sum.data();
+  // Quarantine non-finite readings at ingest: store 0 and count them, so
+  // every aggregate (and the prefix-sum chain the audit checks) stays
+  // finite while the corruption remains visible to corrupt_frames_in()
+  // consumers. Branch-free, so the pass vectorizes: a NaN or an inf has
+  // every exponent bit set, and masking off all its bits leaves +0.
+  std::uint32_t corrupt = 0;
+  for (std::size_t n = 0; n < managed_.size(); ++n, in += num_counters_, row += num_counters_) {
     for (std::size_t c = 0; c < num_counters_; ++c) {
-      const float v = row[c];
-      frame.all_min[c] = std::min(frame.all_min[c], v);
-      frame.all_max[c] = std::max(frame.all_max[c], v);
-      frame.all_sum[c] += static_cast<double>(v);
+      const auto bits = std::bit_cast<std::uint32_t>(in[c]);
+      const std::uint32_t bad = (bits & kExponentBits) == kExponentBits ? 1 : 0;
+      const float v = std::bit_cast<float>(bits & (bad - 1));
+      corrupt += bad;
+      row[c] = v;
+      mn[c] = std::min(mn[c], v);
+      mx[c] = std::max(mx[c], v);
+      sum[c] += static_cast<double>(v);
     }
   }
+  frame.corrupt_values = corrupt;
   const std::vector<double>& base =
       frames_.empty() ? evicted_prefix_ : frames_.back().prefix_sum;
   frame.prefix_sum.resize(num_counters_);
   for (std::size_t c = 0; c < num_counters_; ++c)
     frame.prefix_sum[c] = base[c] + frame.all_sum[c];
   frames_.push_back(std::move(frame));
-  while (frames_.size() > capacity_frames_) {
-    evicted_prefix_ = std::move(frames_.front().prefix_sum);
-    frames_.pop_front();
-  }
   RUSH_AUDIT_HOOK(audit_invariants());
 }
 

@@ -122,7 +122,8 @@ TEST(Csv, ThrowsOnUnterminatedQuote) {
 }
 
 TEST(Csv, TypedCellsNameTheirRowAndColumn) {
-  std::istringstream is("n,seed,on\n2.5,18446744073709551615,1\nnan,-1,2\n");
+  std::istringstream is(
+      "n,seed,on\n2.5,18446744073709551615,1\nnan,-1,2\n+1.5,0x1p3,1e-400,1e400,1e-310,-0\n");
   CsvReader reader(is, "test CSV");
   ASSERT_TRUE(reader.next());
   ASSERT_TRUE(reader.next());
@@ -145,6 +146,19 @@ TEST(Csv, TypedCellsNameTheirRowAndColumn) {
             "test CSV row 3, column 2: malformed unsigned integer: '-1'");
   EXPECT_EQ(message([&] { (void)reader.flag(2); }),
             "test CSV row 3, column 3: flag must be 0 or 1, not '2'");
+  // Cells the writer never emits. strtod read the first three as 1.5, 8
+  // and 0; std::from_chars rejects them. A denormal still loads.
+  ASSERT_TRUE(reader.next());
+  EXPECT_EQ(message([&] { (void)reader.number(0); }),
+            "test CSV row 4, column 1: malformed double: '+1.5'");
+  EXPECT_EQ(message([&] { (void)reader.number(1); }),
+            "test CSV row 4, column 2: malformed double: '0x1p3'");
+  EXPECT_EQ(message([&] { (void)reader.number(2); }),
+            "test CSV row 4, column 3: number out of range: '1e-400'");
+  EXPECT_EQ(message([&] { (void)reader.number(3); }),
+            "test CSV row 4, column 4: number out of range: '1e400'");
+  EXPECT_EQ(reader.number(4), 1e-310);
+  EXPECT_TRUE(std::signbit(reader.number(5)));
   EXPECT_FALSE(reader.next());
 }
 
