@@ -6,27 +6,25 @@
 
 #include "bench_common.hpp"
 #include "common/table.hpp"
-#include "common/task_pool.hpp"
 #include "core/report.hpp"
 
 using namespace rush;
 
 int main(int argc, char** argv) {
-  auto opts = bench::parse_options(argc, argv);
-  if (opts.trials == 5) opts.trials = 3;
+  const auto opts = bench::parse_options(argc, argv, /*default_trials=*/3);
   bench::print_banner("Ablation", "RUSH composed with FCFS vs SJF queue ordering", opts);
 
   const core::Corpus corpus = bench::main_corpus(opts);
   core::ExperimentSpec spec = core::experiment_spec(core::ExperimentId::ADAA);
 
-  // Both policy variants fan across the task pool into index-addressed
-  // slots; rendering below stays serial (and ordered).
+  // Both policy variants run into index-addressed slots; rendering below
+  // stays serial (and ordered).
   const std::vector<std::string> policies{"fcfs", "sjf"};
+  const core::ExperimentConfig base = bench::experiment_config(opts);
   std::vector<core::ExperimentResult> results(policies.size());
   std::vector<std::unique_ptr<core::ExperimentRunner>> runners(policies.size());
-  parallel_for_indexed(opts.jobs, policies.size(), [&](std::size_t i) {
-    core::ExperimentConfig config;
-    config.trials_per_policy = opts.trials;
+  bench::for_each_run(opts, policies.size(), [&](std::size_t i) {
+    core::ExperimentConfig config = base;
     config.main_policy = policies[i];
     config.backfill_policy = policies[i];
     runners[i] = std::make_unique<core::ExperimentRunner>(corpus, config);

@@ -11,7 +11,6 @@
 
 #include "bench_common.hpp"
 #include "common/table.hpp"
-#include "common/task_pool.hpp"
 #include "core/report.hpp"
 
 using namespace rush;
@@ -28,9 +27,8 @@ struct Variant {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = bench::parse_options(argc, argv);
   // Ablations are exploratory: default to 3 trials to keep runtime modest.
-  if (opts.trials == 5) opts.trials = 3;
+  const auto opts = bench::parse_options(argc, argv, /*default_trials=*/3);
   bench::print_banner("Ablation", "RUSH knobs: skip placement, delay set, skip threshold", opts);
 
   const core::Corpus corpus = bench::main_corpus(opts);
@@ -44,15 +42,15 @@ int main(int argc, char** argv) {
       {"skip threshold 30", sched::SkipPlacement::Front, false, 30},
   };
 
-  // Variants fan across the task pool into index-addressed slots; the
-  // table renders serially afterwards, so row order is stable.
+  // Variants run into index-addressed slots; the table renders serially
+  // afterwards, so row order is stable.
   constexpr std::size_t kVariants = std::size(variants);
+  const core::ExperimentConfig base = bench::experiment_config(opts);
   std::vector<core::ExperimentResult> results(kVariants);
   std::vector<std::unique_ptr<core::ExperimentRunner>> runners(kVariants);
-  parallel_for_indexed(opts.jobs, kVariants, [&](std::size_t i) {
+  bench::for_each_run(opts, kVariants, [&](std::size_t i) {
     const Variant& v = variants[i];
-    core::ExperimentConfig config;
-    config.trials_per_policy = opts.trials;
+    core::ExperimentConfig config = base;
     config.skip_placement = v.placement;
     config.delay_on_little_variation = v.delay_little;
     config.skip_threshold = v.skip_threshold;

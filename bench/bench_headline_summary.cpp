@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
   const auto adaboost = ml::make_classifier("adaboost");
   const double cv_f1 = ml::cross_validate(*adaboost, dataset, folds).mean_f1();
 
-  bench::BenchObs bench_obs(opts, "bench_headline_summary");
-  core::ExperimentRunner runner = bench::make_runner(opts, corpus, &bench_obs);
+  core::ExperimentRunner runner = bench::make_runner(opts, corpus);
   const auto adaa = bench::experiment(opts, runner, core::ExperimentId::ADAA);
 
   const double var_base = core::mean_total_variation_runs(adaa.baseline, runner.labeler());

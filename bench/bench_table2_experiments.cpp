@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
               core::NoisyPod::kNoiseNodeStride, 100.0 * session_defaults.initial_fraction,
               session_defaults.submit_window_s / 60.0, defaults.trials_per_policy);
 
-  bench::BenchObs obs(opts, "bench_table2_experiments");
-  core::ExperimentRunner runner = bench::make_runner(opts, bench::main_corpus(opts), &obs);
+  core::ExperimentRunner runner = bench::make_runner(opts, bench::main_corpus(opts));
 
   const std::vector<core::ExperimentId> ids{core::ExperimentId::ADAA, core::ExperimentId::ADPA,
                                             core::ExperimentId::PDPA, core::ExperimentId::WS,

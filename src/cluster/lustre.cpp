@@ -18,7 +18,7 @@ void LustreModel::add_client(SourceId id, NodeSet nodes, double per_node_gbps,
   RUSH_EXPECTS(read_fraction >= 0.0 && read_fraction <= 1.0);
   RUSH_EXPECTS(!clients_.contains(id));
   clients_.emplace(id, Client{std::move(nodes), per_node_gbps, read_fraction});
-  bump_generation(true);
+  refresh(true);
 }
 
 void LustreModel::set_rate(SourceId id, double per_node_gbps) {
@@ -27,13 +27,13 @@ void LustreModel::set_rate(SourceId id, double per_node_gbps) {
   RUSH_EXPECTS(it != clients_.end());
   if (it->second.per_node_gbps == per_node_gbps) return;
   it->second.per_node_gbps = per_node_gbps;
-  bump_generation(true);
+  refresh(true);
 }
 
 void LustreModel::remove_client(SourceId id) {
   const auto erased = clients_.erase(id);
   RUSH_EXPECTS(erased == 1);
-  bump_generation(true);
+  refresh(true);
 }
 
 bool LustreModel::has_client(SourceId id) const noexcept { return clients_.contains(id); }
@@ -42,7 +42,7 @@ void LustreModel::set_ambient_demand(double gbps) {
   RUSH_EXPECTS(gbps >= 0.0);
   if (ambient_ == gbps) return;
   ambient_ = gbps;
-  bump_generation(false);
+  refresh(false);
 }
 
 double LustreModel::total_demand_gbps() const noexcept {
@@ -52,8 +52,7 @@ double LustreModel::total_demand_gbps() const noexcept {
   return total;
 }
 
-void LustreModel::bump_generation(bool clients_changed) {
-  ++generation_;
+void LustreModel::refresh(bool clients_changed) {
   slowdown_ = congestion_slowdown(total_demand_gbps() / capacity_);
   if (clients_changed) node_demand_stale_ = true;
 }

@@ -7,7 +7,6 @@
 // lustre_client-style counters can be synthesized per host.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -36,15 +35,13 @@ class LustreModel {
   [[nodiscard]] double capacity_gbps() const noexcept { return capacity_; }
 
   /// Oversubscription factor every client currently experiences (>= 1),
-  /// computed once per generation().
+  /// recomputed by every mutation rather than on each call.
   [[nodiscard]] double slowdown() const noexcept { return slowdown_; }
 
   /// Achieved (post-contention) per-node rates on a host, for counters.
   /// A node in no client reads 0.
   [[nodiscard]] double node_read_gbps(NodeId node) const;
   [[nodiscard]] double node_write_gbps(NodeId node) const;
-
-  [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
 
  private:
   struct Client {
@@ -53,16 +50,15 @@ class LustreModel {
     double read_fraction;
   };
 
-  /// Ends every mutation: starts the next generation and recomputes the
-  /// slowdown. A client change also marks the per-node demand stale.
-  void bump_generation(bool clients_changed);
+  /// Ends every mutation: recomputes the slowdown. A client change also
+  /// marks the per-node demand stale.
+  void refresh(bool clients_changed);
   void rebuild_node_demand() const;
   [[nodiscard]] double achieved(const std::vector<double>& demand, NodeId node) const noexcept;
 
   double capacity_;
   double ambient_ = 0.0;
   std::map<SourceId, Client> clients_;  // ordered: demand sums are reproducible
-  std::uint64_t generation_ = 0;
   double slowdown_ = 1.0;
 
   // Per-node demand indexed by node id, summed in client-id order. Only a

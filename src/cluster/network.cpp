@@ -30,8 +30,6 @@ NetworkModel::NetworkModel(const FatTree& tree) : tree_(tree) {
   touched_pods_.reserve(pod_acc_.size());
 }
 
-void NetworkModel::bump_generation() noexcept { ++generation_; }
-
 void NetworkModel::aggregate_shares(std::vector<LinkShare>& shares) {
   std::sort(shares.begin(), shares.end(),
             [](const LinkShare& a, const LinkShare& b) { return a.link < b.link; });
@@ -69,7 +67,6 @@ void NetworkModel::add_source(SourceId id, NodeSet nodes, double per_node_gbps,
   aggregate_shares(state.unit_shares);
   const auto& inserted = sources_.emplace(id, std::move(state)).first->second;
   apply_shares(inserted.unit_shares, per_node_gbps);
-  bump_generation();
   note_delta();
   RUSH_AUDIT_HOOK(audit_invariants());
 }
@@ -82,7 +79,6 @@ void NetworkModel::set_rate(SourceId id, double per_node_gbps) {
   if (old_rate == per_node_gbps) return;
   it->second.src.per_node_gbps = per_node_gbps;
   apply_shares(it->second.unit_shares, per_node_gbps - old_rate);
-  bump_generation();
   note_delta();
   RUSH_AUDIT_HOOK(audit_invariants());
 }
@@ -92,7 +88,6 @@ void NetworkModel::remove_source(SourceId id) {
   RUSH_EXPECTS(it != sources_.end());
   apply_shares(it->second.unit_shares, -it->second.src.per_node_gbps);
   sources_.erase(it);
-  bump_generation();
   note_delta();
   RUSH_AUDIT_HOOK(audit_invariants());
 }
@@ -108,7 +103,6 @@ void NetworkModel::set_ambient_load(LinkId link, double gbps) {
   load += gbps - ambient_[l];
   if (load < 0.0) load = 0.0;
   ambient_[l] = gbps;
-  bump_generation();
   note_delta();
   RUSH_AUDIT_HOOK(audit_invariants());
 }
@@ -119,7 +113,6 @@ void NetworkModel::set_link_health(LinkId link, double factor) {
   const auto l = static_cast<std::size_t>(link);
   if (health_[l] == factor) return;
   health_[l] = factor;
-  bump_generation();
   RUSH_AUDIT_HOOK(audit_invariants());
 }
 

@@ -13,8 +13,7 @@
 // the per-link totals and set_ambient_load applies a single-link delta.
 // No mutation ever triggers a full recomputation; `rebuild()` remains as
 // the float-drift renormalization fallback and runs automatically every
-// `kRebuildPeriod` deltas. A generation counter bumps on every mutation
-// so observers (telemetry, job execution) can invalidate caches.
+// `kRebuildPeriod` deltas.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +72,7 @@ class NetworkModel {
   /// faults::FaultInjector; flows are not re-routed, they simply see the
   /// smaller capacity in every congestion query, which reroutes work in
   /// effect (placement probes and the execution model steer around the
-  /// hot link). O(1); bumps the generation so observers re-evaluate.
+  /// hot link). O(1).
   void set_link_health(LinkId link, double factor);
   [[nodiscard]] double link_health(LinkId link) const;
 
@@ -96,13 +95,10 @@ class NetworkModel {
   [[nodiscard]] double node_xmit_gbps(NodeId node) const;
   [[nodiscard]] double node_recv_gbps(NodeId node) const;
 
-  /// Bumps on every mutation; observers use it to invalidate caches.
-  [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
-
   /// Publish model counters (probe calls, drift rebuilds) into an
   /// observability registry. Null detaches; the probe path pays one null
   /// check + add when attached and nothing else.
-  void set_metrics(obs::MetricsRegistry* metrics);  // rush-analyze: allow(missing-expects) null detaches
+  void set_metrics(obs::MetricsRegistry* metrics);
 
   [[nodiscard]] const FatTree& tree() const noexcept { return tree_; }
 
@@ -139,7 +135,6 @@ class NetworkModel {
     std::vector<LinkShare> unit_shares;
   };
 
-  void bump_generation() noexcept;
   /// Maps one source shape's flows to per-link loads. Appends to `out`.
   void map_flows(const NodeSet& nodes, double per_node_gbps, TrafficPattern pattern,
                  std::vector<LinkShare>& out) const;
@@ -163,7 +158,6 @@ class NetworkModel {
   std::vector<double> ambient_;  // per-link ambient gbps
   std::vector<double> loads_;    // per-link total gbps, always current
   std::vector<double> health_;   // per-link capacity factor, 1 = healthy
-  std::uint64_t generation_ = 0;
   std::uint64_t deltas_since_rebuild_ = 0;
   obs::Counter* metric_probes_ = nullptr;    // owned by the attached registry
   obs::Counter* metric_rebuilds_ = nullptr;

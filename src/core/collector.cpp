@@ -1,8 +1,6 @@
 #include "core/collector.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <unordered_map>
 
@@ -150,30 +148,6 @@ Corpus LongitudinalCollector::collect_days(int day_begin, int day_end,
     }
   }
   return corpus;
-}
-
-Corpus LongitudinalCollector::collect_or_load(const std::filesystem::path& cache_path) {
-  if (std::filesystem::exists(cache_path)) {
-    std::ifstream in(cache_path);
-    if (in) {
-      try {
-        Corpus cached = Corpus::from_csv(in);
-        if (!cached.empty()) return cached;
-      } catch (const std::exception&) {
-        // fall through and rebuild
-      }
-    }
-  }
-  Corpus corpus = collect();
-  std::ofstream out(cache_path);
-  if (out) corpus.to_csv(out);
-  return corpus;
-}
-
-std::filesystem::path default_corpus_cache(const std::string& tag) {
-  const char* dir = std::getenv("RUSH_CACHE_DIR");
-  const std::filesystem::path base = dir != nullptr ? dir : ".";
-  return base / ("rush_corpus_" + tag + ".csv");
 }
 
 }  // namespace rush::core

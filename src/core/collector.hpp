@@ -14,8 +14,6 @@
 // "mid-December" spike.
 #pragma once
 
-#include <filesystem>
-
 #include "core/corpus.hpp"
 #include "core/environment.hpp"
 #include "core/session.hpp"
@@ -60,10 +58,6 @@ class LongitudinalCollector {
   /// Run the whole campaign and return the corpus.
   [[nodiscard]] Corpus collect();
 
-  /// Cache wrapper: load `cache_path` if it exists, else collect and
-  /// write it. Corrupt caches are ignored and rebuilt.
-  [[nodiscard]] Corpus collect_or_load(const std::filesystem::path& cache_path);
-
  private:
   /// One contiguous slice of the campaign, days [day_begin, day_end), on
   /// a fresh Environment seeded with `env_seed`.
@@ -72,8 +66,5 @@ class LongitudinalCollector {
   CollectorConfig config_;
   EnvironmentConfig env_config_;
 };
-
-/// Default cache location: $RUSH_CACHE_DIR or the current directory.
-std::filesystem::path default_corpus_cache(const std::string& tag);
 
 }  // namespace rush::core

@@ -64,7 +64,6 @@ class Environment {
   /// congestion episodes). Either pointer may be null (that side
   /// detaches), so all inputs are valid; both must outlive the
   /// environment or be detached first.
-  // rush-analyze: allow(missing-expects)
   void attach_obs(obs::EventTrace* trace, obs::MetricsRegistry* metrics);
 
   /// Nodes of the telemetry pod (pod 0, the experiment reservation).

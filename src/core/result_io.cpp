@@ -1,8 +1,6 @@
 #include "core/result_io.hpp"
 
 #include <array>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <string_view>
 
@@ -78,52 +76,6 @@ std::vector<TrialResult> load_trials_csv(std::istream& is) {
   out.reserve(trials.size());
   for (auto& [key, trial] : trials) out.push_back(std::move(trial));
   return out;
-}
-
-void save_experiment(const ExperimentResult& result, const std::filesystem::path& path) {
-  std::ofstream os(path);
-  RUSH_EXPECTS(os.good());
-  std::vector<TrialResult> all = result.baseline;
-  all.insert(all.end(), result.rush.begin(), result.rush.end());
-  save_trials_csv(all, os);
-}
-
-ExperimentResult load_experiment(const ExperimentSpec& spec,
-                                 const std::filesystem::path& path) {
-  std::ifstream is(path);
-  if (!is) throw ParseError("cannot open " + path.string());
-  ExperimentResult result;
-  result.spec = spec;
-  for (TrialResult& trial : load_trials_csv(is)) {
-    if (trial.policy == "rush") {
-      result.rush.push_back(std::move(trial));
-    } else {
-      result.baseline.push_back(std::move(trial));
-    }
-  }
-  if (result.baseline.empty() || result.rush.empty())
-    throw ParseError("experiment cache incomplete: " + path.string());
-  return result;
-}
-
-ExperimentResult run_or_load_experiment(ExperimentRunner& runner, const ExperimentSpec& spec,
-                                        const std::filesystem::path& path) {
-  if (std::filesystem::exists(path)) {
-    try {
-      return load_experiment(spec, path);
-    } catch (const std::exception&) {
-      // fall through and re-run
-    }
-  }
-  ExperimentResult result = runner.run(spec);
-  save_experiment(result, path);
-  return result;
-}
-
-std::filesystem::path default_experiment_cache(const std::string& code) {
-  const char* dir = std::getenv("RUSH_CACHE_DIR");
-  const std::filesystem::path base = dir != nullptr ? dir : ".";
-  return base / ("rush_experiment_" + code + ".csv");
 }
 
 }  // namespace rush::core

@@ -1,11 +1,10 @@
-// CSV persistence for experiment results.
+// CSV stream I/O for trial results, one row per job.
 //
 // Several figures are views over the same experiments (ADAA feeds Figs. 5,
-// 6, 10, and 11), so the bench harness caches each experiment's trials on
-// disk and regenerates figures from the cache.
+// 6, 10, and 11); the bench harness (bench/bench_common) caches each
+// experiment's trials in this format and decides when a file is reused.
 #pragma once
 
-#include <filesystem>
 #include <iosfwd>
 
 #include "core/experiment.hpp"
@@ -13,19 +12,8 @@
 namespace rush::core {
 
 void save_trials_csv(const std::vector<TrialResult>& trials, std::ostream& os);
+/// Trials in (policy, trial index) order. Throws ParseError on malformed
+/// input.
 std::vector<TrialResult> load_trials_csv(std::istream& is);
-
-void save_experiment(const ExperimentResult& result, const std::filesystem::path& path);
-/// Loads a previously saved experiment; the spec is re-derived from `spec`
-/// (only trial data is persisted). Throws ParseError on malformed files.
-ExperimentResult load_experiment(const ExperimentSpec& spec, const std::filesystem::path& path);
-
-/// Cache wrapper: load `path` if present and well-formed, else run the
-/// experiment via `runner` and persist it.
-ExperimentResult run_or_load_experiment(ExperimentRunner& runner, const ExperimentSpec& spec,
-                                        const std::filesystem::path& path);
-
-/// Default cache location: $RUSH_CACHE_DIR or the current directory.
-std::filesystem::path default_experiment_cache(const std::string& code);
 
 }  // namespace rush::core

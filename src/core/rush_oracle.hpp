@@ -66,12 +66,10 @@ class RushOracle final : public sched::VariabilityOracle {
 
   /// Record every predict() call (label + feature hash) into `trace`.
   /// Null detaches, so all inputs are valid.
-  // rush-analyze: allow(missing-expects)
   void set_trace(obs::EventTrace* trace) noexcept { trace_ = trace; }
   /// Register the oracle's metrics. The fallback counter exists only when
   /// a fault injector is attached, so a zero-fault run's metrics output
   /// is unchanged. Null detaches.
-  // rush-analyze: allow(missing-expects)
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:

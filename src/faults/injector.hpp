@@ -58,10 +58,11 @@ class FaultInjector {
   /// Observability sinks for fault records/counters. Either may be null
   /// (that side detaches).
   void set_obs(obs::EventTrace* trace, obs::MetricsRegistry* metrics);
-  /// Network whose link health LinkDegrade/LinkRestore events drive.
-  void attach_network(cluster::NetworkModel* net);  // rush-analyze: allow(missing-expects) null detaches
+  /// Network whose link health LinkDegrade/LinkRestore events drive; null
+  /// detaches.
+  void attach_network(cluster::NetworkModel* net);
   /// Installs the sampler's fault hooks immediately (cleared on null).
-  void attach_sampler(telemetry::CounterSampler* sampler);  // rush-analyze: allow(missing-expects) null detaches
+  void attach_sampler(telemetry::CounterSampler* sampler);
   /// Register a node-fault listener; all listeners see every node event.
   void subscribe_node_events(NodeEventFn fn);
 

@@ -37,7 +37,6 @@ void CounterSampler::set_obs(obs::EventTrace* trace, obs::MetricsRegistry* metri
       metrics ? &metrics->histogram("telemetry.max_link_util", 0.0, 2.0, 40) : nullptr;
 }
 
-// rush-analyze: allow(missing-expects) empty hooks detach
 void CounterSampler::set_fault_hooks(FrameDropFilter drop, FrameCorruptFn corrupt) {
   drop_filter_ = std::move(drop);
   corrupt_fn_ = std::move(corrupt);

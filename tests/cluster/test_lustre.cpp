@@ -67,18 +67,6 @@ TEST(Lustre, RemoveClientRestoresHealth) {
   EXPECT_DOUBLE_EQ(fs.slowdown(), 1.0);
 }
 
-TEST(Lustre, GenerationBumpsOnMutation) {
-  LustreModel fs(10.0);
-  const auto g0 = fs.generation();
-  fs.add_client(1, {0}, 1.0);
-  EXPECT_GT(fs.generation(), g0);
-  const auto g1 = fs.generation();
-  fs.set_rate(1, 1.0);  // no-op
-  EXPECT_EQ(fs.generation(), g1);
-  fs.set_rate(1, 2.0);
-  EXPECT_GT(fs.generation(), g1);
-}
-
 /// Slowdown and per-node rates recomputed from scratch: `read`/`write` are
 /// the node's demands summed the way the model must sum them.
 void expect_fresh(const LustreModel& fs, NodeId node, double read, double write) {

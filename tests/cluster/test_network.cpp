@@ -166,18 +166,6 @@ TEST_F(NetworkTest, NodeXmitReflectsInjection) {
   EXPECT_DOUBLE_EQ(net_.node_xmit_gbps(2), 0.0);  // not part of the job
 }
 
-TEST_F(NetworkTest, GenerationBumpsOnMutation) {
-  const auto g0 = net_.generation();
-  net_.add_source(1, {0, 8}, 1.0, TrafficPattern::AllToAll);
-  EXPECT_GT(net_.generation(), g0);
-  const auto g1 = net_.generation();
-  net_.set_rate(1, 2.0);
-  EXPECT_GT(net_.generation(), g1);
-  const auto g2 = net_.generation();
-  net_.set_rate(1, 2.0);  // no-op change
-  EXPECT_EQ(net_.generation(), g2);
-}
-
 TEST_F(NetworkTest, PreconditionViolations) {
   EXPECT_THROW(net_.add_source(1, {}, 1.0), PreconditionError);          // empty set
   EXPECT_THROW(net_.add_source(1, {3, 2}, 1.0), PreconditionError);     // unsorted

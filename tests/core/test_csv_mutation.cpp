@@ -1,24 +1,26 @@
 // Seeded mutation test for the two CSV loaders (Corpus::from_csv and
 // load_trials_csv). A fixed sequence of byte flips, truncations, splices
-// of the two files and hostile cell substitutions is applied to a valid
-// corpus and a valid trials file. Every mutant must either load or throw
-// ParseError, and whatever loads must save, load and save again to the
-// same bytes. The unmutated files must save to their own bytes.
+// of the two files and hostile cell substitutions (tests/mutation.hpp) is
+// applied to a valid corpus and a valid trials file. Every mutant must
+// either load or throw ParseError, and whatever loads must save, load and
+// save again to the same bytes. The unmutated files must save to their
+// own bytes.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
 
-#include "common/error.hpp"
-#include "common/rng.hpp"
 #include "core/corpus.hpp"
 #include "core/result_io.hpp"
+#include "mutation.hpp"
 
 namespace rush::core {
 namespace {
+
+using mutation::mutate;
+using mutation::resave;
 
 constexpr int kMutants = 2000;
 constexpr std::array<std::string_view, 7> kHostileCells{
@@ -74,54 +76,6 @@ std::string trials_csv() {
   return os.str();
 }
 
-std::size_t pick(Rng& rng, std::size_t n) {
-  return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-}
-
-/// Replaces one randomly chosen comma-separated cell of `text`.
-std::string substitute_cell(Rng& rng, std::string text, std::string_view cell) {
-  const std::size_t at = pick(rng, text.size());
-  std::size_t begin = text.find_last_of(",\n", at);
-  begin = begin == std::string::npos ? 0 : begin + 1;
-  std::size_t end = text.find_first_of(",\n", begin);
-  if (end == std::string::npos) end = text.size();
-  return text.replace(begin, end - begin, cell);
-}
-
-std::string mutate(Rng& rng, const std::string& base, const std::string& other) {
-  std::string text = base;
-  switch (rng.uniform_int(0, 3)) {
-    case 0:  // flip one to three bytes
-      for (std::int64_t n = rng.uniform_int(1, 3); n > 0; --n)
-        text[pick(rng, text.size())] ^= static_cast<char>(1 << rng.uniform_int(0, 7));
-      return text;
-    case 1:  // truncate
-      return text.substr(0, pick(rng, text.size() + 1));
-    case 2:  // splice a prefix of one file onto a suffix of the other
-      return text.substr(0, pick(rng, text.size() + 1)) + other.substr(pick(rng, other.size()));
-    default:
-      return substitute_cell(rng, std::move(text), kHostileCells[pick(rng, kHostileCells.size())]);
-  }
-}
-
-/// save(load(text)), after checking that loading and saving those bytes
-/// again gives them back; nullopt when the loader threw ParseError.
-template <class Load, class Save>
-std::optional<std::string> resave(const std::string& text, const Load& load, const Save& save) {
-  try {
-    std::istringstream is(text);
-    std::ostringstream first;
-    save(load(is), first);
-    std::istringstream again(first.str());
-    std::ostringstream second;
-    save(load(again), second);
-    EXPECT_EQ(second.str(), first.str());
-    return first.str();
-  } catch (const ParseError&) {
-    return std::nullopt;
-  }
-}
-
 TEST(CsvMutation, EveryMutantLoadsOrThrowsParseError) {
   const std::string corpus = corpus_csv();
   const std::string trials = trials_csv();
@@ -138,7 +92,8 @@ TEST(CsvMutation, EveryMutantLoadsOrThrowsParseError) {
   for (int i = 0; i < kMutants; ++i) {
     const bool from_corpus = i % 2 == 0;
     const std::string mutant =
-        from_corpus ? mutate(rng, corpus, trials) : mutate(rng, trials, corpus);
+        from_corpus ? mutate(rng, corpus, trials, kHostileCells, ",\n")
+                    : mutate(rng, trials, corpus, kHostileCells, ",\n");
     SCOPED_TRACE("mutant " + std::to_string(i));
     try {
       loaded += resave(mutant, load_corpus, save_corpus) ? 1 : 0;

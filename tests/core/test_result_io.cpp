@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -98,37 +96,6 @@ TEST(ResultIo, LoadRejectsGarbage) {
   EXPECT_THROW((void)load_trials_csv(seed_too_big), ParseError);
   std::stringstream empty("");
   EXPECT_THROW((void)load_trials_csv(empty), ParseError);
-}
-
-TEST(ResultIo, ExperimentSaveLoad) {
-  ExperimentResult result;
-  result.spec = experiment_spec(ExperimentId::ADAA);
-  result.baseline = {make_trial("fcfs-easy", 5, 2)};
-  result.rush = {make_trial("rush", 5, 2)};
-  const auto path = std::filesystem::temp_directory_path() / "rush_test_experiment.csv";
-  save_experiment(result, path);
-  const ExperimentResult back = load_experiment(result.spec, path);
-  EXPECT_EQ(back.spec.code, "ADAA");
-  ASSERT_EQ(back.baseline.size(), 1u);
-  ASSERT_EQ(back.rush.size(), 1u);
-  EXPECT_EQ(back.rush[0].jobs.size(), 2u);
-  std::filesystem::remove(path);
-}
-
-TEST(ResultIo, LoadExperimentRequiresBothPolicies) {
-  const auto path = std::filesystem::temp_directory_path() / "rush_test_experiment2.csv";
-  {
-    std::ofstream os(path);
-    save_trials_csv({make_trial("rush", 1, 1)}, os);  // rush only
-  }
-  EXPECT_THROW((void)load_experiment(experiment_spec(ExperimentId::ADAA), path), ParseError);
-  std::filesystem::remove(path);
-  EXPECT_THROW((void)load_experiment(experiment_spec(ExperimentId::ADAA), path), ParseError);
-}
-
-TEST(ResultIo, DefaultCachePathUsesEnv) {
-  const auto path = default_experiment_cache("XYZ");
-  EXPECT_NE(path.string().find("rush_experiment_XYZ.csv"), std::string::npos);
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 #include "core/collector.hpp"
 #include "core/experiment.hpp"
@@ -73,27 +71,6 @@ TEST(EndToEnd, CollectionIsDeterministic) {
     EXPECT_DOUBLE_EQ(ca.samples()[i].runtime_s, cb.samples()[i].runtime_s);
     EXPECT_EQ(ca.samples()[i].features_job, cb.samples()[i].features_job);
   }
-}
-
-TEST(EndToEnd, CorpusCacheRoundTrip) {
-  const auto path = std::filesystem::temp_directory_path() / "rush_test_corpus_cache.csv";
-  std::filesystem::remove(path);
-  LongitudinalCollector collector(tiny_campaign(3), single_pod_config());
-  const Corpus fresh = collector.collect_or_load(path);
-  ASSERT_TRUE(std::filesystem::exists(path));
-  // Second call loads the cache (same content, no recollection).
-  LongitudinalCollector collector2(tiny_campaign(4), single_pod_config());
-  const Corpus cached = collector2.collect_or_load(path);
-  ASSERT_EQ(cached.size(), fresh.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(cached.samples()[i].app, fresh.samples()[i].app);
-    EXPECT_NEAR(cached.samples()[i].runtime_s, fresh.samples()[i].runtime_s, 1e-6);
-  }
-  // Corrupt cache is ignored and rebuilt.
-  std::ofstream(path) << "garbage";
-  const Corpus rebuilt = collector2.collect_or_load(path);
-  EXPECT_EQ(rebuilt.size(), 56u);
-  std::filesystem::remove(path);
 }
 
 TEST(EndToEnd, StormInflatesCollectedRuntimes) {

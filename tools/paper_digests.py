@@ -14,11 +14,11 @@ the lines that depend on the host are masked: the `jobs=` count in the
 `seed=... jobs=...` banner, and the cache paths after `[bench] corpus:`,
 `[bench] experiment CODE:` and `[bench] trace:`.
 
-After the cache CSVs are hashed (a `--trace` run deletes the experiment
-caches it bypasses), bench_headline_summary runs twice more with
-`--trace`, once plain and once under bench/e2e/fault_plan.json, and the
-two JSONL traces are digested too; together they hold every trace
-record kind. The `.metrics.json` and `.manifest.json` files beside them
+After the cache CSVs are hashed (a `--trace` run recomputes the
+experiment it traces and rewrites its cache file), bench_headline_summary
+runs twice more with `--trace`, once plain and once under
+bench/e2e/fault_plan.json, and the two JSONL traces are digested too;
+together they hold every trace record kind. The `.metrics.json` and `.manifest.json` files beside them
 are not digested: histogram sums may differ in the last bits across
 worker counts, and the manifest records the git SHA and the compiler.
 
