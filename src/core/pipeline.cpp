@@ -1,7 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-
+#include <charconv>
 #include <istream>
 #include <ostream>
 
@@ -9,6 +9,18 @@
 #include "ml/serialize.hpp"
 
 namespace rush::core {
+
+namespace {
+
+/// The shortest text that reads back as the same double, so a saved
+/// predictor's thresholds and confidence gate load back bit for bit.
+std::string shortest(double value) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, value);
+  return {buf, res.ptr};
+}
+
+}  // namespace
 
 std::vector<std::string> candidate_model_names() {
   return {"extra_trees", "decision_forest", "knn", "adaboost"};
@@ -90,8 +102,9 @@ void TrainedPredictor::save(std::ostream& os) const {
   RUSH_EXPECTS(ready());
   os << "rush-predictor 1\n";
   os << "scope " << (scope_ == telemetry::AggregationScope::AllNodes ? "all" : "job") << "\n";
-  os << "thresholds " << thresholds_.little_sigma << " " << thresholds_.variation_sigma << "\n";
-  os << "confidence " << variation_confidence_ << "\n";
+  os << "thresholds " << shortest(thresholds_.little_sigma) << " "
+     << shortest(thresholds_.variation_sigma) << "\n";
+  os << "confidence " << shortest(variation_confidence_) << "\n";
   os << "selected " << selected_.size();
   for (std::size_t f : selected_) os << " " << f;
   os << "\n";

@@ -34,8 +34,10 @@ void AdaBoost::fit(const Dataset& data, std::span<const double> sample_weights) 
   }
 
   // Rounds change only the sample weights, so one presort of the dataset
-  // serves every round's tree.
+  // and one workspace serve every round's tree.
   const PresortedIndex presorted(data);
+  FitWorkspace workspace(presorted);
+  stages_.reserve(config_.num_rounds);
 
   Rng rng(config_.seed);
   std::vector<bool> wrong(data.rows());
@@ -45,7 +47,7 @@ void AdaBoost::fit(const Dataset& data, std::span<const double> sample_weights) 
     tc.min_samples_leaf = 1;
     tc.seed = rng.next();
     Stage stage{DecisionTree(tc), 0.0};
-    stage.tree.fit(data, weights, presorted);
+    stage.tree.fit(data, weights, workspace);
 
     double error = 0.0;
     for (std::size_t i = 0; i < data.rows(); ++i) {
@@ -80,7 +82,7 @@ void AdaBoost::fit(const Dataset& data, std::span<const double> sample_weights) 
     tc.max_depth = config_.base_max_depth;
     tc.seed = rng.next();
     Stage stage{DecisionTree(tc), 1.0};
-    stage.tree.fit(data, {}, presorted);
+    stage.tree.fit(data, {}, workspace);
     stages_.push_back(std::move(stage));
   }
 

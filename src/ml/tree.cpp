@@ -4,6 +4,7 @@
 #include <cmath>
 #include <istream>
 #include <limits>
+#include <numeric>
 #include <ostream>
 
 #include "common/error.hpp"
@@ -12,16 +13,69 @@ namespace rush::ml {
 
 namespace {
 
-/// Weighted Gini impurity from per-class weight totals.
-double gini(const std::vector<double>& class_weights, double total) noexcept {
+/// Weighted Gini impurity from `k` per-class weight totals.
+inline double gini(const double* class_weights, std::size_t k, double total) noexcept {
   if (total <= 0.0) return 0.0;
   double sum_sq = 0.0;
-  for (double w : class_weights) {
-    const double p = w / total;
+  for (std::size_t c = 0; c < k; ++c) {
+    const double p = class_weights[c] / total;
     sum_sq += p * p;
   }
   return 1.0 - sum_sq;
 }
+
+/// Impurity decrease of a split that sends `left` (per class, `lw` in all)
+/// of a node's `parent` weights (`total_w` in all) to the left child.
+/// `right` is scratch for the right child's per-class weights.
+inline double decrease_of(const double* parent, const double* left, double* right,
+                          std::size_t k, double lw, double total_w,
+                          double parent_gini) noexcept {
+  for (std::size_t c = 0; c < k; ++c) right[c] = parent[c] - left[c];
+  const double rw = total_w - lw;
+  const double child = (lw * gini(left, k, lw) + rw * gini(right, k, rw)) / total_w;
+  return parent_gini - child;
+}
+
+/// The threshold between two adjacent distinct values of a scan: their
+/// midpoint, or `value` when the midpoint rounds up to `next` (adjacent
+/// doubles) or overflows, as scikit-learn does. Either way
+/// value <= threshold < next, so the split sends left exactly the rows the
+/// scan counted.
+inline double threshold_between(double value, double next) noexcept {
+  const double mid = 0.5 * (value + next);
+  return mid < next ? mid : value;
+}
+
+/// Stable partition of src[lo, hi) into dst[lo, hi): the rows marked in
+/// `goes_left` fill [lo, mid) and the rest [mid, hi), each side in source
+/// order. `src` may be `dst`: the left cursor never passes the read
+/// cursor, and right rows wait in `spill`. A row's side is a coin flip, so
+/// the loop stores every row in both places and advances one cursor
+/// instead of branching.
+void stable_partition(const std::uint32_t* src, std::uint32_t* dst, std::size_t lo,
+                      std::size_t hi, std::size_t mid, const unsigned char* goes_left,
+                      std::uint32_t* spill) {
+  std::size_t l = lo;
+  std::size_t r = 0;
+  for (std::size_t pos = lo; pos < hi; ++pos) {
+    const std::uint32_t row = src[pos];
+    const std::size_t g = goes_left[row];
+    dst[l] = row;
+    spill[r] = row;
+    l += g;
+    r += 1 - g;
+  }
+  RUSH_ASSERT(l == mid);
+  std::copy_n(spill, r, dst + mid);
+}
+
+/// One feature's values by row: the index's feature-major column, or in
+/// random-threshold mode a strided walk down the row-major matrix.
+struct Column {
+  const double* base;
+  std::size_t stride;
+  double operator[](std::uint32_t row) const noexcept { return base[row * stride]; }
+};
 
 }  // namespace
 
@@ -44,27 +98,94 @@ PresortedIndex::PresortedIndex(const Dataset& data)
   }
 }
 
-// Exact-mode presort state. `order` starts as a copy of the index's
-// per-feature blocks, each sorted by (value, row), so any contiguous
-// sub-range visits a node's samples in (value, row) order. When a node
-// splits, every block's [lo, hi) range is stable-partitioned into left
-// members then right members, which preserves that order for both
-// children without re-sorting. The index itself stays untouched, so
-// the next tree fitted on the same dataset can copy it again.
-struct DecisionTree::FitWorkspace {
-  std::size_t rows = 0;
-  std::size_t features = 0;
-  const PresortedIndex* presorted = nullptr;
-  std::vector<std::uint32_t> order;      // features blocks of `rows` entries
-  std::vector<unsigned char> goes_left;  // per row: membership mark during partition
-  std::vector<std::uint32_t> spill;      // right-side buffer for the stable partition
-  // find_split scratch, reused by every node and every candidate boundary.
-  std::vector<double> parent_w;  // per class
-  std::vector<double> left_w;    // per class
-  std::vector<double> right_w;   // per class
-  std::vector<std::size_t> candidates;
+FitWorkspace::FitWorkspace(std::size_t rows)
+    : rows_(rows), blocks_(rows), goes_left_(rows), spill_(rows) {}
 
-  [[nodiscard]] std::uint32_t* block(std::size_t f) noexcept { return order.data() + f * rows; }
+FitWorkspace::FitWorkspace(const PresortedIndex& index) : FitWorkspace(index.rows()) {
+  index_ = &index;
+  blocks_.resize((index.features() + 1) * rows_);
+  constant_.resize(index.features());
+  for (std::size_t f = 0; f < index.features(); ++f) {
+    const auto order = index.order(f);
+    const auto col = index.column(f);
+    constant_[f] = rows_ == 0 || col[order.front()] == col[order.back()];
+    if (constant_[f] == 0) varying_.push_back(f);
+  }
+}
+
+// One fit. The root's feature blocks are the index's own orders; a split
+// stable-partitions its node's range of each block the children will scan
+// into the workspace, left rows then right rows, so every range below the
+// root visits its rows in (value, row) order without re-sorting, and the
+// row block in ascending row order. Parent weights, leaf probabilities and
+// importances sum over the row block: ascending row order fixes their bits.
+class DecisionTree::Builder {
+ public:
+  Builder(DecisionTree& tree, const Dataset& data, std::span<const double> weights,
+          FitWorkspace& ws)
+      : tree_(tree),
+        cfg_(tree.config_),
+        data_(data),
+        labels_(data.labels().data()),
+        weights_(weights.data()),
+        ws_(ws),
+        k_(static_cast<std::size_t>(tree.num_classes_)),
+        rng_(cfg_.seed) {
+    ws_.parent_w_.resize(k_);
+    ws_.left_w_.resize(k_);
+    ws_.right_w_.resize(k_);
+    std::iota(ws_.row_block(), ws_.row_block() + data.rows(), 0U);
+    if (ws_.index_ == nullptr) return;
+    // Each row's weight in its label's slot and +0.0 in the others, so the
+    // exact scan adds to every class sum with no branch on the label (a
+    // coin flip per row) and no store-to-load chain through memory. A sum
+    // starts at +0.0 and so never becomes -0.0, and adding +0.0 to it
+    // changes no bit: each class sum adds the same weights in the same
+    // order as `left[label] += w` would. A select, not w * (label == c),
+    // which would turn an infinite weight into NaN.
+    ws_.class_w_.resize(data.rows() * k_);
+    for (std::size_t row = 0; row < data.rows(); ++row)
+      for (std::size_t c = 0; c < k_; ++c)
+        ws_.class_w_[row * k_ + c] =
+            static_cast<std::size_t>(labels_[row]) == c ? weights_[row] : 0.0;
+  }
+
+  std::int32_t build(std::size_t lo, std::size_t hi, int depth);
+
+ private:
+  struct Split {
+    bool found = false;
+    int feature = -1;
+    double threshold = 0.0;
+    double impurity_decrease = 0.0;
+    std::size_t left_n = 0;
+    double node_weight = 0.0;
+  };
+
+  /// What every candidate feature's scan of one node shares.
+  struct NodeStats {
+    std::size_t lo;
+    std::size_t hi;
+    double total_w;
+    double gini;
+  };
+
+  Split find_split(std::size_t lo, std::size_t hi, int depth);
+  template <std::size_t K>
+  void scan(std::size_t f, const std::uint32_t* blk, const NodeStats& node, Split& best);
+  void draw_threshold(std::size_t f, const NodeStats& node, Split& best);
+  std::size_t partition(const Split& split, std::size_t lo, std::size_t hi, int depth);
+  std::int32_t make_leaf(std::size_t lo, std::size_t hi);
+  [[nodiscard]] Column column(std::size_t f) const;
+
+  DecisionTree& tree_;
+  const TreeConfig& cfg_;
+  const Dataset& data_;
+  const int* labels_;
+  const double* weights_;
+  FitWorkspace& ws_;
+  std::size_t k_;
+  Rng rng_;
 };
 
 DecisionTree::DecisionTree(TreeConfig config) : config_(config) {
@@ -73,23 +194,26 @@ DecisionTree::DecisionTree(TreeConfig config) : config_(config) {
 }
 
 void DecisionTree::fit(const Dataset& data, std::span<const double> sample_weights) {
-  if (!config_.random_thresholds) {
-    const PresortedIndex presorted(data);
-    fit_impl(data, sample_weights, &presorted);
+  if (config_.random_thresholds) {
+    FitWorkspace ws(data.rows());
+    fit_impl(data, sample_weights, ws);
   } else {
-    fit_impl(data, sample_weights, nullptr);
+    const PresortedIndex presorted(data);
+    FitWorkspace ws(presorted);
+    fit_impl(data, sample_weights, ws);
   }
 }
 
 void DecisionTree::fit(const Dataset& data, std::span<const double> sample_weights,
-                       const PresortedIndex& presorted) {
+                       FitWorkspace& workspace) {
   RUSH_EXPECTS(!config_.random_thresholds);
+  const PresortedIndex& presorted = *workspace.index_;
   RUSH_EXPECTS(presorted.rows() == data.rows() && presorted.features() == data.cols());
-  fit_impl(data, sample_weights, &presorted);
+  fit_impl(data, sample_weights, workspace);
 }
 
 void DecisionTree::fit_impl(const Dataset& data, std::span<const double> sample_weights,
-                            const PresortedIndex* presorted) {
+                            FitWorkspace& ws) {
   RUSH_EXPECTS(!data.empty());
   RUSH_EXPECTS(sample_weights.empty() || sample_weights.size() == data.rows());
 
@@ -98,32 +222,12 @@ void DecisionTree::fit_impl(const Dataset& data, std::span<const double> sample_
   num_features_ = data.cols();
   importances_.assign(num_features_, 0.0);
 
-  std::vector<double> weights;
+  std::vector<double> unit;
   if (sample_weights.empty()) {
-    weights.assign(data.rows(), 1.0);
-  } else {
-    weights.assign(sample_weights.begin(), sample_weights.end());
+    unit.assign(data.rows(), 1.0);
+    sample_weights = unit;
   }
-
-  std::vector<std::size_t> indices(data.rows());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-
-  const auto k = static_cast<std::size_t>(num_classes_);
-  FitWorkspace ws;
-  ws.rows = data.rows();
-  ws.features = num_features_;
-  ws.parent_w.resize(k);
-  ws.left_w.resize(k);
-  ws.right_w.resize(k);
-  if (presorted != nullptr) {
-    ws.presorted = presorted;
-    ws.order.assign(presorted->orders().begin(), presorted->orders().end());
-    ws.goes_left.assign(ws.rows, 0);
-    ws.spill.reserve(ws.rows);
-  }
-
-  Rng rng(config_.seed);
-  build(data, weights, indices, 0, rng, ws, 0, data.rows());
+  Builder(*this, data, sample_weights, ws).build(0, data.rows(), 0);
   compile();
 
   // Normalize importances to sum to 1 (when any split was made).
@@ -133,183 +237,199 @@ void DecisionTree::fit_impl(const Dataset& data, std::span<const double> sample_
     for (double& v : importances_) v /= total;
 }
 
-std::int32_t DecisionTree::make_leaf(const Dataset& data, std::span<const double> weights,
-                                     const std::vector<std::size_t>& indices) {
+Column DecisionTree::Builder::column(std::size_t f) const {
+  if (ws_.index_ != nullptr) return {ws_.index_->column(f).data(), 1};
+  return {data_.row(0).data() + f, data_.cols()};
+}
+
+std::int32_t DecisionTree::Builder::make_leaf(std::size_t lo, std::size_t hi) {
+  const std::uint32_t* rows = ws_.row_block();
   Node leaf;
-  leaf.proba.assign(static_cast<std::size_t>(num_classes_), 0.0);
+  leaf.proba.assign(k_, 0.0);
   double total = 0.0;
-  for (std::size_t i : indices) {
-    leaf.proba[static_cast<std::size_t>(data.label(i))] += weights[i];
-    total += weights[i];
+  for (std::size_t pos = lo; pos < hi; ++pos) {
+    const std::uint32_t row = rows[pos];
+    leaf.proba[static_cast<std::size_t>(labels_[row])] += weights_[row];
+    total += weights_[row];
   }
   if (total > 0.0)
     for (double& p : leaf.proba) p /= total;
-  nodes_.push_back(std::move(leaf));
-  return static_cast<std::int32_t>(nodes_.size() - 1);
+  tree_.nodes_.push_back(std::move(leaf));
+  return static_cast<std::int32_t>(tree_.nodes_.size() - 1);
 }
 
-DecisionTree::SplitResult DecisionTree::find_split(const Dataset& data,
-                                                   std::span<const double> weights,
-                                                   const std::vector<std::size_t>& indices,
-                                                   Rng& rng, FitWorkspace& ws,
-                                                   std::size_t lo, std::size_t hi) const {
-  const std::size_t k = static_cast<std::size_t>(num_classes_);
-  const std::vector<int>& labels = data.labels();
-  std::vector<double>& parent_w = ws.parent_w;
-  std::vector<double>& left_w = ws.left_w;
-
-  // Parent impurity.
-  std::fill(parent_w.begin(), parent_w.end(), 0.0);
+DecisionTree::Builder::Split DecisionTree::Builder::find_split(std::size_t lo, std::size_t hi,
+                                                               int depth) {
+  // Parent impurity, summed in ascending row order.
+  const std::uint32_t* rows = ws_.row_block();
+  double* parent_w = ws_.parent_w_.data();
+  std::fill_n(parent_w, k_, 0.0);
   double total_w = 0.0;
-  for (std::size_t i : indices) {
-    parent_w[static_cast<std::size_t>(data.label(i))] += weights[i];
-    total_w += weights[i];
+  for (std::size_t pos = lo; pos < hi; ++pos) {
+    const std::uint32_t row = rows[pos];
+    parent_w[static_cast<std::size_t>(labels_[row])] += weights_[row];
+    total_w += weights_[row];
   }
-  const double parent_gini = gini(parent_w, total_w);
-  if (parent_gini <= 0.0 || total_w <= 0.0) return {};
+  const NodeStats node{lo, hi, total_w, gini(parent_w, k_, total_w)};
+  if (node.gini <= 0.0 || total_w <= 0.0) return {};
 
   // Candidate features: all, or a random subset of max_features.
-  std::vector<std::size_t>& candidates = ws.candidates;
-  if (config_.max_features == 0 || config_.max_features >= num_features_) {
-    candidates.resize(num_features_);
-    for (std::size_t f = 0; f < num_features_; ++f) candidates[f] = f;
+  const std::size_t features = tree_.num_features_;
+  std::vector<std::size_t>& candidates = ws_.candidates_;
+  if (cfg_.max_features == 0 || cfg_.max_features >= features) {
+    candidates.resize(features);
+    for (std::size_t f = 0; f < features; ++f) candidates[f] = f;
   } else {
-    rng.sample_indices(num_features_, config_.max_features, candidates);
+    rng_.sample_indices(features, cfg_.max_features, candidates);
   }
 
-  SplitResult best;
+  Split best;
   for (std::size_t f : candidates) {
-    if (config_.random_thresholds) {
-      // Extra-trees: one uniform threshold in (min, max).
-      double lo = std::numeric_limits<double>::max();
-      double hi = std::numeric_limits<double>::lowest();
-      for (std::size_t i : indices) {
-        const double v = data.row(i)[f];
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
-      if (hi <= lo) continue;
-      const double threshold = rng.uniform(lo, hi);
-      std::fill(left_w.begin(), left_w.end(), 0.0);
-      double lw = 0.0;
-      std::size_t left_n = 0;
-      for (std::size_t i : indices) {
-        if (data.row(i)[f] <= threshold) {
-          left_w[static_cast<std::size_t>(data.label(i))] += weights[i];
-          lw += weights[i];
-          ++left_n;
-        }
-      }
-      const std::size_t right_n = indices.size() - left_n;
-      if (left_n < config_.min_samples_leaf || right_n < config_.min_samples_leaf) continue;
-      for (std::size_t c = 0; c < k; ++c) ws.right_w[c] = parent_w[c] - left_w[c];
-      const double rw = total_w - lw;
-      const double child =
-          (lw * gini(left_w, lw) + rw * gini(ws.right_w, rw)) / total_w;
-      const double decrease = parent_gini - child;
-      if (decrease > best.impurity_decrease) {
-        best = SplitResult{true, static_cast<int>(f), threshold, decrease};
-      }
+    if (cfg_.random_thresholds) {
+      draw_threshold(f, node, best);
+      continue;
+    }
+    // A feature with one value over the whole fit splits no node, and its
+    // block is never partitioned.
+    if (ws_.constant_[f] != 0) continue;
+    const std::uint32_t* blk =
+        (depth == 0 ? ws_.index_->order(f).data() : ws_.block(f)) + node.lo;
+    if (k_ == 2) {
+      scan<2>(f, blk, node, best);
+    } else if (k_ == 3) {
+      scan<3>(f, blk, node, best);
     } else {
-      // Exact CART over the presorted index: the node's samples arrive in
-      // (value, row) order directly from the partitioned block. Values
-      // come from the index's feature-major column, not the row-major
-      // matrix.
-      const std::uint32_t* blk = ws.block(f) + lo;
-      const double* col = ws.presorted->column(f).data();
-      const std::size_t count = hi - lo;
-      if (col[blk[0]] == col[blk[count - 1]]) continue;
-
-      std::fill(left_w.begin(), left_w.end(), 0.0);
-      double lw = 0.0;
-      for (std::size_t pos = 0; pos + 1 < count; ++pos) {
-        const std::uint32_t row = blk[pos];
-        const double value = col[row];
-        left_w[static_cast<std::size_t>(labels[row])] += weights[row];
-        lw += weights[row];
-        const double next = col[blk[pos + 1]];
-        if (value == next) continue;  // not a boundary
-        const std::size_t left_n = pos + 1;
-        const std::size_t right_n = count - left_n;
-        if (left_n < config_.min_samples_leaf || right_n < config_.min_samples_leaf) continue;
-        for (std::size_t c = 0; c < k; ++c) ws.right_w[c] = parent_w[c] - left_w[c];
-        const double rw = total_w - lw;
-        const double child =
-            (lw * gini(left_w, lw) + rw * gini(ws.right_w, rw)) / total_w;
-        const double decrease = parent_gini - child;
-        if (decrease > best.impurity_decrease) {
-          best.found = true;
-          best.feature = static_cast<int>(f);
-          best.threshold = 0.5 * (value + next);
-          best.impurity_decrease = decrease;
-        }
-      }
+      scan<0>(f, blk, node, best);
     }
   }
+  best.node_weight = total_w;
   return best;
 }
 
-std::int32_t DecisionTree::build(const Dataset& data, std::span<const double> weights,
-                                 std::vector<std::size_t>& indices, int depth, Rng& rng,
-                                 FitWorkspace& ws, std::size_t lo, std::size_t hi) {
-  RUSH_ASSERT(!indices.empty());
-  RUSH_ASSERT(ws.presorted == nullptr || hi - lo == indices.size());
-  SplitResult split;
-  if (depth < config_.max_depth) split = find_split(data, weights, indices, rng, ws, lo, hi);
-  if (!split.found) return make_leaf(data, weights, indices);
+// The exact split scan of one candidate feature: the node's rows arrive
+// in (value, row) order from `blk`, and every boundary between distinct
+// values is offered to `best`. K is the class count, or 0 for a count
+// known only at run time. Production fits have 2 or 3 classes, and for
+// those the left side's per-class sums live in registers.
+template <std::size_t K>
+void DecisionTree::Builder::scan(std::size_t f, const std::uint32_t* blk, const NodeStats& node,
+                                 Split& best) {
+  const double* col = ws_.index_->column(f).data();
+  const std::size_t count = node.hi - node.lo;
+  double value = col[blk[0]];
+  if (value == col[blk[count - 1]]) return;  // one value in this node
+
+  const std::size_t k = K == 0 ? k_ : K;
+  const double* class_w = ws_.class_w_.data();
+  double left_regs[K == 0 ? 1 : K] = {};
+  double right_regs[K == 0 ? 1 : K] = {};
+  double* const left = K == 0 ? ws_.left_w_.data() : left_regs;
+  double* const right = K == 0 ? ws_.right_w_.data() : right_regs;
+  std::fill_n(left, k, 0.0);
+  double lw = 0.0;
+  for (std::size_t pos = 0; pos + 1 < count; ++pos) {
+    const std::uint32_t row = blk[pos];
+    const double* row_w = class_w + row * k;
+    for (std::size_t c = 0; c < k; ++c) left[c] += row_w[c];
+    lw += weights_[row];
+    const double here = value;
+    value = col[blk[pos + 1]];
+    if (here == value) continue;  // not a boundary
+    const std::size_t left_n = pos + 1;
+    const std::size_t right_n = count - left_n;
+    if (left_n < cfg_.min_samples_leaf || right_n < cfg_.min_samples_leaf) continue;
+    const double decrease =
+        decrease_of(ws_.parent_w_.data(), left, right, k, lw, node.total_w, node.gini);
+    if (decrease > best.impurity_decrease) {
+      best = Split{true, static_cast<int>(f), threshold_between(here, value), decrease, left_n};
+    }
+  }
+}
+
+// Extra-trees: one uniform threshold in (min, max) of the node's values.
+void DecisionTree::Builder::draw_threshold(std::size_t f, const NodeStats& node, Split& best) {
+  const std::uint32_t* rows = ws_.row_block();
+  const Column col = column(f);
+  double min_v = std::numeric_limits<double>::max();
+  double max_v = std::numeric_limits<double>::lowest();
+  for (std::size_t pos = node.lo; pos < node.hi; ++pos) {
+    const double v = col[rows[pos]];
+    min_v = std::min(min_v, v);
+    max_v = std::max(max_v, v);
+  }
+  if (max_v <= min_v) return;
+  const double threshold = rng_.uniform(min_v, max_v);
+  double* left = ws_.left_w_.data();
+  std::fill_n(left, k_, 0.0);
+  double lw = 0.0;
+  std::size_t left_n = 0;
+  for (std::size_t pos = node.lo; pos < node.hi; ++pos) {
+    const std::uint32_t row = rows[pos];
+    if (col[row] <= threshold) {
+      left[static_cast<std::size_t>(labels_[row])] += weights_[row];
+      lw += weights_[row];
+      ++left_n;
+    }
+  }
+  const std::size_t right_n = node.hi - node.lo - left_n;
+  if (left_n < cfg_.min_samples_leaf || right_n < cfg_.min_samples_leaf) return;
+  const double decrease = decrease_of(ws_.parent_w_.data(), left, ws_.right_w_.data(), k_, lw,
+                                      node.total_w, node.gini);
+  if (decrease > best.impurity_decrease) {
+    best = Split{true, static_cast<int>(f), threshold, decrease, left_n};
+  }
+}
+
+std::size_t DecisionTree::Builder::partition(const Split& split, std::size_t lo, std::size_t hi,
+                                             int depth) {
+  // Each row's side, read from the split feature's column.
+  std::uint32_t* rows = ws_.row_block();
+  unsigned char* goes_left = ws_.goes_left_.data();
+  const Column col = column(static_cast<std::size_t>(split.feature));
+  std::size_t left_n = 0;
+  for (std::size_t pos = lo; pos < hi; ++pos) {
+    const std::uint32_t row = rows[pos];
+    const bool left = col[row] <= split.threshold;
+    goes_left[row] = left ? 1 : 0;
+    left_n += left ? 1 : 0;
+  }
+  RUSH_ASSERT(left_n == split.left_n);
+  const std::size_t mid = lo + left_n;
+
+  std::uint32_t* spill = ws_.spill_.data();
+  stable_partition(rows, rows, lo, hi, mid, goes_left, spill);
+  // Random-threshold mode has no feature blocks, and children at
+  // max_depth are leaves, which read only the row block.
+  if (ws_.index_ == nullptr || depth + 1 >= cfg_.max_depth) return mid;
+  for (std::size_t f : ws_.varying_) {
+    const std::uint32_t* src = depth == 0 ? ws_.index_->order(f).data() : ws_.block(f);
+    stable_partition(src, ws_.block(f), lo, hi, mid, goes_left, spill);
+  }
+  return mid;
+}
+
+std::int32_t DecisionTree::Builder::build(std::size_t lo, std::size_t hi, int depth) {
+  RUSH_ASSERT(lo < hi);
+  Split split;
+  if (depth < cfg_.max_depth) split = find_split(lo, hi, depth);
+  if (!split.found) return make_leaf(lo, hi);
 
   // Total node weight scales the recorded importance so splits near the
   // root matter more.
-  double total_w = 0.0;
-  for (std::size_t i : indices) total_w += weights[i];
-  importances_[static_cast<std::size_t>(split.feature)] += total_w * split.impurity_decrease;
-
-  std::vector<std::size_t> left_idx;
-  std::vector<std::size_t> right_idx;
-  for (std::size_t i : indices) {
-    if (data.row(i)[static_cast<std::size_t>(split.feature)] <= split.threshold)
-      left_idx.push_back(i);
-    else
-      right_idx.push_back(i);
-  }
-  RUSH_ASSERT(!left_idx.empty() && !right_idx.empty());
-  indices.clear();
-  indices.shrink_to_fit();
-
-  const std::size_t mid = lo + left_idx.size();
-  if (ws.presorted != nullptr) {
-    // Thread the presorted order down to the children: stable-partition
-    // every feature block's [lo, hi) range into left members then right
-    // members, preserving (value, row) order on both sides.
-    for (std::size_t i : left_idx) ws.goes_left[i] = 1;
-    for (std::size_t f = 0; f < ws.features; ++f) {
-      std::uint32_t* blk = ws.block(f);
-      ws.spill.clear();
-      std::size_t write = lo;
-      for (std::size_t pos = lo; pos < hi; ++pos) {
-        const std::uint32_t row = blk[pos];
-        if (ws.goes_left[row] != 0) {
-          blk[write++] = row;
-        } else {
-          ws.spill.push_back(row);
-        }
-      }
-      RUSH_ASSERT(write == mid);
-      std::copy(ws.spill.begin(), ws.spill.end(), blk + write);
-    }
-    for (std::size_t i : left_idx) ws.goes_left[i] = 0;
-  }
+  tree_.importances_[static_cast<std::size_t>(split.feature)] +=
+      split.node_weight * split.impurity_decrease;
+  const std::size_t mid = partition(split, lo, hi, depth);
 
   Node internal;
   internal.feature = split.feature;
   internal.threshold = split.threshold;
-  nodes_.push_back(std::move(internal));
-  const auto self = static_cast<std::int32_t>(nodes_.size() - 1);
+  tree_.nodes_.push_back(std::move(internal));
+  const auto self = static_cast<std::int32_t>(tree_.nodes_.size() - 1);
 
-  const std::int32_t left = build(data, weights, left_idx, depth + 1, rng, ws, lo, mid);
-  const std::int32_t right = build(data, weights, right_idx, depth + 1, rng, ws, mid, hi);
-  nodes_[static_cast<std::size_t>(self)].left = left;
-  nodes_[static_cast<std::size_t>(self)].right = right;
+  const std::int32_t left = build(lo, mid, depth + 1);
+  const std::int32_t right = build(mid, hi, depth + 1);
+  tree_.nodes_[static_cast<std::size_t>(self)].left = left;
+  tree_.nodes_[static_cast<std::size_t>(self)].right = right;
   return self;
 }
 

@@ -28,18 +28,19 @@ struct TreeConfig {
 };
 
 /// Per-feature (value, row) sort orders of one dataset plus a feature-major
-/// copy of its values. It belongs to the dataset, not to a tree: boosting
-/// rounds change only the sample weights, so AdaBoost builds one index per
-/// fit and hands it to every round's tree.
+/// copy of its values. It belongs to the dataset, not to a tree, and no fit
+/// writes it: boosting rounds change only the sample weights, so AdaBoost
+/// builds one index per fit and every round's tree fits from it.
 class PresortedIndex {
  public:
   explicit PresortedIndex(const Dataset& data);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t features() const noexcept { return features_; }
-  /// Every feature's row order back to back: `features()` blocks of
-  /// `rows()` row indices, each sorted by (value, row).
-  [[nodiscard]] std::span<const std::uint32_t> orders() const noexcept { return order_; }
+  /// Feature `f`'s row indices sorted by (value, row).
+  [[nodiscard]] std::span<const std::uint32_t> order(std::size_t f) const noexcept {
+    return {order_.data() + f * rows_, rows_};
+  }
   /// Feature `f`'s values indexed by row.
   [[nodiscard]] std::span<const double> column(std::size_t f) const noexcept {
     return {values_.data() + f * rows_, rows_};
@@ -48,8 +49,43 @@ class PresortedIndex {
  private:
   std::size_t rows_ = 0;
   std::size_t features_ = 0;
-  std::vector<std::uint32_t> order_;
-  std::vector<double> values_;  // features x rows, feature-major
+  std::vector<std::uint32_t> order_;  // features x rows, feature-major
+  std::vector<double> values_;        // features x rows, feature-major
+};
+
+/// The scratch of exact-mode fits over one PresortedIndex, which must
+/// outlive it. A node is a range [lo, hi) of its blocks: a row block in
+/// ascending row order, and one block per feature in (value, row) order.
+/// A fit writes every block before it reads it, so one workspace serves
+/// any number of fits on its index, one at a time: AdaBoost makes one per
+/// fit and hands it to every round's tree.
+class FitWorkspace {
+ public:
+  explicit FitWorkspace(const PresortedIndex& index);
+  explicit FitWorkspace(PresortedIndex&&) = delete;
+
+ private:
+  friend class DecisionTree;
+  /// Random-threshold mode: the row block only.
+  explicit FitWorkspace(std::size_t rows);
+
+  [[nodiscard]] std::uint32_t* row_block() noexcept { return blocks_.data(); }
+  [[nodiscard]] std::uint32_t* block(std::size_t f) noexcept {
+    return blocks_.data() + (f + 1) * rows_;
+  }
+
+  const PresortedIndex* index_ = nullptr;
+  std::size_t rows_ = 0;
+  std::vector<std::uint32_t> blocks_;     // the row block, then one block per feature
+  std::vector<unsigned char> constant_;   // per feature: one value over the whole index
+  std::vector<std::size_t> varying_;      // the features that are not constant
+  std::vector<unsigned char> goes_left_;  // per row: its side during a partition
+  std::vector<std::uint32_t> spill_;      // right-side rows during a partition
+  std::vector<double> class_w_;           // rows x classes: a row's weight in its label's slot
+  std::vector<double> parent_w_;          // per class
+  std::vector<double> left_w_;            // per class, for a run-time class count
+  std::vector<double> right_w_;           // per class, for a run-time class count
+  std::vector<std::size_t> candidates_;
 };
 
 class DecisionTree final : public Classifier {
@@ -58,10 +94,10 @@ class DecisionTree final : public Classifier {
 
   /// Exact mode builds its own PresortedIndex of `data`.
   void fit(const Dataset& data, std::span<const double> sample_weights = {}) override;
-  /// Exact mode only: fit from a shared index, which must have been built
-  /// for a dataset of `data`'s shape (in practice, `data`).
+  /// Exact mode only: fit over a shared workspace, whose index must have
+  /// been built for a dataset of `data`'s shape (in practice, `data`).
   void fit(const Dataset& data, std::span<const double> sample_weights,
-           const PresortedIndex& presorted);
+           FitWorkspace& workspace);
   /// Direct argmax walk over the compiled arrays — no temporary vector.
   [[nodiscard]] int predict(std::span<const double> x) const override;
   void predict_proba_into(std::span<const double> x, std::span<double> out) const override;
@@ -90,29 +126,10 @@ class DecisionTree final : public Classifier {
     std::vector<double> proba;  // leaf only: per-class probability
   };
 
-  struct SplitResult {
-    bool found = false;
-    int feature = -1;
-    double threshold = 0.0;
-    double impurity_decrease = 0.0;
-  };
+  /// One fit's recursion over a FitWorkspace (tree.cpp).
+  class Builder;
 
-  /// Per-fit scratch: a working copy of the presorted feature orders, the
-  /// partition buffers that thread them through the recursion, and the
-  /// split scan's per-class weight buffers.
-  struct FitWorkspace;
-
-  /// `presorted` is null on the random-threshold path.
-  void fit_impl(const Dataset& data, std::span<const double> sample_weights,
-                const PresortedIndex* presorted);
-  std::int32_t build(const Dataset& data, std::span<const double> weights,
-                     std::vector<std::size_t>& indices, int depth, Rng& rng, FitWorkspace& ws,
-                     std::size_t lo, std::size_t hi);
-  SplitResult find_split(const Dataset& data, std::span<const double> weights,
-                         const std::vector<std::size_t>& indices, Rng& rng, FitWorkspace& ws,
-                         std::size_t lo, std::size_t hi) const;
-  std::int32_t make_leaf(const Dataset& data, std::span<const double> weights,
-                         const std::vector<std::size_t>& indices);
+  void fit_impl(const Dataset& data, std::span<const double> sample_weights, FitWorkspace& ws);
   void compile();
 
   TreeConfig config_;

@@ -33,6 +33,10 @@ constexpr std::array<std::string_view, 5> kHostileTokens{"nan", "inf", "1e400", 
 // The three features the predictors select, out of the 282.
 constexpr std::string_view kHeader =
     "rush-predictor 1\nscope all\nthresholds 1.2 1.5\nconfidence 0.36\nselected 3 5 140 281\n";
+// Label thresholds and a confidence gate that need more than six digits.
+constexpr std::string_view kPreciseHeader =
+    "rush-predictor 1\nscope job\nthresholds 1.2345678 1.5\nconfidence 0.123456789\n"
+    "selected 3 5 140 281\n";
 
 ml::Dataset three_class_data() {
   Rng rng(31);
@@ -44,10 +48,10 @@ ml::Dataset three_class_data() {
   return d;
 }
 
-std::string predictor_text(ml::Classifier&& model) {
+std::string predictor_text(ml::Classifier&& model, std::string_view header = kHeader) {
   model.fit(three_class_data());
   std::ostringstream os;
-  os << kHeader;
+  os << header;
   ml::save_classifier(model, os);
   return os.str();
 }
@@ -77,6 +81,9 @@ TEST(PredictorMutation, EveryMutantLoadsOrThrowsParseError) {
   const auto load = [](std::istream& is) { return TrainedPredictor::load(is); };
   const auto save = [](const TrainedPredictor& p, std::ostream& os) { p.save(os); };
   for (const std::string& seed : seeds) ASSERT_EQ(resave(seed, load, save), seed);
+  const std::string precise =
+      predictor_text(ml::DecisionTree(ml::TreeConfig{.max_depth = 4}), kPreciseHeader);
+  ASSERT_EQ(resave(precise, load, save), precise);
 
   Rng rng(20222);
   int loaded = 0;

@@ -84,6 +84,49 @@ Dataset pipeline_like(std::size_t rows, std::uint64_t seed) {
   return d;
 }
 
+/// The round's own training shape in miniature: three imbalanced classes,
+/// every sixth column constant (idle counters), the other columns a mix of
+/// continuous values and 20-value grids (a corpus feature holds about 21
+/// distinct values), and label noise so boosting never stops early.
+Dataset counters_like(std::size_t rows, std::uint64_t seed) {
+  constexpr std::size_t kCols = 24;
+  Rng rng(seed);
+  std::vector<std::string> names;
+  for (std::size_t c = 0; c < kCols; ++c) names.push_back("f" + std::to_string(c));
+  Dataset d(names);
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::vector<double> x(kCols);
+    for (std::size_t c = 0; c < kCols; ++c) {
+      if (c % 6 == 5) {
+        x[c] = static_cast<double>(c);
+      } else if (c % 3 == 0) {
+        x[c] = rng.uniform(0.0, 10.0);
+      } else {
+        x[c] = 0.5 * static_cast<double>(rng.uniform_int(0, 19));
+      }
+    }
+    int label = x[0] + x[1] > 12.0 ? 1 : (x[2] > 7.0 ? 2 : 0);
+    if (rng.uniform(0.0, 1.0) < 0.15) label = static_cast<int>(rng.uniform_int(0, 2));
+    d.add_row(x, label, static_cast<int>(i % 7));
+  }
+  return d;
+}
+
+/// Five classes over four 10-value grids, so a fit runs the split scan for
+/// a class count known only at run time.
+Dataset five_classes(std::size_t rows, std::uint64_t seed) {
+  Rng rng(seed);
+  Dataset d({"f0", "f1", "f2", "f3"});
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::vector<double> x(4);
+    for (double& v : x) v = static_cast<double>(rng.uniform_int(0, 9));
+    int label = static_cast<int>(x[0] + x[1]) / 4;
+    if (rng.uniform(0.0, 1.0) < 0.1) label = static_cast<int>(rng.uniform_int(0, 4));
+    d.add_row(x, label);
+  }
+  return d;
+}
+
 /// Inverse-frequency class weights, as PredictorTrainer balances classes.
 std::vector<double> balanced_weights(const Dataset& d) {
   const auto counts = d.class_counts();
@@ -117,6 +160,14 @@ constexpr Golden kGolden[] = {
     {"adaboost 48 rounds on the pipeline shape", 0x298dbfa1506412b5ULL},
     {"adaboost stopping early", 0x8cf0732dc19ea36fULL},
     {"leave-one-group-out fold scores", 0xb0cf94e0282a7e2eULL},
+    {"adaboost 80 rounds on constant columns and 20-value grids", 0xb9fd1fb9567dc963ULL},
+    {"tree at max_depth 1", 0x50a379c9d6b2e0afULL},
+    {"tree at max_depth 2", 0x28cc91c66206a742ULL},
+    {"tree at max_depth 3", 0x88ea603acd3bb8ceULL},
+    {"tree over five classes", 0xc18ea0a93490788dULL},
+    {"tree with zero-weight rows", 0xdfee2843c38b0b0eULL},
+    {"forest drawing constant columns", 0x4bf530d0d65c3b70ULL},
+    {"extra trees on constant columns", 0x9b269111510f9419ULL},
     {"tree predict", 0x758af1e45ea305e5ULL},
     {"forest predict", 0x83832a65111d079bULL},
     {"extra trees predict", 0xb594f4a6cf6673a8ULL},
@@ -265,18 +316,79 @@ TEST(PresortedTraining, LeaveOneGroupOutScoresMatchReference) {
   expect_golden("leave-one-group-out fold scores", bytes);
 }
 
+TEST(PresortedTraining, AdaBoostOnTheRoundsShape) {
+  // Default rounds and depth, balanced weights, constant columns that no
+  // node can split and tie-heavy grids: the production fit.
+  const Dataset d = counters_like(190, 42);
+  AdaBoost ada;
+  ada.fit(d, balanced_weights(d));
+  ASSERT_EQ(ada.stage_count(), AdaBoostConfig{}.num_rounds);
+  expect_golden("adaboost 80 rounds on constant columns and 20-value grids", body_of(ada));
+}
+
+TEST(PresortedTraining, ShallowTreesEndInLeavesAtMaxDepth) {
+  // A split one level above max_depth makes two leaves.
+  const Dataset d = counters_like(190, 7);
+  for (int depth : {1, 2, 3}) {
+    TreeConfig cfg;
+    cfg.max_depth = depth;
+    DecisionTree tree(cfg);
+    tree.fit(d, balanced_weights(d));
+    ASSERT_EQ(tree.depth(), depth + 1);
+    expect_golden("tree at max_depth " + std::to_string(depth), body_of(tree));
+  }
+}
+
+TEST(PresortedTraining, FiveClassTree) {
+  DecisionTree tree;
+  tree.fit(five_classes(300, 5));
+  ASSERT_EQ(tree.num_classes(), 5);
+  expect_golden("tree over five classes", body_of(tree));
+}
+
+TEST(PresortedTraining, ZeroWeightRows) {
+  // Every third row weighs nothing: it still sits in its node's range and
+  // in every boundary count, but adds nothing to any class sum.
+  const Dataset d = counters_like(190, 11);
+  Rng rng(5);
+  std::vector<double> weights(d.rows());
+  for (std::size_t i = 0; i < d.rows(); ++i) weights[i] = i % 3 == 0 ? 0.0 : rng.uniform(0.1, 2.0);
+  DecisionTree tree;
+  tree.fit(d, weights);
+  expect_golden("tree with zero-weight rows", body_of(tree));
+}
+
+TEST(PresortedTraining, EnsemblesOnConstantColumns) {
+  // Three candidates per node out of 24, four of them constant: many
+  // draws hit a column no node can split on.
+  const Dataset d = counters_like(190, 13);
+  ForestConfig forest_cfg = decision_forest_config(8, 3);
+  forest_cfg.max_features = 3;
+  Forest forest(forest_cfg);
+  forest.fit(d);
+  expect_golden("forest drawing constant columns", body_of(forest));
+
+  Forest extra(extra_trees_config(8, 3));
+  extra.fit(d);
+  expect_golden("extra trees on constant columns", body_of(extra));
+}
+
 TEST(PresortedTraining, RejectsPresortOfAnotherShape) {
   const Dataset d = synthetic(100, 4, 1);
   const PresortedIndex fewer_rows(synthetic(99, 4, 1));
   const PresortedIndex fewer_cols(synthetic(100, 3, 1));
+  FitWorkspace fewer_rows_ws(fewer_rows);
+  FitWorkspace fewer_cols_ws(fewer_cols);
   DecisionTree tree;
-  EXPECT_THROW(tree.fit(d, {}, fewer_rows), PreconditionError);
-  EXPECT_THROW(tree.fit(d, {}, fewer_cols), PreconditionError);
+  EXPECT_THROW(tree.fit(d, {}, fewer_rows_ws), PreconditionError);
+  EXPECT_THROW(tree.fit(d, {}, fewer_cols_ws), PreconditionError);
   // Random-threshold trees never take an index.
   TreeConfig extra_cfg;
   extra_cfg.random_thresholds = true;
   DecisionTree extra(extra_cfg);
-  EXPECT_THROW(extra.fit(d, {}, PresortedIndex(d)), PreconditionError);
+  const PresortedIndex own(d);
+  FitWorkspace own_ws(own);
+  EXPECT_THROW(extra.fit(d, {}, own_ws), PreconditionError);
 }
 
 TEST(CompiledPlane, TreeMatchesNestedReference) {

@@ -9,6 +9,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "ml/adaboost.hpp"
+#include "ml/forest.hpp"
 
 namespace rush::ml {
 namespace {
@@ -161,6 +163,28 @@ TEST(DecisionTree, PureNodeBecomesLeafImmediately) {
   tree.fit(d);
   EXPECT_EQ(tree.node_count(), 1u);
   EXPECT_EQ(tree.predict(std::vector<double>{100.0}), 1);
+}
+
+TEST(DecisionTree, SplitsBetweenAdjacentDoubles) {
+  // The midpoint of two adjacent doubles rounds up to the larger one, so
+  // the threshold must fall back to the smaller: x <= threshold < next.
+  const double below = std::nextafter(1.0, 0.0);
+  Dataset d({"x"});
+  for (int i = 0; i < 3; ++i) d.add_row(std::vector<double>{below}, 0);
+  for (int i = 0; i < 3; ++i) d.add_row(std::vector<double>{1.0}, 1);
+
+  DecisionTree tree;
+  tree.fit(d);
+  EXPECT_EQ(tree.node_count(), 3u);
+  EXPECT_DOUBLE_EQ(accuracy_on(tree, d), 1.0);
+
+  AdaBoost ada;
+  ada.fit(d);
+  EXPECT_DOUBLE_EQ(accuracy_on(ada, d), 1.0);
+
+  Forest forest(decision_forest_config(10, 3));
+  forest.fit(d);
+  EXPECT_DOUBLE_EQ(accuracy_on(forest, d), 1.0);
 }
 
 TEST(DecisionTree, RandomThresholdModeStillSeparates) {
