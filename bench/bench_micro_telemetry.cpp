@@ -36,9 +36,12 @@ cluster::FatTree pod_tree() {
 
 cluster::NodeSet pod_nodes() { return pod_tree().nodes_in_pod(0); }
 
+/// A store of `frames` frames one tick apart, whose horizon keeps exactly
+/// that many: every further append at the tick evicts one.
 telemetry::CounterStore full_store(Rng& rng, std::size_t frames = kFrames) {
   const auto nodes = pod_nodes();
-  telemetry::CounterStore store(nodes, telemetry::num_counters(), frames);
+  telemetry::CounterStore store(nodes, telemetry::num_counters(),
+                                static_cast<double>(frames - 1) * kTickS);
   std::vector<float> frame(nodes.size() * telemetry::num_counters());
   for (std::size_t t = 0; t < frames; ++t) {
     for (auto& v : frame) v = static_cast<float>(rng.uniform());
@@ -73,11 +76,16 @@ void BM_CounterFrameSynthesis(benchmark::State& state) {
   }
   fs.set_ambient_demand(200.0);
   sim::Engine engine;
-  telemetry::CounterStore store(nodes, telemetry::num_counters(), 4);
+  telemetry::CounterStore store(nodes, telemetry::num_counters(), 3 * kTickS);
   telemetry::CounterSampler sampler(engine, net, fs, store, telemetry::SamplerConfig{}, Rng(6));
-  for (int i = 0; i < 4; ++i) sampler.sample_now();  // fill the store: every op evicts
+  // Fill the store with four ticks; from then on every op evicts one.
+  const auto tick = [&] {
+    engine.run_until(engine.now() + kTickS);
+    sampler.sample_now();
+  };
+  for (int i = 0; i < 4; ++i) tick();
   const std::uint64_t before = bench::g_alloc_count;
-  for (auto _ : state) sampler.sample_now();
+  for (auto _ : state) tick();
   bench::count_allocs(state, bench::g_alloc_count - before);
   state.SetItemsProcessed(static_cast<std::int64_t>(nodes.size() * telemetry::num_counters()) *
                           state.iterations());
@@ -86,7 +94,7 @@ BENCHMARK(BM_CounterFrameSynthesis);
 
 void BM_StoreAddFrameEvicting(benchmark::State& state) {
   Rng rng(21);
-  auto store = full_store(rng);  // at capacity: every append evicts
+  auto store = full_store(rng);  // full: every append evicts one frame
   const auto nodes = pod_nodes();
   std::vector<float> frame(nodes.size() * telemetry::num_counters());
   for (auto& v : frame) v = static_cast<float>(rng.uniform());

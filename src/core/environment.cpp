@@ -6,8 +6,10 @@ namespace rush::core {
 
 namespace {
 constexpr double kLustreGbps = 480.0;  // aggregate filesystem bandwidth
-/// Counter history window retained by the store, in sampler periods.
-constexpr std::size_t kStoreCapacityFrames = 40;
+/// Look-back of the counter features (paper §III-D: 5-minute
+/// aggregates). The assembler is the store's only reader, so the store
+/// keeps exactly the frames this window can reach.
+constexpr double kFeatureWindowS = 300.0;
 /// Pod whose nodes the telemetry store covers (the "reservation").
 constexpr int kTelemetryPod = 0;
 
@@ -36,13 +38,13 @@ Environment::Environment(EnvironmentConfig config)
   lustre_ = std::make_unique<cluster::LustreModel>(kLustreGbps);
   background_ = std::make_unique<cluster::BackgroundLoad>(
       engine_, *network_, *lustre_, cluster::BackgroundConfig{}, rng_for(0xBACD));
-  store_ = std::make_unique<telemetry::CounterStore>(
-      pod_nodes(), telemetry::num_counters(), kStoreCapacityFrames);
+  store_ = std::make_unique<telemetry::CounterStore>(pod_nodes(), telemetry::num_counters(),
+                                                     kFeatureWindowS);
   sampler_ = std::make_unique<telemetry::CounterSampler>(
       engine_, *network_, *lustre_, *store_, telemetry::SamplerConfig{}, rng_for(0x5A3B));
   canary_ = std::make_unique<telemetry::MpiCanary>(*network_, telemetry::CanaryConfig{},
                                                    rng_for(0xCA4A));
-  features_ = std::make_unique<telemetry::FeatureAssembler>(*store_);
+  features_ = std::make_unique<telemetry::FeatureAssembler>(*store_, kFeatureWindowS);
   execution_ = std::make_unique<apps::ExecutionModel>(
       engine_, *network_, *lustre_, apps::ExecutionConfig{}, rng_for(0xE8EC));
 }

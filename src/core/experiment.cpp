@@ -1,5 +1,7 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "common/error.hpp"
@@ -25,6 +27,14 @@ std::uint64_t mix_seed(std::uint64_t base, const ExperimentSpec& spec, int trial
   for (int n : spec.node_counts) h = (h * 131) + static_cast<std::uint64_t>(n);
   h ^= static_cast<std::uint64_t>(trial) * 0x9e3779b97f4a7c15ULL;
   return h;
+}
+
+/// Time of the plan's last node crash; -inf for a plan with none.
+sim::Time last_crash_s(const faults::FaultPlan& plan) {
+  sim::Time last = -std::numeric_limits<sim::Time>::infinity();
+  for (const faults::FaultEvent& ev : plan.events)
+    if (ev.kind == faults::FaultKind::NodeCrash) last = std::max(last, ev.at_s);
+  return last;
 }
 
 }  // namespace
@@ -169,6 +179,19 @@ TrialResult ExperimentRunner::run_trial_with_sinks(const ExperimentSpec& spec, b
 
   WorkloadSession session(env, stage.allocator(), session_config, sc, oracle.get(),
                           env.rng_for(0xE59E51));
+  if (oracle != nullptr) {
+    // The RUSH arm stops synthesizing after its last possible oracle
+    // read. The oracle is the store's only reader and runs only from
+    // Scheduler::try_start, for a queued job; only a node crash puts a
+    // launched job back on the queue. So once every job is running or
+    // done and no crash fires at or after now, no frame is read again.
+    session.on_start([&env, &session, jobs = static_cast<std::size_t>(spec.num_jobs),
+                      crash_s = last_crash_s(config_.fault_plan)](const sched::Job&) {
+      const sched::Scheduler& s = session.scheduler();
+      if (s.running_count() + s.completed_count() == jobs && env.engine().now() > crash_s)
+        env.sampler().set_synthesize(false);
+    });
+  }
 
   const char* policy_name = use_rush ? "rush" : "fcfs-easy";
   if (trace != nullptr)

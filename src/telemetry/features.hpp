@@ -50,8 +50,9 @@ class FeatureAssembler {
       kCounterFeatures + kCanaryFeatures + kClassFeatures;  // 282
 
   /// `window_s` is the look-back duration for counter aggregation
-  /// (5 minutes in the paper's training data).
-  explicit FeatureAssembler(const CounterStore& store, double window_s = 300.0);
+  /// (5 minutes in the paper's training data); a store read only through
+  /// this assembler needs a horizon of no less than `window_s`.
+  FeatureAssembler(const CounterStore& store, double window_s);
 
   /// Names for all 282 features, in assembly order
   /// ("min_sysclassib.port_xmit_data", ..., "canary_send_min", ...,

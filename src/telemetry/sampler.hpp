@@ -5,11 +5,11 @@
 // appends it to the CounterStore. Sampling can be paused when no consumer
 // needs data (the longitudinal collector fast-forwards between control
 // jobs), which keeps multi-month simulations cheap. Synthesis can be
-// switched off where nothing reads the store (a trial arm with no
-// oracle): a tick then still runs the fault hooks and records the worst
-// link utilization and congestion episodes, but draws nothing from its
-// private Rng and writes no frame, so every other stream and every trace
-// record stays as it was.
+// switched off where nothing reads the store again (a trial arm with no
+// oracle, or a RUSH arm past its last possible oracle read): a tick then
+// still runs the fault hooks and records the worst link utilization and
+// congestion episodes, but draws nothing from its private Rng and writes
+// no frame, so every other stream and every trace record stays as it was.
 #pragma once
 
 #include <functional>

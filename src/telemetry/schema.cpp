@@ -158,8 +158,4 @@ KindSignals kind_signals(const NodeSignals& s) noexcept {
           0.0};
 }
 
-double synth_value(const CounterDef& def, const NodeSignals& s, Rng& rng) noexcept {
-  return synth_step(def, kind_signals(s), rng);
-}
-
 }  // namespace rush::telemetry

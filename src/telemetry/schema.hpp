@@ -83,7 +83,4 @@ inline double synth_step(const CounterDef& def, const KindSignals& signals, Rng&
   return std::max(0.0, clean * jitter);
 }
 
-/// Synthesize one counter value from the node's signals.
-double synth_value(const CounterDef& def, const NodeSignals& signals, Rng& rng) noexcept;
-
 }  // namespace rush::telemetry

@@ -15,14 +15,12 @@ namespace {
 constexpr std::uint32_t kExponentBits = 0x7f800000;  // of an IEEE-754 float
 }  // namespace
 
-CounterStore::CounterStore(cluster::NodeSet managed, std::size_t num_counters,
-                           std::size_t capacity_frames)
-    : managed_(std::move(managed)), num_counters_(num_counters),
-      capacity_frames_(capacity_frames) {
+CounterStore::CounterStore(cluster::NodeSet managed, std::size_t num_counters, double horizon_s)
+    : managed_(std::move(managed)), num_counters_(num_counters), horizon_s_(horizon_s) {
   RUSH_EXPECTS(!managed_.empty());
   RUSH_EXPECTS(std::is_sorted(managed_.begin(), managed_.end()));
   RUSH_EXPECTS(num_counters_ > 0);
-  RUSH_EXPECTS(capacity_frames_ > 0);
+  RUSH_EXPECTS(horizon_s_ > 0.0);
   evicted_prefix_.assign(num_counters_, 0.0);
 }
 
@@ -48,10 +46,13 @@ void CounterStore::add_frame(sim::Time t, std::span<const float> values) {
   RUSH_EXPECTS(values.size() == managed_.size() * num_counters_);
   RUSH_EXPECTS(frames_.empty() || t >= frames_.back().t);
 
-  // At capacity the evicted frame's buffers take the new frame, so a
-  // steady-state ingest neither allocates nor zero-fills them.
+  // Evict what no window can reach any more (see the header). After a
+  // gap several frames go at once: the base chains through each, and the
+  // last one's buffers take the new frame, so a steady-state ingest
+  // neither allocates nor zero-fills them.
   Frame frame;
-  if (frames_.size() == capacity_frames_) {
+  const sim::Time cut = t - horizon_s_;
+  while (!frames_.empty() && frames_.front().t < cut) {
     frame = std::move(frames_.front());
     frames_.pop_front();
     std::swap(evicted_prefix_, frame.prefix_sum);
@@ -95,7 +96,8 @@ void CounterStore::add_frame(sim::Time t, std::span<const float> values) {
 }
 
 void CounterStore::audit_invariants() const {
-  RUSH_AUDIT_CHECK(frames_.size() <= capacity_frames_, "eviction fell behind");
+  RUSH_AUDIT_CHECK(frames_.empty() || !(frames_.front().t < frames_.back().t - horizon_s_),
+                   "eviction fell behind");
   RUSH_AUDIT_CHECK(evicted_prefix_.size() == num_counters_, "eviction base shape");
   const Frame* prev = nullptr;
   for (const Frame& f : frames_) {

@@ -6,9 +6,11 @@
 // queries binary-search the frame index instead of scanning it. Per-frame
 // all-node aggregates and running prefix sums are precomputed: whole-
 // machine window means cost O(counters) and min/max merge only the frames
-// inside the window. Old frames are evicted once `capacity_frames` is
-// exceeded — the prefix base carries across eviction, and the pipeline
-// only ever looks back one aggregation window.
+// inside the window. The store keeps every frame within `horizon_s` of
+// its newest one and evicts the rest: the feature pipeline looks back one
+// aggregation window from a time no earlier than the newest frame, so
+// with the window as the horizon no frame a query can reach is dropped.
+// The prefix base carries across eviction.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +36,15 @@ struct Agg {
 class CounterStore {
  public:
   /// `managed` lists the nodes frames will cover (sorted, unique);
-  /// `num_counters` values are stored per node per frame.
-  CounterStore(cluster::NodeSet managed, std::size_t num_counters, std::size_t capacity_frames);
+  /// `num_counters` values are stored per node per frame; frames older
+  /// than `horizon_s` (> 0) behind the newest one are evicted.
+  CounterStore(cluster::NodeSet managed, std::size_t num_counters, double horizon_s);
 
   /// Append one frame at time `t` (must be >= the previous frame's time).
   /// `values` is node-major: values[node_index * num_counters + counter].
+  /// First evicts every frame with time < t - horizon_s: a window
+  /// [now - horizon_s, now] read at now >= t cannot reach it, because
+  /// the subtraction is the same and rounds monotonically.
   ///
   /// Non-finite readings (a corrupted sampler, see faults/) are
   /// quarantined at ingest: each NaN/inf is stored as 0 and counted on
@@ -81,7 +87,8 @@ class CounterStore {
   void clear();
 
   /// Time-index ordering and frame-shape audit: frame timestamps must be
-  /// non-decreasing front to back, every frame must hold exactly
+  /// non-decreasing front to back, no frame may be older than the
+  /// horizon behind the newest one, every frame must hold exactly
   /// managed x counters values, each frame's precomputed per-counter
   /// aggregates must match a fresh recomputation from the raw values, and
   /// the running prefix sums must chain (each frame's prefix equals its
@@ -110,7 +117,7 @@ class CounterStore {
 
   cluster::NodeSet managed_;
   std::size_t num_counters_;
-  std::size_t capacity_frames_;
+  double horizon_s_;
   std::deque<Frame> frames_;
   /// prefix_sum of the most recently evicted frame (zeros before any
   /// eviction): the base the front frame's prefix chains from.

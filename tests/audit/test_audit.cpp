@@ -47,6 +47,7 @@ struct AuditTestPeer {
   static void break_prefix_chain(CounterStore& s) {
     s.frames_.back().prefix_sum[0] += 1.0;
   }
+  static void age_front_frame(CounterStore& s, double by_s) { s.frames_.front().t -= by_s; }
 };
 }  // namespace rush::telemetry
 
@@ -178,7 +179,7 @@ TEST_F(AuditNetwork, RebuildRestoresCorruptedLoads) {
 // --- telemetry/store: time-index ordering -------------------------------
 
 TEST(AuditStore, CleanStoreAuditsQuiet) {
-  rush::telemetry::CounterStore store({0, 1}, 2, 8);
+  rush::telemetry::CounterStore store({0, 1}, 2, 8.0);
   const std::vector<float> frame{1.0f, 2.0f, 3.0f, 4.0f};
   store.add_frame(0.0, frame);
   store.add_frame(1.0, frame);
@@ -186,7 +187,7 @@ TEST(AuditStore, CleanStoreAuditsQuiet) {
 }
 
 TEST(AuditStore, FiresOnTimeIndexDisorder) {
-  rush::telemetry::CounterStore store({0, 1}, 2, 8);
+  rush::telemetry::CounterStore store({0, 1}, 2, 8.0);
   const std::vector<float> frame{1.0f, 2.0f, 3.0f, 4.0f};
   store.add_frame(0.0, frame);
   store.add_frame(5.0, frame);
@@ -195,7 +196,7 @@ TEST(AuditStore, FiresOnTimeIndexDisorder) {
 }
 
 TEST(AuditStore, FiresOnStaleAggregate) {
-  rush::telemetry::CounterStore store({0, 1}, 2, 8);
+  rush::telemetry::CounterStore store({0, 1}, 2, 8.0);
   const std::vector<float> frame{1.0f, 2.0f, 3.0f, 4.0f};
   store.add_frame(0.0, frame);
   rush::telemetry::AuditTestPeer::stale_aggregate(store);
@@ -203,11 +204,21 @@ TEST(AuditStore, FiresOnStaleAggregate) {
 }
 
 TEST(AuditStore, FiresOnBrokenPrefixChain) {
-  rush::telemetry::CounterStore store({0, 1}, 2, 8);
+  rush::telemetry::CounterStore store({0, 1}, 2, 8.0);
   const std::vector<float> frame{1.0f, 2.0f, 3.0f, 4.0f};
   store.add_frame(0.0, frame);
   store.add_frame(1.0, frame);
   rush::telemetry::AuditTestPeer::break_prefix_chain(store);
+  EXPECT_THROW(store.audit_invariants(), AuditError);
+}
+
+TEST(AuditStore, FiresOnFrameBeyondTheHorizon) {
+  rush::telemetry::CounterStore store({0, 1}, 2, 8.0);
+  const std::vector<float> frame{1.0f, 2.0f, 3.0f, 4.0f};
+  store.add_frame(0.0, frame);
+  store.add_frame(8.0, frame);  // exactly one horizon behind: kept
+  EXPECT_NO_THROW(store.audit_invariants());
+  rush::telemetry::AuditTestPeer::age_front_frame(store, 0.5);
   EXPECT_THROW(store.audit_invariants(), AuditError);
 }
 

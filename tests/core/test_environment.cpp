@@ -28,6 +28,23 @@ TEST(Environment, ComponentsAreWiredTogether) {
   EXPECT_EQ(env.store().frame_count(), 1u);
 }
 
+TEST(Environment, StoreKeepsEveryFrameTheFeatureWindowReads) {
+  // The collector restarts the sampler right where a session stopped it,
+  // so the 150 s tick runs twice: twelve frames in the [0, 300] window.
+  Environment env{single_pod_config(4)};
+  env.sampler().start();
+  env.engine().run_until(150.0);
+  env.sampler().stop();
+  env.sampler().start();
+  env.engine().run_until(300.0);
+  EXPECT_EQ(env.features().staleness(300.0).frames_in_window, 12u);
+  // One tick later the window slides past the 0 s frame, and so does
+  // the store.
+  env.engine().run_until(330.0);
+  EXPECT_EQ(env.features().staleness(330.0).frames_in_window, 12u);
+  EXPECT_EQ(env.store().frame_count(), 12u);
+}
+
 TEST(Environment, RngForIsDeterministicPerTag) {
   Environment a{single_pod_config(3)};
   Environment b{single_pod_config(3)};

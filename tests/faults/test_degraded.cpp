@@ -10,7 +10,9 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
+#include "core/result_io.hpp"
 #include "faults/injector.hpp"
+#include "golden.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
@@ -332,6 +334,41 @@ TEST(DegradedExperiment, SamePlanSameSeedIsReproducible) {
   const std::string second = traced_run(config);
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+}
+
+TEST(DegradedExperiment, CrashAfterTheLastFirstLaunchKeepsItsGoldenDigest) {
+  // Every job of this trial has started by t=1125.5 s. Node 40 then dies
+  // under job 10, which runs from 1122 to 1373 s without the crash; the
+  // requeued job's relaunch consults the oracle, which reads the counter
+  // frames sampled after the last first launch.
+  std::ostringstream sink;
+  obs::EventTrace trace(sink);
+  core::ExperimentConfig config;
+  config.trials_per_policy = 1;
+  config.jobs = 1;
+  config.trace = &trace;
+  config.fault_plan = faults::FaultPlan::from_json(
+      R"({"events": [{"kind": "node_crash", "at_s": 1250, "node": 40}]})");
+  core::ExperimentRunner runner(synthetic_corpus(5), config);
+  const core::ExperimentSpec spec = tiny_spec();
+  const core::TrainedPredictor predictor = runner.train_predictor(spec);
+  const core::TrialResult rush = runner.run_trial(spec, true, 42, &predictor);
+  trace.flush();
+  const std::string out = sink.str();
+  EXPECT_EQ(rush.fault_requeues, 1u);
+
+  const std::size_t requeue = out.find(R"("ev":"fault_job_requeue","job":10,)");
+  ASSERT_NE(requeue, std::string::npos) << out;
+  std::size_t starts = 0;
+  for (std::size_t at = out.find(R"("ev":"job_start")"); at < requeue;
+       at = out.find(R"("ev":"job_start")", at + 1))
+    ++starts;
+  EXPECT_EQ(starts, 21u);  // each job started once before the crash
+  EXPECT_NE(out.find(R"("ev":"predict","job":10,)", requeue), std::string::npos) << out;
+
+  std::ostringstream csv;
+  core::save_trials_csv({rush}, csv);
+  EXPECT_EQ(golden::hex(golden::fnv1a(csv.str() + out)), golden::hex(0x95dd597e188170e0ULL));
 }
 
 }  // namespace

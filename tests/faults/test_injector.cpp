@@ -51,7 +51,7 @@ class InjectorTest : public ::testing::Test {
  protected:
   InjectorTest()
       : tree_(small_tree()), net_(tree_), lustre_(100.0),
-        store_({0, 1, 2, 3}, telemetry::num_counters(), 40),
+        store_({0, 1, 2, 3}, telemetry::num_counters(), 300.0),
         sampler_(engine_, net_, lustre_, store_, {}, Rng(7)) {}
 
   sim::Engine engine_;

@@ -46,7 +46,7 @@ TEST(Features, NamesFollowLayout) {
 
 class FeatureAssemblyTest : public ::testing::Test {
  protected:
-  FeatureAssemblyTest() : store_({0, 1, 2, 3}, num_counters(), 10), assembler_(store_, 300.0) {
+  FeatureAssemblyTest() : store_({0, 1, 2, 3}, num_counters(), 300.0), assembler_(store_, 300.0) {
     // Two frames with node 0 hotter than the rest on every counter.
     std::vector<float> values(4 * num_counters(), 1.0F);
     for (std::size_t c = 0; c < num_counters(); ++c) values[c] = 5.0F;
@@ -118,12 +118,12 @@ TEST(Features, WorkloadClassNames) {
 }
 
 TEST(Features, RejectsBadWindow) {
-  CounterStore store({0}, num_counters(), 4);
+  CounterStore store({0}, num_counters(), 300.0);
   EXPECT_THROW(FeatureAssembler(store, 0.0), PreconditionError);
 }
 
 TEST(Features, StalenessOnEmptyStoreIsInfinite) {
-  CounterStore store({0}, num_counters(), 4);
+  CounterStore store({0}, num_counters(), 300.0);
   const FeatureAssembler assembler(store, 300.0);
   const StalenessReport report = assembler.staleness(1000.0);
   EXPECT_TRUE(std::isinf(report.newest_frame_age_s));
@@ -132,7 +132,7 @@ TEST(Features, StalenessOnEmptyStoreIsInfinite) {
 }
 
 TEST(Features, StalenessTracksFrameAgeAndWindowPopulation) {
-  CounterStore store({0}, num_counters(), 8);
+  CounterStore store({0}, num_counters(), 300.0);
   const FeatureAssembler assembler(store, 300.0);
   const std::vector<float> values(num_counters(), 1.0F);
   store.add_frame(200.0, values);
@@ -151,7 +151,7 @@ TEST(Features, StalenessTracksFrameAgeAndWindowPopulation) {
 }
 
 TEST(Features, StalenessSurfacesCorruptFrames) {
-  CounterStore store({0}, num_counters(), 8);
+  CounterStore store({0}, num_counters(), 300.0);
   const FeatureAssembler assembler(store, 300.0);
   std::vector<float> values(num_counters(), 1.0F);
   store.add_frame(100.0, values);

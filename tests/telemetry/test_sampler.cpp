@@ -1,10 +1,11 @@
 // CounterSampler over a trial's stage: the bits of every synthesized
-// counter value, pinned by a golden digest, and what a tick still records
-// when nothing reads its frames.
+// counter value, pinned by a golden digest, how many frames the store
+// keeps, and what a tick still records when nothing reads its frames.
 #include "telemetry/sampler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -23,7 +24,10 @@ namespace rush::telemetry {
 namespace {
 
 constexpr double kPeriodS = 30.0;
-/// 48 ticks: past the store's 40-frame capacity, so eviction runs.
+/// Frames the environment's store keeps at steady state: its horizon is
+/// the 300 s feature window, which holds 11 ticks, both ends included.
+constexpr std::size_t kWindowFrames = 11;
+/// 48 ticks: far past the window, so eviction runs.
 constexpr int kTicks = 48;
 
 faults::FaultEvent window(faults::FaultKind kind, sim::Time at_s, double duration_s,
@@ -115,15 +119,17 @@ TEST(Sampler, FrameBitsKeepTheirGoldenDigest) {
     for (const cluster::NodeId node : nodes)
       for (std::size_t c = 0; c < counters; ++c) values.push_back(store.latest(node, c));
     // The per-frame aggregates and prefix sums behind the window queries.
-    for (const Agg& a : store.aggregate_all(t - 5 * kPeriodS, t)) {
+    const double t0 = t - 5 * kPeriodS;
+    for (const Agg& a : store.aggregate_all(t0, t)) {
       values.push_back(a.min);
       values.push_back(a.max);
       values.push_back(a.mean);
     }
-    values.push_back(static_cast<double>(store.corrupt_frames_in(0.0, t)));
-    values.push_back(static_cast<double>(store.frame_count()));
+    values.push_back(static_cast<double>(store.corrupt_frames_in(t0, t)));
     const std::uint64_t digest = golden::fnv1a(golden::bytes_of(values));
     tick_digests.append(reinterpret_cast<const char*>(&digest), sizeof digest);
+    // Retention is not in the digest: the store holds the window's frames.
+    EXPECT_EQ(store.frame_count(), std::min(static_cast<std::size_t>(k) + 1, kWindowFrames));
 
     if (t == 330.0 || t == 900.0) {
       // Quarantined at ingest: stored as 0 and counted on the frame.
@@ -132,8 +138,7 @@ TEST(Sampler, FrameBitsKeepTheirGoldenDigest) {
     }
   }
   EXPECT_EQ(rig.injector.frames_corrupted(), 5u);
-  EXPECT_EQ(store.frame_count(), 40u);
-  EXPECT_EQ(golden::hex(golden::fnv1a(tick_digests)), golden::hex(0xad04dc3014ccd726ULL));
+  EXPECT_EQ(golden::hex(golden::fnv1a(tick_digests)), golden::hex(0x72c461b446c3a397ULL));
 }
 
 /// What a traced run of the rig shows besides its frames, under both
@@ -181,7 +186,7 @@ TEST(Sampler, UnsynthesizedTicksKeepEverythingButTheFrames) {
   EXPECT_EQ(on.util_count, static_cast<std::uint64_t>(kTicks - 3));
   EXPECT_EQ(on.frames_dropped, 3u);
   EXPECT_EQ(on.frames_corrupted, 5u);
-  EXPECT_EQ(on.frames_stored, 40u);
+  EXPECT_EQ(on.frames_stored, kWindowFrames);
 
   EXPECT_EQ(off.trace, on.trace);
   EXPECT_EQ(off.metrics, on.metrics);

@@ -45,8 +45,9 @@ TEST(Schema, ValuesAreNonNegative) {
   s.io_read_gbps = 1.0;
   s.io_write_gbps = 0.5;
   s.io_pressure = 0.3;
+  const KindSignals signals = kind_signals(s);
   for (const CounterDef& def : counter_schema()) {
-    for (int i = 0; i < 20; ++i) EXPECT_GE(synth_value(def, s, rng), 0.0);
+    for (int i = 0; i < 20; ++i) EXPECT_GE(synth_step(def, signals, rng), 0.0);
   }
 }
 
@@ -61,7 +62,8 @@ double mean_value(const CounterDef& def, const NodeSignals& s, std::uint64_t see
   Rng rng(seed);
   double sum = 0.0;
   const int n = 400;
-  for (int i = 0; i < n; ++i) sum += synth_value(def, s, rng);
+  const KindSignals signals = kind_signals(s);
+  for (int i = 0; i < n; ++i) sum += synth_step(def, signals, rng);
   return sum / n;
 }
 
@@ -109,8 +111,9 @@ TEST(Schema, ErrorCountersAreRareIntegers) {
   Rng rng(7);
   NodeSignals s;
   s.edge_util = 0.5;
+  const KindSignals signals = kind_signals(s);
   for (int i = 0; i < 100; ++i) {
-    const double v = synth_value(def, s, rng);
+    const double v = synth_step(def, signals, rng);
     EXPECT_EQ(v, std::floor(v));
     EXPECT_LT(v, 50.0);
   }

@@ -14,6 +14,10 @@ namespace rush::telemetry {
 namespace {
 
 constexpr std::size_t kCounters = 3;
+/// Wider than any test's time span: nothing is evicted.
+constexpr double kWideHorizonS = 100.0;
+/// At one frame per second this keeps four frames, both ends included.
+constexpr double kShortHorizonS = 3.0;
 
 cluster::NodeSet nodes3() { return {10, 20, 30}; }
 
@@ -21,10 +25,20 @@ std::vector<float> frame(std::initializer_list<float> values) {
   return std::vector<float>(values);
 }
 
+/// Frame `i` at t = i s holding `i` in every cell, for i in [first, last).
+void add_ramp(CounterStore& store, int first, int last) {
+  for (int i = first; i < last; ++i) {
+    const auto v = static_cast<float>(i);
+    store.add_frame(static_cast<double>(i), frame({v, v, v, v, v, v, v, v, v}));
+  }
+}
+
 class StoreTest : public ::testing::Test {
  protected:
-  StoreTest() : store_(nodes3(), kCounters, 4) {}
+  StoreTest()
+      : store_(nodes3(), kCounters, kWideHorizonS), short_(nodes3(), kCounters, kShortHorizonS) {}
   CounterStore store_;
+  CounterStore short_;
 };
 
 TEST_F(StoreTest, EmptyStoreReturnsZeros) {
@@ -86,13 +100,10 @@ TEST_F(StoreTest, WindowFiltersByTime) {
 }
 
 TEST_F(StoreTest, CapacityEvictsOldestFrames) {
-  for (int i = 0; i < 6; ++i) {
-    const auto v = static_cast<float>(i);
-    store_.add_frame(static_cast<double>(i), frame({v, v, v, v, v, v, v, v, v}));
-  }
-  EXPECT_EQ(store_.frame_count(), 4u);        // capacity
-  EXPECT_EQ(store_.frames_in(0.0, 1.0), 0u);  // evicted
-  EXPECT_EQ(store_.frames_in(2.0, 5.0), 4u);
+  add_ramp(short_, 0, 6);
+  EXPECT_EQ(short_.frame_count(), 4u);        // t = 2..5: within 3 s of the newest
+  EXPECT_EQ(short_.frames_in(0.0, 1.0), 0u);  // evicted
+  EXPECT_EQ(short_.frames_in(2.0, 5.0), 4u);
 }
 
 TEST_F(StoreTest, LatestReadsNewestFrame) {
@@ -139,21 +150,74 @@ TEST_F(StoreTest, DuplicateTimestampsAllLandInTheWindow) {
 }
 
 TEST_F(StoreTest, PrefixAggregatesSurviveEviction) {
-  // Capacity is 4: frames 0 and 1 get evicted, the prefix base carries.
-  for (int i = 0; i < 6; ++i) {
-    const auto v = static_cast<float>(i);
-    store_.add_frame(static_cast<double>(i), frame({v, v, v, v, v, v, v, v, v}));
-  }
-  const auto aggs = store_.aggregate_all(2.0, 5.0);
+  // A 3 s horizon: frames 0 and 1 get evicted, the prefix base carries.
+  add_ramp(short_, 0, 6);
+  const auto aggs = short_.aggregate_all(2.0, 5.0);
   EXPECT_DOUBLE_EQ(aggs[0].min, 2.0);
   EXPECT_DOUBLE_EQ(aggs[0].max, 5.0);
   EXPECT_DOUBLE_EQ(aggs[0].mean, 3.5);  // (2+3+4+5)/4
   // A window starting at the (evicted-into) front of the deque.
-  const auto front = store_.aggregate_all(0.0, 3.0);
+  const auto front = short_.aggregate_all(0.0, 3.0);
   EXPECT_DOUBLE_EQ(front[0].mean, 2.5);  // frames 2 and 3 remain
   // Subset aggregation over the same window agrees.
-  const auto subset = store_.aggregate_nodes(2.0, 5.0, nodes3());
+  const auto subset = short_.aggregate_nodes(2.0, 5.0, nodes3());
   EXPECT_NEAR(subset[0].mean, aggs[0].mean, 1e-12);
+}
+
+// --- retention by horizon -----------------------------------------------
+
+TEST_F(StoreTest, GapEvictsSeveralFramesAndKeepsTheMeanExact) {
+  add_ramp(short_, 0, 4);
+  add_ramp(short_, 10, 13);  // the frame at 10 evicts all four at once
+  EXPECT_EQ(short_.frame_count(), 3u);
+  EXPECT_NO_THROW(short_.audit_invariants());
+  // Every cell holds a small integer, so the sums are exact: the prefix
+  // means must equal a from-scratch sum over the window's frames.
+  for (int first = 10; first <= 12; ++first) {
+    double sum = 0.0;
+    for (int i = first; i <= 12; ++i) sum += 3.0 * i;
+    const auto aggs = short_.aggregate_all(static_cast<double>(first), 12.0);
+    EXPECT_EQ(aggs[0].mean, sum / (3.0 * (13 - first))) << "window from " << first;
+    EXPECT_EQ(aggs[0].min, static_cast<double>(first));
+  }
+  // A gap wider than the horizon with a single frame behind it.
+  add_ramp(short_, 30, 31);
+  EXPECT_EQ(short_.frame_count(), 1u);
+  EXPECT_EQ(short_.aggregate_all(0.0, 30.0)[0].mean, 30.0);
+}
+
+TEST_F(StoreTest, RestartTickKeepsEveryFrameAWindowCanRead) {
+  // A sampler stopped after its 150 s tick and started again at once
+  // ticks at 150 s a second time: twelve frames in [0, 300], one more
+  // than the window holds at the 30 s period. Retention must keep them
+  // all, so it cannot be a frame count.
+  CounterStore store(nodes3(), kCounters, 300.0);
+  std::vector<double> times;
+  for (int k = 0; k <= 5; ++k) times.push_back(30.0 * k);
+  for (int k = 5; k <= 10; ++k) times.push_back(30.0 * k);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    const auto v = static_cast<float>(i + 1);
+    store.add_frame(times[i], frame({v, v, v, v, v, v, v, v, v}));
+    sum += 3.0 * static_cast<double>(i + 1);
+  }
+  ASSERT_EQ(times.size(), 12u);
+  EXPECT_EQ(store.frames_in(0.0, 300.0), 12u);
+  const auto aggs = store.aggregate_all(0.0, 300.0);
+  EXPECT_EQ(aggs[0].min, 1.0);
+  EXPECT_EQ(aggs[0].mean, sum / 36.0);
+}
+
+TEST_F(StoreTest, FrameExactlyOneHorizonBehindIsKept) {
+  CounterStore store(nodes3(), kCounters, 300.0);
+  const std::vector<float> values(9, 1.0F);
+  store.add_frame(0.0, values);
+  store.add_frame(300.0, values);
+  EXPECT_EQ(store.frame_count(), 2u);  // 300 - 300 is not past the cut
+  EXPECT_EQ(store.frames_in(0.0, 300.0), 2u);
+  store.add_frame(300.5, values);
+  EXPECT_EQ(store.frame_count(), 2u);  // 0 < 300.5 - 300: evicted
+  EXPECT_EQ(store.frames_in(0.0, 0.0), 0u);
 }
 
 TEST_F(StoreTest, ClearResetsPrefixBase) {
@@ -172,10 +236,10 @@ TEST_F(StoreTest, AggregateAllMatchesAggregateNodesUnderChurn) {
     const auto a = static_cast<float>(i % 5);
     const auto b = static_cast<float>((i * 3) % 7);
     const auto c = static_cast<float>(11 - i);
-    store_.add_frame(static_cast<double>(i), frame({a, b, c, b, c, a, c, a, b}));
+    short_.add_frame(static_cast<double>(i), frame({a, b, c, b, c, a, c, a, b}));
     const double t0 = std::max(0.0, static_cast<double>(i) - 2.0);
-    const auto all = store_.aggregate_all(t0, static_cast<double>(i));
-    const auto subset = store_.aggregate_nodes(t0, static_cast<double>(i), nodes3());
+    const auto all = short_.aggregate_all(t0, static_cast<double>(i));
+    const auto subset = short_.aggregate_nodes(t0, static_cast<double>(i), nodes3());
     for (std::size_t k = 0; k < kCounters; ++k) {
       EXPECT_DOUBLE_EQ(all[k].min, subset[k].min);
       EXPECT_DOUBLE_EQ(all[k].max, subset[k].max);
@@ -191,9 +255,10 @@ TEST_F(StoreTest, PreconditionViolations) {
                PreconditionError);  // time went backwards
   EXPECT_THROW((void)store_.aggregate_nodes(0.0, 10.0, {99}), PreconditionError);  // unmanaged
   EXPECT_THROW((void)store_.latest(10, 99), PreconditionError);
-  EXPECT_THROW(CounterStore(nodes3(), 0, 4), PreconditionError);
-  EXPECT_THROW(CounterStore(nodes3(), 3, 0), PreconditionError);
-  EXPECT_THROW(CounterStore({}, 3, 4), PreconditionError);
+  EXPECT_THROW(CounterStore(nodes3(), 0, 3.0), PreconditionError);
+  EXPECT_THROW(CounterStore(nodes3(), 3, 0.0), PreconditionError);
+  EXPECT_THROW(CounterStore(nodes3(), 3, std::nan("")), PreconditionError);
+  EXPECT_THROW(CounterStore({}, 3, 3.0), PreconditionError);
 }
 
 TEST_F(StoreTest, NonFiniteReadingsAreQuarantinedAtIngest) {
@@ -219,11 +284,13 @@ TEST_F(StoreTest, NonFiniteReadingsAreQuarantinedAtIngest) {
 
 TEST_F(StoreTest, CorruptFrameCountSurvivesUntilEviction) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  store_.add_frame(10.0, frame({1, nan, 3, 4, 5, 6, 7, 8, 9}));
-  for (int i = 0; i < 4; ++i)  // capacity 4: pushes the corrupt frame out
-    store_.add_frame(20.0 + i, frame({1, 2, 3, 4, 5, 6, 7, 8, 9}));
-  EXPECT_EQ(store_.frame_count(), 4u);
-  EXPECT_EQ(store_.corrupt_frames_in(0.0, 100.0), 0u);
+  short_.add_frame(10.0, frame({1, nan, 3, 4, 5, 6, 7, 8, 9}));
+  short_.add_frame(13.0, frame({1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(short_.corrupt_frames_in(0.0, 100.0), 1u);  // exactly one horizon back
+  for (int i = 0; i < 4; ++i)  // 3 s horizon: pushes the corrupt frame out
+    short_.add_frame(20.0 + i, frame({1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(short_.frame_count(), 4u);
+  EXPECT_EQ(short_.corrupt_frames_in(0.0, 100.0), 0u);
 }
 
 }  // namespace
