@@ -3,17 +3,28 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "common/task_pool.hpp"
 #include "core/result_io.hpp"
 
 namespace rush::bench {
 
 namespace {
+constexpr const char* kFlags =
+    "--seed N --trials N --days N --jobs N --shards N --fresh --trace PATH --faults PATH";
+
+/// Ends a run whose flags do not parse, before any work: one line on
+/// stderr naming the problem and the flags, exit 2.
+[[noreturn]] void reject_flags(const std::string& tool, const std::string& problem) {
+  std::fprintf(stderr, "%s: %s (usage: %s)\n", tool.c_str(), problem.c_str(), kFlags);
+  std::exit(2);
+}
+
 /// The shard count shapes the corpus, so sharded campaigns (and the
 /// experiments trained on them) cache under their own tag; shards=1 keeps
 /// the legacy cache names and bytes.
@@ -101,32 +112,51 @@ BenchObs::~BenchObs() {
 BenchOptions parse_options(int argc, char** argv, int default_trials) {
   BenchOptions opts;
   opts.trials = default_trials;
+  const std::string tool = std::filesystem::path(argv[0]).filename().string();
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next_int = [&](long long fallback) {
-      return (i + 1 < argc) ? std::atoll(argv[++i]) : fallback;
+    const std::string arg = argv[i];
+    const auto value = [&] {
+      if (i + 1 >= argc) reject_flags(tool, arg + " needs a value");
+      return std::string(argv[++i]);
     };
-    if (std::strcmp(arg, "--seed") == 0) {
-      opts.seed = static_cast<std::uint64_t>(next_int(42));
-    } else if (std::strcmp(arg, "--trials") == 0) {
-      opts.trials = static_cast<int>(next_int(default_trials));
-    } else if (std::strcmp(arg, "--days") == 0) {
-      opts.days = static_cast<int>(next_int(16));
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      opts.jobs = static_cast<int>(next_int(0));
-    } else if (std::strcmp(arg, "--shards") == 0) {
-      opts.shards = static_cast<int>(next_int(1));
-    } else if (std::strcmp(arg, "--fresh") == 0) {
+    // An int flag's value, at least `min`.
+    const auto integer = [&](int min) {
+      const std::string text = value();
+      try {
+        const long long n = str::to_int(text);
+        if (n >= min && n <= std::numeric_limits<int>::max()) return static_cast<int>(n);
+      } catch (const ParseError&) {
+        // rejected below
+      }
+      reject_flags(tool, arg + " needs an integer >= " + std::to_string(min) + ", got '" +
+                             text + "'");
+    };
+    if (arg == "--seed") {
+      const std::string text = value();
+      try {
+        opts.seed = str::to_uint(text);
+      } catch (const ParseError&) {
+        reject_flags(tool, "--seed needs an unsigned 64-bit integer, got '" + text + "'");
+      }
+    } else if (arg == "--trials") {
+      opts.trials = integer(1);
+    } else if (arg == "--days") {
+      opts.days = integer(1);
+    } else if (arg == "--jobs") {
+      opts.jobs = integer(0);
+    } else if (arg == "--shards") {
+      opts.shards = integer(1);
+    } else if (arg == "--fresh") {
       opts.fresh = true;
-    } else if (std::strcmp(arg, "--trace") == 0) {
-      if (i + 1 < argc) opts.trace_path = argv[++i];
-    } else if (std::strcmp(arg, "--faults") == 0) {
-      if (i + 1 < argc) opts.faults_path = argv[++i];
-    } else if (std::strcmp(arg, "--help") == 0) {
-      std::printf(
-          "options: --seed N --trials N --days N --jobs N --shards N --fresh --trace PATH "
-          "--faults PATH\n");
+    } else if (arg == "--trace") {
+      opts.trace_path = value();
+    } else if (arg == "--faults") {
+      opts.faults_path = value();
+    } else if (arg == "--help") {
+      std::printf("options: %s\n", kFlags);
       std::exit(0);
+    } else {
+      reject_flags(tool, "unknown option '" + arg + "'");
     }
   }
   // --jobs N sizes the shared pool for the whole process (trials, corpus
@@ -135,7 +165,7 @@ BenchOptions parse_options(int argc, char** argv, int default_trials) {
   if (opts.jobs > 0) set_shared_jobs(opts.jobs);
   if (!opts.trace_path.empty()) {
     obs::RunManifest manifest;
-    manifest.tool = std::filesystem::path(argv[0]).filename().string();
+    manifest.tool = tool;
     manifest.seed = opts.seed;
     manifest.trials = opts.trials;
     manifest.days = opts.days;

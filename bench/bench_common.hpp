@@ -15,6 +15,7 @@
 //                 PATH.manifest.json / PATH.metrics.json
 //   --faults PATH inject the JSON fault plan (docs/fault-injection.md)
 //                 into every trial
+// and nothing else: any other flag is a usage error (exit 2).
 //
 // The corpus and each Table II experiment are cached as CSV in
 // $RUSH_CACHE_DIR (default: the working directory; created if missing),
@@ -88,8 +89,12 @@ struct BenchOptions {
 };
 
 /// Parses the flags above. `default_trials` is what --trials defaults to.
-/// With --trace the sinks open here, so every bench writes all three
-/// files; the manifest names the program (argv[0]) as its tool.
+/// An unknown flag, a missing value, or a number that does not parse or
+/// is out of range (--trials, --days and --shards >= 1, --jobs >= 0,
+/// --seed an unsigned 64-bit integer) prints one usage line on stderr
+/// and exits 2, before any work. With --trace the sinks open here, so
+/// every bench writes all three files; the manifest names the program
+/// (argv[0]) as its tool.
 BenchOptions parse_options(int argc, char** argv, int default_trials = 5);
 
 /// The standard collection campaign (cached as rush_corpus_main_*.csv).

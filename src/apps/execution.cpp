@@ -137,15 +137,6 @@ void ExecutionModel::abort(RunId id) {
   if (running_.empty()) stop();
 }
 
-sim::Time ExecutionModel::projected_end(RunId id) const {
-  const auto it = running_.find(id);
-  RUSH_EXPECTS(it != running_.end());
-  const Running& job = it->second;
-  const double done_since = (engine_.now() - job.last_update) * job.rate;
-  const double remaining = std::max(0.0, job.remaining_work - done_since);
-  return engine_.now() + remaining / job.rate;
-}
-
 void ExecutionModel::complete(RunId id) {
   completion_ = 0;  // this event just fired
   auto it = running_.find(id);

@@ -57,10 +57,6 @@ class ExecutionModel {
   void abort(RunId id);
 
   [[nodiscard]] std::size_t running_count() const noexcept { return running_.size(); }
-  [[nodiscard]] bool is_running(RunId id) const noexcept { return running_.contains(id); }
-
-  /// Expected completion time of a running job under *current* contention.
-  [[nodiscard]] sim::Time projected_end(RunId id) const;
 
   /// Begin the periodic re-evaluation tick (idempotent). launch() starts
   /// it automatically.

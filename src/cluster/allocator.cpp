@@ -190,18 +190,21 @@ bool NodeAllocator::set_available(NodeId node, bool available) {
   return true;
 }
 
+// rush-analyze: allow(dead-symbol) seam: Allocator.SetAvailableTakesNodesOutOfNewPlacements
 bool NodeAllocator::is_available(NodeId node) const {
   const auto idx = find_index(node);
   RUSH_EXPECTS(idx.has_value());
   return !test(out_, *idx);
 }
 
+// rush-analyze: allow(dead-symbol) seam: Allocator.ReleaseParksNodesThatWentOutWhileAllocated
 int NodeAllocator::unavailable_count() const noexcept {
   int total = 0;
   for (const std::uint64_t w : out_) total += std::popcount(w);
   return total;
 }
 
+// rush-analyze: allow(dead-symbol) seam: Allocator.IsFreeTracksState
 bool NodeAllocator::is_free(NodeId node) const {
   const auto idx = find_index(node);
   RUSH_EXPECTS(idx.has_value());

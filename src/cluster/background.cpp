@@ -113,6 +113,7 @@ void BackgroundLoad::update() {
   lustre_.set_ambient_demand(io_level_ * lustre_.capacity_gbps());
 }
 
+// rush-analyze: allow(dead-symbol) seam: Background.StormRaisesLevels
 double BackgroundLoad::current_net_level(int pod) const {
   RUSH_EXPECTS(pod >= 0 && pod < static_cast<int>(net_levels_.size()));
   return net_levels_[static_cast<std::size_t>(pod)];

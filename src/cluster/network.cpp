@@ -116,11 +116,6 @@ void NetworkModel::set_link_health(LinkId link, double factor) {
   RUSH_AUDIT_HOOK(audit_invariants());
 }
 
-double NetworkModel::link_health(LinkId link) const {
-  RUSH_EXPECTS(link >= 0 && link < tree_.num_links());
-  return health_[static_cast<std::size_t>(link)];
-}
-
 void NetworkModel::map_flows(const NodeSet& nodes, double per_node_gbps, TrafficPattern pattern,
                              std::vector<LinkShare>& out) const {
   const double r = per_node_gbps;

@@ -74,7 +74,6 @@ class NetworkModel {
   /// effect (placement probes and the execution model steer around the
   /// hot link). O(1).
   void set_link_health(LinkId link, double factor);
-  [[nodiscard]] double link_health(LinkId link) const;
 
   /// Worst oversubscription factor (>= 1) over links used by the source.
   /// O(|own links|) over the source's cached shares.

@@ -1,8 +1,5 @@
 #include "cluster/topology.hpp"
 
-#include <algorithm>
-#include <cstdio>
-
 #include "common/error.hpp"
 
 namespace rush::cluster {
@@ -32,15 +29,6 @@ NodeSet FatTree::nodes_in_pod(int pod) const {
   NodeSet out;
   out.reserve(static_cast<std::size_t>(per_pod));
   for (int i = 0; i < per_pod; ++i) out.push_back(static_cast<NodeId>(pod * per_pod + i));
-  return out;
-}
-
-NodeSet FatTree::nodes_in_edge(int edge) const {
-  RUSH_EXPECTS(edge >= 0 && edge < num_edges());
-  NodeSet out;
-  out.reserve(static_cast<std::size_t>(config_.nodes_per_edge));
-  for (int i = 0; i < config_.nodes_per_edge; ++i)
-    out.push_back(static_cast<NodeId>(edge * config_.nodes_per_edge + i));
   return out;
 }
 
@@ -76,29 +64,6 @@ double FatTree::link_capacity_gbps(LinkId link) const {
       return config_.pod_uplink_gbps;
   }
   return 0.0;  // unreachable
-}
-
-std::string FatTree::link_name(LinkId link) const {
-  char buf[48];
-  switch (link_kind(link)) {
-    case LinkKind::NodeLink:
-      std::snprintf(buf, sizeof(buf), "node%04d", link);
-      break;
-    case LinkKind::EdgeUplink:
-      std::snprintf(buf, sizeof(buf), "edge%03d-up", link - num_nodes());
-      break;
-    case LinkKind::PodUplink:
-      std::snprintf(buf, sizeof(buf), "pod%02d-up", link - num_nodes() - num_edges());
-      break;
-  }
-  return buf;
-}
-
-std::string FatTree::hostname(NodeId node) const {
-  RUSH_EXPECTS(node >= 0 && node < num_nodes());
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "quartz%04d", node);
-  return buf;
 }
 
 bool valid_node_set(const FatTree& tree, const NodeSet& nodes) noexcept {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace rush::cluster {
@@ -59,7 +58,6 @@ class FatTree {
   [[nodiscard]] int edge_of(NodeId node) const;
   [[nodiscard]] int pod_of(NodeId node) const;
   [[nodiscard]] NodeSet nodes_in_pod(int pod) const;
-  [[nodiscard]] NodeSet nodes_in_edge(int edge) const;
 
   [[nodiscard]] LinkId node_link(NodeId node) const;
   [[nodiscard]] LinkId edge_uplink(int edge) const;
@@ -67,10 +65,6 @@ class FatTree {
 
   [[nodiscard]] LinkKind link_kind(LinkId link) const;
   [[nodiscard]] double link_capacity_gbps(LinkId link) const;
-  [[nodiscard]] std::string link_name(LinkId link) const;
-
-  /// Hostname-style label ("quartz0042") used as the telemetry index.
-  [[nodiscard]] std::string hostname(NodeId node) const;
 
  private:
   FatTreeConfig config_;

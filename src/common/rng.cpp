@@ -49,12 +49,6 @@ double Rng::normal(double mean, double stddev) noexcept { return mean + stddev *
 
 double Rng::lognormal(double mu, double sigma) noexcept { return std::exp(normal(mu, sigma)); }
 
-double Rng::exponential(double rate) noexcept {
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return -std::log(u) / rate;
-}
-
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
 std::uint64_t Rng::poisson(double mean) noexcept {

@@ -46,8 +46,6 @@ class Rng {
   double normal(double mean, double stddev) noexcept;
   /// Log-normal: exp(normal(mu, sigma)).
   double lognormal(double mu, double sigma) noexcept;
-  /// Exponential with the given rate (mean 1/rate).
-  double exponential(double rate) noexcept;
   /// Bernoulli draw with probability p of true.
   bool bernoulli(double p) noexcept;
   /// Poisson draw (Knuth for small means, normal approximation for large).

@@ -11,7 +11,6 @@ namespace rush {
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
   void clear() noexcept { *this = RunningStats{}; }
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }

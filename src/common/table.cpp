@@ -23,12 +23,6 @@ std::string Table::num(double v, int precision) {
   return buf;
 }
 
-std::string Table::pct(double fraction, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f%%", precision, fraction * 100.0);
-  return buf;
-}
-
 const std::string& Table::cell(std::size_t r, std::size_t c) const {
   RUSH_EXPECTS(r < rows_.size());
   RUSH_EXPECTS(c < headers_.size());

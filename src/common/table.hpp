@@ -20,7 +20,6 @@ class Table {
 
   /// Number formatting helpers for cell construction.
   static std::string num(double v, int precision = 2);
-  static std::string pct(double fraction, int precision = 1);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
   [[nodiscard]] std::size_t cols() const noexcept { return headers_.size(); }

@@ -3,8 +3,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <limits>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace rush {
 
@@ -45,11 +48,16 @@ TaskPool::~TaskPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-bool TaskPool::on_worker_thread() noexcept { return t_pool_worker; }
-
 int TaskPool::default_jobs() {
   if (const char* env = std::getenv("RUSH_JOBS"); env != nullptr && *env != '\0') {
-    const long parsed = std::strtol(env, nullptr, 10);
+    long long parsed = 0;
+    try {
+      parsed = str::to_int(env);
+    } catch (const ParseError& e) {
+      throw ParseError(std::string("RUSH_JOBS: ") + e.what());
+    }
+    if (parsed > std::numeric_limits<int>::max())
+      throw ParseError("RUSH_JOBS: " + std::string(env) + " exceeds INT_MAX");
     return parsed >= 1 ? static_cast<int>(parsed) : 1;
   }
   const unsigned hw = std::thread::hardware_concurrency();

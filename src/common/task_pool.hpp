@@ -54,12 +54,9 @@ class TaskPool {
   /// (nested dispatches run inline).
   void parallel_for_indexed(std::size_t n, const std::function<void(std::size_t)>& body);
 
-  /// True on a thread owned by *any* TaskPool (used to inline nested
-  /// dispatches).
-  [[nodiscard]] static bool on_worker_thread() noexcept;
-
   /// Default parallelism: $RUSH_JOBS when set (clamped to >= 1), else
-  /// std::thread::hardware_concurrency(), else 1.
+  /// std::thread::hardware_concurrency(), else 1. Throws ParseError when
+  /// $RUSH_JOBS is not an integer or exceeds INT_MAX.
   [[nodiscard]] static int default_jobs();
 
  private:

@@ -37,15 +37,6 @@ double mean_total_variation_runs(const std::vector<TrialResult>& trials, const L
   return total;
 }
 
-std::vector<double> runtimes_for(const std::vector<TrialResult>& trials, const std::string& app,
-                                 int node_count_filter) {
-  std::vector<double> out;
-  for (const TrialResult& trial : trials)
-    for (const JobOutcome& job : trial.jobs)
-      if (job.app == app && match(job, node_count_filter)) out.push_back(job.runtime_s);
-  return out;
-}
-
 std::map<std::string, Summary> runtime_summaries(const std::vector<TrialResult>& trials,
                                                  int node_count_filter) {
   std::map<std::string, std::vector<double>> pooled;

@@ -28,10 +28,6 @@ double mean_total_variation_runs(const std::vector<TrialResult>& trials, const L
 std::map<std::string, Summary> runtime_summaries(const std::vector<TrialResult>& trials,
                                                  int node_count_filter = 0);
 
-/// Pooled run times for one app / node-count filter.
-std::vector<double> runtimes_for(const std::vector<TrialResult>& trials, const std::string& app,
-                                 int node_count_filter = 0);
-
 /// Mean makespan across trials (Fig. 10).
 double mean_makespan(const std::vector<TrialResult>& trials);
 

@@ -150,6 +150,7 @@ bool FaultInjector::in_window(const std::vector<Window>& windows, sim::Time now)
   return false;
 }
 
+// rush-analyze: allow(dead-symbol) seam: InjectorTest.CrashDrainRestoreDriveNodeEventsAndDownSet
 bool FaultInjector::node_down(cluster::NodeId node) const noexcept {
   return std::binary_search(down_.begin(), down_.end(), node);
 }
@@ -158,10 +159,12 @@ bool FaultInjector::canary_timed_out(sim::Time now) const noexcept {
   return in_window(canary_, now);
 }
 
+// rush-analyze: allow(dead-symbol) seam: InjectorTest.SamplerDropoutLeavesAGapAndCountsFrames
 bool FaultInjector::sampler_dropped_out(sim::Time now) const noexcept {
   return in_window(dropout_, now);
 }
 
+// rush-analyze: allow(dead-symbol) seam: InjectorTest.CounterCorruptionIsQuarantinedButDetectable
 bool FaultInjector::counters_corrupted(sim::Time now) const noexcept {
   return in_window(corrupt_, now);
 }

@@ -53,13 +53,6 @@ std::vector<std::size_t> Dataset::class_counts() const {
   return counts;
 }
 
-std::vector<int> Dataset::distinct_groups() const {
-  std::vector<int> out(groups_);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 Dataset Dataset::subset(std::span<const std::size_t> row_indices) const {
   Dataset out(feature_names_);
   for (std::size_t i : row_indices) {
@@ -93,12 +86,6 @@ std::vector<double> Dataset::column(std::size_t feature) const {
   out.reserve(rows());
   for (std::size_t i = 0; i < rows(); ++i) out.push_back(x_[i * num_features_ + feature]);
   return out;
-}
-
-void Dataset::set_labels(std::vector<int> labels) {
-  RUSH_EXPECTS(labels.size() == labels_.size());
-  for (int y : labels) RUSH_EXPECTS(y >= 0);
-  labels_ = std::move(labels);
 }
 
 }  // namespace rush::ml

@@ -37,8 +37,6 @@ class Dataset {
   [[nodiscard]] int num_classes() const noexcept;
   /// Count of rows with each label, indexed by label.
   [[nodiscard]] std::vector<std::size_t> class_counts() const;
-  /// Sorted distinct group ids.
-  [[nodiscard]] std::vector<int> distinct_groups() const;
 
   /// New dataset with only the given rows (indices may repeat — used by
   /// bootstrap resampling).
@@ -47,10 +45,6 @@ class Dataset {
   [[nodiscard]] Dataset select_features(std::span<const std::size_t> feature_indices) const;
   /// Values of one feature column across all rows.
   [[nodiscard]] std::vector<double> column(std::size_t feature) const;
-
-  /// Overwrite all labels (e.g., re-labeling binary -> 3-class). Size must
-  /// match rows().
-  void set_labels(std::vector<int> labels);
 
  private:
   std::size_t num_features_ = 0;

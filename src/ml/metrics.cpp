@@ -1,7 +1,5 @@
 #include "ml/metrics.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace rush::ml {
@@ -25,12 +23,6 @@ void ConfusionMatrix::add(int actual, int predicted) {
   ++cells_[static_cast<std::size_t>(actual) * static_cast<std::size_t>(num_classes_) +
            static_cast<std::size_t>(predicted)];
   ++total_;
-}
-
-void ConfusionMatrix::merge(const ConfusionMatrix& other) {
-  RUSH_EXPECTS(other.num_classes_ == num_classes_);
-  for (std::size_t i = 0; i < cells_.size(); ++i) cells_[i] += other.cells_[i];
-  total_ += other.total_;
 }
 
 std::size_t ConfusionMatrix::count(int actual, int predicted) const {
@@ -81,28 +73,6 @@ double ConfusionMatrix::macro_f1() const {
   double sum = 0.0;
   for (int c = 0; c < num_classes_; ++c) sum += f1(c);
   return sum / static_cast<double>(num_classes_);
-}
-
-namespace {
-ConfusionMatrix binary_matrix(std::span<const int> y_true, std::span<const int> y_pred) {
-  int k = 2;
-  for (int y : y_true) k = std::max(k, y + 1);
-  for (int y : y_pred) k = std::max(k, y + 1);
-  return ConfusionMatrix(y_true, y_pred, k);
-}
-}  // namespace
-
-double f1_score(std::span<const int> y_true, std::span<const int> y_pred) {
-  return binary_matrix(y_true, y_pred).f1(1);
-}
-double precision_score(std::span<const int> y_true, std::span<const int> y_pred) {
-  return binary_matrix(y_true, y_pred).precision(1);
-}
-double recall_score(std::span<const int> y_true, std::span<const int> y_pred) {
-  return binary_matrix(y_true, y_pred).recall(1);
-}
-double accuracy_score(std::span<const int> y_true, std::span<const int> y_pred) {
-  return binary_matrix(y_true, y_pred).accuracy();
 }
 
 }  // namespace rush::ml

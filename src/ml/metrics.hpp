@@ -18,7 +18,6 @@ class ConfusionMatrix {
   ConfusionMatrix(std::span<const int> y_true, std::span<const int> y_pred, int num_classes);
 
   void add(int actual, int predicted);
-  void merge(const ConfusionMatrix& other);
 
   [[nodiscard]] int num_classes() const noexcept { return num_classes_; }
   [[nodiscard]] std::size_t count(int actual, int predicted) const;
@@ -37,11 +36,5 @@ class ConfusionMatrix {
   std::vector<std::size_t> cells_;  // num_classes x num_classes, row = actual
   std::size_t total_ = 0;
 };
-
-/// Convenience wrappers for the binary case with positive class 1.
-double f1_score(std::span<const int> y_true, std::span<const int> y_pred);
-double precision_score(std::span<const int> y_true, std::span<const int> y_pred);
-double recall_score(std::span<const int> y_true, std::span<const int> y_pred);
-double accuracy_score(std::span<const int> y_true, std::span<const int> y_pred);
 
 }  // namespace rush::ml

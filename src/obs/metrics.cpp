@@ -124,13 +124,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  const std::scoped_lock lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name, double lo, double hi,
                                       std::size_t buckets, HistogramScale scale) {
   const std::scoped_lock lock(mu_);
@@ -146,9 +139,6 @@ std::string MetricsRegistry::snapshot_json() const {
   w.begin_object();
   w.begin_object("counters");
   for (const auto& [name, c] : counters_) w.field(name, c->value());
-  w.end_object();
-  w.begin_object("gauges");
-  for (const auto& [name, g] : gauges_) w.field(name, g->value());
   w.end_object();
   w.begin_object("histograms");
   for (const auto& [name, h] : histograms_) {

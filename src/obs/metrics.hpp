@@ -1,4 +1,4 @@
-// Process-local metrics: counters, gauges, fixed-bucket histograms.
+// Process-local metrics: counters and fixed-bucket histograms.
 //
 // Call sites resolve their instrument once (a stable pointer into the
 // registry) and then update it with a plain member call — an increment is
@@ -8,13 +8,12 @@
 // alongside its trace output.
 //
 // Thread-safety: one registry is shared by every trial the task pool runs
-// concurrently (see DESIGN.md §10). Counters and gauges are atomics;
-// histograms serialize record() behind a small internal mutex; name
-// lookup locks the registry map. Counter totals and histogram
-// counts/buckets are order-independent, so they stay bit-identical for
-// any worker count; a histogram's floating-point `sum` (and thus `mean`)
-// can differ in final ulps under concurrency because addition order
-// varies, and a gauge holds whichever trial wrote it last.
+// concurrently (see DESIGN.md §10). Counters are atomics; histograms
+// serialize record() behind a small internal mutex; name lookup locks
+// the registry map. Counter totals and histogram counts/buckets are
+// order-independent, so they stay bit-identical for any worker count; a
+// histogram's floating-point `sum` (and thus `mean`) can differ in final
+// ulps under concurrency because addition order varies.
 //
 // Instruments are intentionally simple: no tags, no wall-clock windows.
 #pragma once
@@ -38,15 +37,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-class Gauge {
- public:
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  [[nodiscard]] double value() const noexcept { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
 };
 
 /// Bucket-boundary layout of a Histogram. Uniform splits [lo, hi) into
@@ -130,15 +120,14 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   /// Bucket shape is fixed by the first call for a given name; later
   /// calls with the same name return the existing histogram.
   Histogram& histogram(const std::string& name, double lo, double hi, std::size_t buckets,
                        HistogramScale scale = HistogramScale::Uniform);
 
   /// One JSON object over every instrument, keys sorted by name:
-  ///   {"counters":{...},"gauges":{...},"histograms":{"x":{"count":..,
-  ///    "mean":..,"p50":..,"p90":..,"p99":..,"min":..,"max":..}}}
+  ///   {"counters":{...},"histograms":{"x":{"count":..,"mean":..,
+  ///    "min":..,"max":..,"p50":..,"p90":..,"p99":..}}}
   [[nodiscard]] std::string snapshot_json() const;
 
  private:
@@ -146,8 +135,6 @@ class MetricsRegistry {
   // std::map: snapshot output must be deterministically ordered.
   // rush: guarded_by(mu_)
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  // rush: guarded_by(mu_)
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   // rush: guarded_by(mu_)
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };

@@ -64,7 +64,6 @@ class EventTrace {
   [[nodiscard]] std::uint64_t bytes_written() const noexcept {
     return bytes_flushed_ + buffer_.size();
   }
-  [[nodiscard]] std::uint64_t records_emitted() const noexcept { return seq_; }
 
   void flush();
 

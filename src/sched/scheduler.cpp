@@ -126,7 +126,6 @@ JobId Scheduler::submit(JobSpec spec) {
   job.submit_s = engine_.now();
   RUSH_ASSERT(jobs_.size() == id);  // ids stay dense: id == table slot + 1
   first_submit_s_ = std::min(first_submit_s_, job.submit_s);
-  submit_order_.push_back(id);
   insert_in_queue(id);
   if (config_.trace != nullptr) {
     const Job& j = job_ref(id);
@@ -156,7 +155,6 @@ JobId Scheduler::submit_at(sim::Time when, JobSpec spec) {
     Job& j = job_ref(id);
     j.submit_s = engine_.now();
     first_submit_s_ = std::min(first_submit_s_, j.submit_s);
-    submit_order_.push_back(id);
     insert_in_queue(id);
     if (config_.trace != nullptr)
       config_.trace->emit_job_submit(engine_.now(), j.id, j.app_name(), j.spec.num_nodes,
@@ -171,24 +169,10 @@ const Job& Scheduler::job(JobId id) const {
   return jobs_[id - 1];
 }
 
-std::vector<const Job*> Scheduler::all_jobs() const {
-  std::vector<const Job*> out;
-  out.reserve(submit_order_.size());
-  for (JobId id : submit_order_) out.push_back(&job_ref(id));
-  return out;
-}
-
-std::vector<const Job*> Scheduler::completed_jobs() const {
-  std::vector<const Job*> out;
-  out.reserve(completed_order_.size());
-  for (JobId id : completed_order_) out.push_back(&job_ref(id));
-  return out;
-}
-
 double Scheduler::makespan() const noexcept {
   // first_submit_s_ / last_end_s_ are maintained at submission and
   // completion, so this is O(1) however many jobs ran.
-  if (completed_order_.empty() || submit_order_.empty()) return 0.0;
+  if (completed_count_ == 0) return 0.0;
   return last_end_s_ - first_submit_s_;
 }
 
@@ -309,7 +293,7 @@ void Scheduler::handle_completion(JobId id, const apps::RunRecord& record) {
   const auto run_it = std::lower_bound(running_.begin(), running_.end(), id);
   RUSH_ASSERT(run_it != running_.end() && *run_it == id);
   running_.erase(run_it);
-  completed_order_.push_back(id);
+  ++completed_count_;
   if (metric_slowdown_) metric_slowdown_->record(record.slowdown());
   if (config_.trace != nullptr)
     config_.trace->emit_job_end(engine_.now(), job.id, job.runtime_s(), record.slowdown(),

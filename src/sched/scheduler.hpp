@@ -136,15 +136,11 @@ class Scheduler {
   [[nodiscard]] const Job& job(JobId id) const;
   [[nodiscard]] std::size_t queue_length() const noexcept { return queue_.size(); }
   [[nodiscard]] std::size_t running_count() const noexcept { return running_.size(); }
-  [[nodiscard]] std::size_t completed_count() const noexcept { return completed_order_.size(); }
+  [[nodiscard]] std::size_t completed_count() const noexcept { return completed_count_; }
   [[nodiscard]] bool idle() const noexcept { return queue_.empty() && running_.empty(); }
 
   /// Ids of pending jobs in current queue order (head first).
   [[nodiscard]] std::vector<JobId> queued_jobs() const { return queue_; }
-  /// All jobs ever submitted, in submission order.
-  [[nodiscard]] std::vector<const Job*> all_jobs() const;
-  /// Completed jobs in completion order.
-  [[nodiscard]] std::vector<const Job*> completed_jobs() const;
 
   /// Duration from first submission to last completion; 0 before any
   /// completion.
@@ -209,7 +205,6 @@ class Scheduler {
   // submit/submit_at, and a deque gives stable references across growth,
   // so a JobId is a direct index for the scheduler's whole lifetime.
   std::deque<Job> jobs_;
-  std::vector<JobId> submit_order_;
   // Pending jobs in R1 order. Invariant: sorted by main_policy_ (which
   // makes insert/erase binary searches) except while queue_unsorted_ —
   // see apply_skip_placement.
@@ -223,7 +218,7 @@ class Scheduler {
   // (start_s + walltime_estimate_s, node count) per running job, sorted.
   // compute_reservation walks this instead of re-sorting running_.
   std::vector<std::pair<sim::Time, int>> timeline_;
-  std::vector<JobId> completed_order_;
+  std::size_t completed_count_ = 0;
   // delayed_pass_[id - 1] == passes_ marks "delayed in the current
   // pass" without a per-pass set allocation.
   std::vector<std::uint64_t> delayed_pass_;

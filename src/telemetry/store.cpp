@@ -243,6 +243,7 @@ void CounterStore::aggregate_all_into(sim::Time t0, sim::Time t1, std::span<Agg>
     out[c].mean = (frames_[hi - 1].prefix_sum[c] - base[c]) / denom;
 }
 
+// rush-analyze: allow(dead-symbol) seam: Sampler.FrameBitsKeepTheirGoldenDigest digests it
 double CounterStore::latest(cluster::NodeId node, std::size_t counter) const {
   RUSH_EXPECTS(counter < num_counters_);
   if (frames_.empty()) return 0.0;

@@ -174,20 +174,6 @@ TEST(Execution, CompletionSpeedsUpSurvivors) {
   EXPECT_GT(light_rec.slowdown(), 1.0);
 }
 
-TEST(Execution, ProjectedEndTracksCompletion) {
-  World w;
-  std::optional<RunRecord> record;
-  const auto id = w.exec->launch(test_app(), {0, 1, 2, 3}, ScalingMode::Strong,
-                                 [&](const RunRecord& r) { record = r; });
-  EXPECT_TRUE(w.exec->is_running(id));
-  const double projected = w.exec->projected_end(id);
-  w.engine.run();
-  ASSERT_TRUE(record.has_value());
-  EXPECT_NEAR(projected, record->end_s, 1.0);  // no contention changes
-  EXPECT_FALSE(w.exec->is_running(id));
-  EXPECT_THROW((void)w.exec->projected_end(id), PreconditionError);
-}
-
 TEST(Execution, RunningCountTracksLifecycle) {
   World w;
   EXPECT_EQ(w.exec->running_count(), 0u);

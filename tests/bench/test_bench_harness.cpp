@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -159,6 +160,34 @@ class BenchHarness : public ::testing::Test {
   fs::path cache_;
   std::string synthetic_csv_;
 };
+
+TEST_F(BenchHarness, FlagsReadEveryValueExactly) {
+  const BenchOptions opts =
+      options({"--seed", "18446744073709551615", "--shards", "2", "--jobs", "0", "--fresh"});
+  EXPECT_EQ(opts.seed, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(opts.days, 1);
+  EXPECT_EQ(opts.trials, 1);
+  EXPECT_EQ(opts.shards, 2);
+  EXPECT_EQ(opts.jobs, 0);
+  EXPECT_TRUE(opts.fresh);
+}
+
+TEST_F(BenchHarness, MalformedFlagsExitWithOneUsageLine) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // None of these may start a run: read leniently, each would run with a
+  // default, wrapped or truncated value, or abort mid-run.
+  const std::vector<std::vector<std::string>> cases = {
+      {"--days", "abc"},    {"--trials", "x"},          {"--trials", "2x"},
+      {"--days", "0"},      {"--trials", "0"},          {"--shards", "0"},
+      {"--jobs", "-1"},     {"--days", "3000000000"},   {"--seed", "-1"},
+      {"--seed", "18446744073709551616"},               {"--day", "1"},
+      {"--jobs"},           {"--trace"},                {"--faults"}};
+  for (const std::vector<std::string>& flags : cases) {
+    EXPECT_EXIT((void)options(flags), ::testing::ExitedWithCode(2),
+                "^test_bench_harness: [^\n]*\\(usage: --seed N [^\n]*\\)\n$")
+        << flags.front();
+  }
+}
 
 TEST_F(BenchHarness, CorpusIsWrittenReusedAndRecomputedWhenShort) {
   use_cache(root_ / "cache" / "nested");  // the directory does not exist yet

@@ -47,10 +47,11 @@ TEST(Topology, NodesInPodAndEdge) {
   ASSERT_EQ(pod1.size(), 32u);
   EXPECT_EQ(pod1.front(), 32);
   EXPECT_EQ(pod1.back(), 63);
-  const NodeSet edge3 = tree.nodes_in_edge(3);
-  ASSERT_EQ(edge3.size(), 8u);
-  EXPECT_EQ(edge3.front(), 24);
-  EXPECT_EQ(edge3.back(), 31);
+  // Edge 3 holds nodes 24..31.
+  EXPECT_EQ(tree.edge_of(23), 2);
+  EXPECT_EQ(tree.edge_of(24), 3);
+  EXPECT_EQ(tree.edge_of(31), 3);
+  EXPECT_EQ(tree.edge_of(32), 4);
 }
 
 TEST(Topology, LinkIdsArePartitionedByKind) {
@@ -69,20 +70,6 @@ TEST(Topology, LinkCapacitiesByKind) {
   EXPECT_DOUBLE_EQ(tree.link_capacity_gbps(tree.node_link(0)), cfg.node_link_gbps);
   EXPECT_DOUBLE_EQ(tree.link_capacity_gbps(tree.edge_uplink(0)), cfg.edge_uplink_gbps);
   EXPECT_DOUBLE_EQ(tree.link_capacity_gbps(tree.pod_uplink(0)), cfg.pod_uplink_gbps);
-}
-
-TEST(Topology, LinkNames) {
-  const FatTree tree = small_tree();
-  EXPECT_EQ(tree.link_name(tree.node_link(3)), "node0003");
-  EXPECT_EQ(tree.link_name(tree.edge_uplink(2)), "edge002-up");
-  EXPECT_EQ(tree.link_name(tree.pod_uplink(1)), "pod01-up");
-}
-
-TEST(Topology, Hostname) {
-  const FatTree tree = small_tree();
-  EXPECT_EQ(tree.hostname(0), "quartz0000");
-  EXPECT_EQ(tree.hostname(63), "quartz0063");
-  EXPECT_THROW((void)tree.hostname(64), PreconditionError);
 }
 
 TEST(Topology, BoundsChecking) {

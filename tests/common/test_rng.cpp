@@ -96,18 +96,6 @@ TEST(Rng, NormalShiftScale) {
   EXPECT_NEAR(sum / n, 10.0, 0.05);
 }
 
-TEST(Rng, ExponentialMeanMatchesRate) {
-  Rng r(23);
-  const int n = 100000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double x = r.exponential(0.5);
-    EXPECT_GE(x, 0.0);
-    sum += x;
-  }
-  EXPECT_NEAR(sum / n, 2.0, 0.05);
-}
-
 TEST(Rng, LognormalIsPositive) {
   Rng r(29);
   for (int i = 0; i < 10000; ++i) EXPECT_GT(r.lognormal(0.0, 0.5), 0.0);

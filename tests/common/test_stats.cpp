@@ -57,34 +57,6 @@ TEST(RunningStats, ClearResets) {
 }
 
 // Property: merging partial accumulators equals accumulating everything.
-class RunningStatsMergeTest : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(RunningStatsMergeTest, MergeEqualsCombined) {
-  const auto [na, nb] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(na * 1000 + nb));
-  RunningStats a, b, combined;
-  for (int i = 0; i < na; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    a.add(x);
-    combined.add(x);
-  }
-  for (int i = 0; i < nb; ++i) {
-    const double x = rng.normal(-1.0, 0.5);
-    b.add(x);
-    combined.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_NEAR(a.mean(), combined.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), combined.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), combined.min());
-  EXPECT_DOUBLE_EQ(a.max(), combined.max());
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, RunningStatsMergeTest,
-                         ::testing::Values(std::pair{0, 5}, std::pair{5, 0}, std::pair{1, 1},
-                                           std::pair{10, 100}, std::pair{1000, 7}));
-
 TEST(Stats, BatchHelpersMatchRunning) {
   Rng rng(5);
   std::vector<double> xs;

@@ -4,8 +4,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -136,19 +139,66 @@ TEST(TaskPoolFreeFunction, SharedPoolPolicyAndSizeLock) {
 
 TEST(TaskPool, DefaultJobsIsPositive) { EXPECT_GE(TaskPool::default_jobs(), 1); }
 
-TEST(TaskPool, WorkerThreadFlagVisibleInsideBodies) {
-  EXPECT_FALSE(TaskPool::on_worker_thread());
-  TaskPool pool(2);
-  std::atomic<bool> saw_worker{false};
-  // With a 2-wide pool the caller participates too, so only record
-  // observations from non-caller threads.
-  const auto caller = std::this_thread::get_id();
-  pool.parallel_for_indexed(64, [&](std::size_t) {
-    if (std::this_thread::get_id() != caller && TaskPool::on_worker_thread())
-      saw_worker.store(true);
-  });
-  SUCCEED();  // primary assertion is above: the flag never crashes / lies on the caller
-  EXPECT_FALSE(TaskPool::on_worker_thread());
+/// Sets $RUSH_JOBS for one scope and restores the caller's value (CI's
+/// tsan job runs the suite with RUSH_JOBS=3).
+class ScopedRushJobs {
+ public:
+  explicit ScopedRushJobs(const char* value) {
+    if (const char* old = std::getenv("RUSH_JOBS"); old != nullptr) saved_ = old;
+    ::setenv("RUSH_JOBS", value, 1);
+  }
+  ~ScopedRushJobs() {
+    if (saved_) {
+      ::setenv("RUSH_JOBS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("RUSH_JOBS");
+    }
+  }
+  ScopedRushJobs(const ScopedRushJobs&) = delete;
+  ScopedRushJobs& operator=(const ScopedRushJobs&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+/// The ParseError message default_jobs() throws for `value`, or "" when
+/// it returns.
+std::string default_jobs_error(const char* value) {
+  const ScopedRushJobs env(value);
+  try {
+    (void)TaskPool::default_jobs();
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TaskPool, DefaultJobsReadsRushJobs) {
+  {
+    const ScopedRushJobs env("3");
+    EXPECT_EQ(TaskPool::default_jobs(), 3);
+  }
+  {
+    const ScopedRushJobs env(" 2147483647 ");
+    EXPECT_EQ(TaskPool::default_jobs(), 2147483647);
+  }
+  // Zero and negative values clamp to the serial width.
+  for (const char* value : {"0", "-5"}) {
+    const ScopedRushJobs env(value);
+    EXPECT_EQ(TaskPool::default_jobs(), 1) << value;
+  }
+  {
+    const ScopedRushJobs env("");  // empty: the hardware default
+    EXPECT_GE(TaskPool::default_jobs(), 1);
+  }
+}
+
+TEST(TaskPool, DefaultJobsRejectsMalformedRushJobs) {
+  // A trailing suffix must not be dropped, nor a value past INT_MAX wrap.
+  for (const char* value : {"4x", "abc", "1.5", "3000000000", "99999999999999999999"}) {
+    const std::string error = default_jobs_error(value);
+    EXPECT_NE(error.find("RUSH_JOBS"), std::string::npos) << value << ": '" << error << "'";
+  }
 }
 
 }  // namespace

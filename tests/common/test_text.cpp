@@ -41,7 +41,6 @@ TEST(Table, CellAccess) {
 TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(2.0, 0), "2");
-  EXPECT_EQ(Table::pct(0.058, 1), "5.8%");
 }
 
 /// Every row of `text`, each as its cells.

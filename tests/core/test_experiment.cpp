@@ -152,14 +152,13 @@ TEST(Report, AggregationHelpers) {
   const auto waits_all = mean_wait_times(trials, false);
   EXPECT_NEAR(waits_all.at("X"), (5.0 + 15.0 + 5.0) / 3.0, 1e-12);
 
-  const auto runtimes = runtimes_for(trials, "X");
-  EXPECT_EQ(runtimes.size(), 3u);
   const auto summaries = runtime_summaries(trials);
+  EXPECT_EQ(summaries.at("X").n, 3u);
   EXPECT_DOUBLE_EQ(summaries.at("X").max, 20.0);
 
   // Node-count filter.
-  EXPECT_TRUE(runtimes_for(trials, "X", 8).empty());
-  EXPECT_EQ(runtimes_for(trials, "X", 16).size(), 3u);
+  EXPECT_TRUE(runtime_summaries(trials, 8).empty());
+  EXPECT_EQ(runtime_summaries(trials, 16).at("X").n, 3u);
 }
 
 TEST(Report, MaxRuntimeImprovement) {

@@ -142,12 +142,10 @@ TEST_F(InjectorTest, LinkDegradeScalesUtilizationAndAutoRestores) {
   EXPECT_GT(util_before, 0.0);
 
   engine_.run_until(150.0);
-  EXPECT_DOUBLE_EQ(net_.link_health(uplink), 0.5);
   // Same load over half the capacity: utilization doubles exactly.
   EXPECT_DOUBLE_EQ(net_.link_utilization(uplink), 2.0 * util_before);
 
   engine_.run_until(250.0);
-  EXPECT_DOUBLE_EQ(net_.link_health(uplink), 1.0);
   EXPECT_DOUBLE_EQ(net_.link_utilization(uplink), util_before);
 }
 

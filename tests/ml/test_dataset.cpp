@@ -43,11 +43,6 @@ TEST(Dataset, ClassCounts) {
   EXPECT_EQ(counts[1], 1u);
 }
 
-TEST(Dataset, DistinctGroups) {
-  const Dataset d = make_small();
-  EXPECT_EQ(d.distinct_groups(), (std::vector<int>{10, 20}));
-}
-
 TEST(Dataset, SubsetAllowsRepeats) {
   const Dataset d = make_small();
   const std::vector<std::size_t> rows{2, 2, 0};
@@ -72,15 +67,6 @@ TEST(Dataset, SelectFeaturesReordersColumns) {
 TEST(Dataset, ColumnExtraction) {
   const Dataset d = make_small();
   EXPECT_EQ(d.column(1), (std::vector<double>{2, 5, 8}));
-}
-
-TEST(Dataset, SetLabelsReplacesAll) {
-  Dataset d = make_small();
-  d.set_labels({2, 1, 0});
-  EXPECT_EQ(d.label(0), 2);
-  EXPECT_EQ(d.num_classes(), 3);
-  EXPECT_THROW(d.set_labels({1}), PreconditionError);
-  EXPECT_THROW(d.set_labels({-1, 0, 0}), PreconditionError);
 }
 
 TEST(Dataset, PreconditionViolations) {

@@ -17,14 +17,6 @@ TEST(Counter, StartsAtZeroAndAccumulates) {
   EXPECT_EQ(c.value(), 42u);
 }
 
-TEST(Gauge, HoldsLastValue) {
-  Gauge g;
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  g.set(3.5);
-  g.set(-1.25);
-  EXPECT_DOUBLE_EQ(g.value(), -1.25);
-}
-
 TEST(Histogram, CountSumMinMaxMean) {
   Histogram h(0.0, 10.0, 10);
   EXPECT_EQ(h.count(), 0u);
@@ -197,16 +189,13 @@ TEST(MetricsRegistry, InstrumentsAreStableAcrossLookups) {
 TEST(MetricsRegistry, SnapshotJsonContainsEveryInstrument) {
   MetricsRegistry reg;
   reg.counter("jobs").inc(3);
-  reg.gauge("depth").set(2.5);
   Histogram& h = reg.histogram("wait", 0.0, 100.0, 10);
   h.record(10.0);
   h.record(20.0);
   const std::string json = reg.snapshot_json();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"jobs\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"depth\":2.5"), std::string::npos);
   EXPECT_NE(json.find("\"wait\""), std::string::npos);
   EXPECT_NE(json.find("\"count\":2"), std::string::npos);
   EXPECT_NE(json.find("\"p50\""), std::string::npos);
@@ -217,13 +206,13 @@ TEST(MetricsRegistry, SnapshotJsonContainsEveryInstrument) {
 TEST(MetricsRegistry, SnapshotKeepsItsBytes) {
   MetricsRegistry reg;
   reg.counter("sched.passes").inc(3);
-  reg.gauge("queue \"depth\"").set(2.5);
+  reg.counter("queue \"depth\"").inc(2);
   Histogram& h = reg.histogram("wait_s", 0.0, 100.0, 10);
   h.record(10.0);
   h.record(25.0);
   h.record(0.1);
   EXPECT_EQ(reg.snapshot_json(),
-            R"({"counters":{"sched.passes":3},"gauges":{"queue \"depth\"":2.5},)"
+            R"({"counters":{"queue \"depth\"":2,"sched.passes":3},)"
             R"("histograms":{"wait_s":{"count":3,"mean":11.700000000000001,"min":0.1,"max":25,)"
             R"("p50":15,"p90":25,"p99":25}}})");
 }
@@ -233,7 +222,6 @@ TEST(MetricsRegistry, SnapshotIsDeterministic) {
     MetricsRegistry reg;
     reg.counter("b").inc(2);
     reg.counter("a").inc(1);
-    reg.gauge("g").set(1.5);
     return reg.snapshot_json();
   };
   EXPECT_EQ(build(), build());

@@ -366,12 +366,11 @@ TEST(Scheduler, AccountingAndAccessors) {
   w.engine.run_until(500.0);
   const JobId b = sched_ptr->submit(make_spec(16, 100.0));
   w.engine.run();
-  const auto all = sched_ptr->all_jobs();
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0]->id, a);
-  EXPECT_EQ(all[1]->id, b);
-  const auto completed = sched_ptr->completed_jobs();
-  ASSERT_EQ(completed.size(), 2u);
+  EXPECT_EQ(sched_ptr->job(a).id, a);
+  EXPECT_EQ(sched_ptr->job(b).id, b);
+  EXPECT_EQ(sched_ptr->job(a).state, JobState::Completed);
+  EXPECT_EQ(sched_ptr->job(b).state, JobState::Completed);
+  EXPECT_EQ(sched_ptr->completed_count(), 2u);
   // Makespan: first submit (t=0) to last end (~600).
   EXPECT_NEAR(sched_ptr->makespan(), 600.0, 1.0);
   EXPECT_GT(sched_ptr->passes_run(), 0u);

@@ -193,13 +193,13 @@ def metrics_path(trace: Path) -> Path:
 
 
 def registry_is_empty(path: Path) -> bool:
-    """True when PATH holds a metrics snapshot with no counter, gauge or
-    histogram; false when it is missing, unreadable or recorded anything."""
+    """True when PATH holds a metrics snapshot with no counter or histogram;
+    false when it is missing, unreadable or recorded anything."""
     try:
         snapshot = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, OSError, UnicodeDecodeError):
         return False
-    sections = ("counters", "gauges", "histograms")
+    sections = ("counters", "histograms")
     return (isinstance(snapshot, dict) and set(snapshot) == set(sections)
             and all(snapshot[s] == {} for s in sections))
 
