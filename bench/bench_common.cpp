@@ -254,9 +254,10 @@ std::vector<core::ExperimentResult> experiments(const BenchOptions& opts,
 
 void for_each_run(const BenchOptions& opts, std::size_t count,
                   const std::function<void(std::size_t)>& run) {
-  // jobs == 1 loops on this thread, so a lone run still fans its trials
-  // across the shared pool.
-  parallel_for_indexed(opts.obs || count == 1 ? 1 : opts.jobs, count, run);
+  // Runs fan out on the shared pool, which --jobs already sized; their
+  // own trials then run inline on its workers. jobs == 1 loops on this
+  // thread, so a lone run still fans its trials across the shared pool.
+  parallel_for_indexed(opts.obs || count == 1 ? 1 : 0, count, run);
 }
 
 void print_banner(const std::string& artifact, const std::string& description,

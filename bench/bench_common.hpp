@@ -118,9 +118,10 @@ std::vector<core::ExperimentResult> experiments(const BenchOptions& opts,
                                                 core::ExperimentRunner& runner,
                                                 const std::vector<core::ExperimentId>& ids);
 
-/// Calls run(i) for every i in [0, count) across the task pool, or one
-/// at a time while tracing so the shared trace receives the runs in
-/// index order for any --jobs; each run still fans its own trials out.
+/// Calls run(i) for every i in [0, count) across the shared task pool
+/// (--jobs wide, no second pool), or one at a time while tracing so the
+/// shared trace receives the runs in index order for any --jobs; a run
+/// called on this thread still fans its own trials out.
 void for_each_run(const BenchOptions& opts, std::size_t count,
                   const std::function<void(std::size_t)>& run);
 

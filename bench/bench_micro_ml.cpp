@@ -155,23 +155,6 @@ void BM_ForestPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestPredict);
 
-/// Batched path: one predict_many call over the whole probe set, scratch
-/// reused across rows. ns/op divided by items_per_second gives the
-/// per-row cost.
-void BM_ForestPredictBatched(benchmark::State& state) {
-  const auto d = synthetic(1000, 282, 5);
-  ml::Forest forest(ml::decision_forest_config(60));
-  forest.fit(d);
-  const auto probe = synthetic(256, 282, 6);
-  std::vector<int> out(probe.rows());
-  for (auto _ : state) {
-    forest.predict_many(probe, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(probe.rows()));
-}
-BENCHMARK(BM_ForestPredictBatched);
-
 void BM_AdaBoostPredict(benchmark::State& state) {
   const auto d = synthetic(1000, 282, 7);
   ml::AdaBoost model;

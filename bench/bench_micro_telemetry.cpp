@@ -127,7 +127,12 @@ void BM_StoreAggregateAll(benchmark::State& state) {
   const auto window_frames = static_cast<double>(state.range(0));
   const double t0 = 100.0 * kTickS;
   const double t1 = t0 + (window_frames - 1.0) * kTickS;
-  for (auto _ : state) benchmark::DoNotOptimize(store.aggregate_all(t0, t1));
+  std::vector<telemetry::Agg> out(store.num_counters());
+  for (auto _ : state) {
+    store.aggregate_all_into(t0, t1, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StoreAggregateAll)->Arg(8)->Arg(64)->Arg(256);
@@ -140,7 +145,12 @@ void BM_StoreAggregateNodes(benchmark::State& state) {
   cluster::NodeSet job_nodes(managed.begin() + 64, managed.begin() + 80);
   const double t0 = 400.0 * kTickS;
   const double t1 = 410.0 * kTickS;
-  for (auto _ : state) benchmark::DoNotOptimize(store.aggregate_nodes(t0, t1, job_nodes));
+  std::vector<telemetry::Agg> out(store.num_counters());
+  for (auto _ : state) {
+    store.aggregate_nodes_into(t0, t1, job_nodes, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StoreAggregateNodes);

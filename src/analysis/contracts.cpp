@@ -354,10 +354,10 @@ void check_dead_symbol(const SymbolIndex& index, std::vector<Finding>& out) {
     }
   }
   for (const FileOutline& fo : index.files()) {
-    if (!fo.analyzed || fo.file->is_header()) continue;
+    if (!fo.analyzed) continue;
     for (const FunctionDecl& fn : fo.outline.functions) {
-      if (!fn.is_definition || fn.inline_like || fn.is_virtual || fn.is_operator ||
-          fn.is_ctor_dtor || fn.is_defaulted) {
+      if (!fn.is_definition || fn.is_virtual || fn.is_operator || fn.is_ctor_dtor ||
+          fn.is_defaulted) {
         continue;
       }
       if (virtual_names.count(fn.cls() + "::" + fn.name) > 0) continue;

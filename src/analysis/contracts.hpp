@@ -50,9 +50,11 @@ void check_noalloc_path(const SymbolIndex& index, std::vector<Finding>& out);
 /// (lock-handoff pattern) are exempt.
 void check_guarded_member(const SymbolIndex& index, std::vector<Finding>& out);
 
-/// dead-symbol: a non-inline, non-template, non-virtual function defined
-/// in an analyzed source file whose name is referenced nowhere in the
-/// index (--ref-root trees included) is dead code.
+/// dead-symbol: a function defined in an analyzed file — out of line, in
+/// its class, inline or template alike — whose name is referenced nowhere
+/// in the index (--ref-root trees and #define bodies included) is dead
+/// code. Virtual functions, operators, ctors/dtors, defaulted functions
+/// and main are exempt.
 void check_dead_symbol(const SymbolIndex& index, std::vector<Finding>& out);
 
 }  // namespace rush::analysis

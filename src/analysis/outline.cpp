@@ -33,7 +33,6 @@ struct HeadScan {
   bool is_extern_block = false;
   bool is_enum = false;
   bool is_using = false;  // using/typedef/static_assert/concept/requires
-  bool inline_like = false;
   bool is_static = false;
   bool is_friend = false;
   bool is_virtual = false;
@@ -101,9 +100,6 @@ HeadScan scan_head(const SourceFile& f, std::size_t s, std::size_t e) {
         }
       } else if (kt == "enum") {
         h.is_enum = true;
-      } else if (kt == "template" || kt == "inline" || kt == "constexpr" ||
-                 kt == "consteval") {
-        h.inline_like = true;
       } else if (kt == "static") {
         h.is_static = true;
       } else if (kt == "friend") {
@@ -466,7 +462,6 @@ class OutlineParser {
     fn.is_virtual = h.is_virtual;
     fn.is_definition = body_begin != 0;
     fn.is_defaulted = h.is_defaulted;
-    fn.inline_like = h.inline_like || (fn.is_definition && in_class());
     fn.is_operator = w.is_operator;
     fn.line = f_.tokens[s].line;
     fn.name_tok = w.name_tok;

@@ -40,7 +40,6 @@ struct FunctionDecl {
   bool is_virtual = false;     // virtual / override / final
   bool is_definition = false;  // has a brace body
   bool is_defaulted = false;   // = default / = delete / = 0
-  bool inline_like = false;    // inline/constexpr/consteval/template or defined in-class
   bool is_ctor_dtor = false;
   bool is_operator = false;
   bool has_params = false;      // non-empty, non-(void) parameter list

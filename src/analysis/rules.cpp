@@ -77,8 +77,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "locking G (lock parameters and *_locked helpers are the hand-off "
        "exemptions)"},
       {"dead-symbol",
-       "non-inline functions defined in analyzed sources but referenced "
-       "nowhere in the index (--ref-root trees included) are dead code"},
+       "functions defined in analyzed files, in-class and inline ones included, "
+       "but referenced nowhere in the index (--ref-root trees and #define "
+       "bodies included) are dead code"},
   };
   return rules;
 }

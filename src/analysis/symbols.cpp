@@ -42,6 +42,18 @@ void SymbolIndex::finalize() {
       if (decl_toks.count(i) > 0) continue;
       referenced_.insert(std::string(fo.file->tok(i)));
     }
+
+    // A macro body names what its expansions call (RUSH_EXPECTS calls
+    // detail::precondition_failure); every identifier after the macro's
+    // own name counts.
+    for (const Directive& d : fo.file->directives) {
+      if (d.keyword != "define") continue;
+      const SourceFile body = lex_string(fo.file->rel, d.rest);
+      for (std::size_t i = 1; i < body.tokens.size(); ++i) {
+        if (body.tokens[i].kind == TokenKind::kIdentifier)
+          referenced_.insert(std::string(body.tok(i)));
+      }
+    }
   }
 }
 

@@ -8,8 +8,9 @@
 //    whichever file defines it.
 //  - referenced(name): does the identifier occur anywhere outside a
 //    declaration/definition name position? Liveness for dead-symbol —
-//    token-level, so references inside macro invocations and templates
-//    count, and comments/strings (which the lexer drops) do not.
+//    token-level, so references inside macro invocations, `#define`
+//    bodies and templates count, and comments/strings (which the lexer
+//    drops) do not.
 //
 // Files added with analyzed=false participate in both queries but are
 // not themselves rule targets — the CLI's --ref-root mechanism, which
@@ -54,7 +55,8 @@ class SymbolIndex {
                                                     int arity) const;
 
   /// True when `name` occurs as an identifier token anywhere in the index
-  /// outside declaration/definition name positions.
+  /// outside declaration/definition name positions, `#define` bodies
+  /// included.
   [[nodiscard]] bool referenced(const std::string& name) const;
 
  private:

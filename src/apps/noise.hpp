@@ -42,7 +42,9 @@ class NoiseJob {
   void start();
   void stop();
 
+  // rush-analyze: allow(dead-symbol) seam: Noise.RateStaysWithinConfiguredRange
   [[nodiscard]] double current_rate_gbps() const noexcept { return rate_; }
+  // rush-analyze: allow(dead-symbol) seam: Noise.BurstsOccurAndAreHigh
   [[nodiscard]] bool bursting() const noexcept { return burst_until_ > 0.0; }
   [[nodiscard]] const cluster::NodeSet& nodes() const noexcept { return nodes_; }
 

@@ -9,12 +9,17 @@
 // `collect` runs the in-situ campaign; `evaluate` prints the Fig. 3 model
 // comparison; `train` exports the production predictor; `simulate` runs a
 // Table II experiment under FCFS+EASY and RUSH and prints the comparison.
+// Each command reads only its own flags: an unknown flag, a missing value
+// or a malformed number prints one usage line on stderr and exits 2.
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -30,57 +35,81 @@ using namespace rush;
 
 namespace {
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
+struct Args;
 
+/// How a flag's value is read: a switch takes none, a count is an integer
+/// >= 1, a seed an unsigned 64-bit integer.
+enum class Kind { Switch, Text, Count, Seed };
+
+struct Command {
+  const char* name;
+  const char* synopsis;     // a '\n' marks a line break in the usage text
+  const char* description;  // likewise
+  std::map<std::string, Kind> flags;  // the only flags it reads, without "--"
+  int (*run)(const Args&);
+};
+
+/// Replaces every '\n' in `text` with `sep`.
+std::string lines_joined(std::string_view text, std::string_view sep) {
+  std::string out(text);
+  for (auto at = out.find('\n'); at != std::string::npos; at = out.find('\n', at + sep.size()))
+    out.replace(at, 1, sep);
+  return out;
+}
+
+struct Args {
+  const Command* command = nullptr;
+  std::map<std::string, std::string> options;  // parse() checked every value
+
+  /// Ends a run whose flags do not parse, before any work: one line on
+  /// stderr naming the problem and the command's flags, exit 2.
+  [[noreturn]] void reject(const std::string& problem) const {
+    std::fprintf(stderr, "rush %s: %s (usage: rush %s %s)\n", command->name, problem.c_str(),
+                 command->name, lines_joined(command->synopsis, " ").c_str());
+    std::exit(2);
+  }
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback = "") const {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  [[nodiscard]] long long get_int(const std::string& key, long long fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : str::to_int(it->second);
+  [[nodiscard]] int count(const std::string& key, int fallback) const {
+    return has(key) ? static_cast<int>(str::to_int(get(key))) : fallback;
+  }
+  [[nodiscard]] std::uint64_t seed(const std::string& key, std::uint64_t fallback) const {
+    return has(key) ? str::to_uint(get(key)) : fallback;
   }
   [[nodiscard]] bool has(const std::string& key) const { return options.contains(key); }
 };
 
-Args parse(int argc, char** argv) {
-  Args args;
-  if (argc > 1) args.command = argv[1];
+/// Reads argv[2..] strictly against `command`'s flags; exits 2 on an
+/// unknown flag, a missing value or a malformed number.
+Args parse(const Command& command, int argc, char** argv) {
+  Args args{&command, {}};
   for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.options[key] = argv[++i];
-    } else {
-      args.options[key] = "1";  // flag
+    const std::string arg = argv[i];
+    const auto flag = arg.rfind("--", 0) == 0 ? command.flags.find(arg.substr(2))
+                                              : command.flags.end();
+    if (flag == command.flags.end()) args.reject("unknown option '" + arg + "'");
+    std::string value = "1";
+    if (flag->second != Kind::Switch) {
+      if (i + 1 >= argc) args.reject(arg + " needs a value");
+      value = argv[++i];
     }
+    try {
+      if (flag->second == Kind::Seed) (void)str::to_uint(value);
+      if (flag->second == Kind::Count) {
+        const long long n = str::to_int(value);
+        if (n < 1 || n > std::numeric_limits<int>::max()) throw ParseError("out of range");
+      }
+    } catch (const ParseError&) {
+      args.reject(arg + " needs " +
+                  (flag->second == Kind::Seed ? "an unsigned 64-bit integer"
+                                              : "an integer >= 1") +
+                  ", got '" + value + "'");
+    }
+    args.options[flag->first] = value;
   }
   return args;
-}
-
-int usage() {
-  std::printf(
-      "rush — Resource Utilization aware Scheduler for HPC (IPDPS'22 reproduction)\n\n"
-      "commands:\n"
-      "  collect  --out corpus.csv [--days N] [--seed N] [--jobs N]\n"
-      "           run the in-situ data-collection campaign\n"
-      "  evaluate --corpus corpus.csv\n"
-      "           compare the four model families (leave-one-app-out CV)\n"
-      "  train    --corpus corpus.csv --out model.rush [--model NAME] [--rfe]\n"
-      "           train and export the production 3-class predictor\n"
-      "  inspect  --model model.rush\n"
-      "           print an exported predictor's metadata\n"
-      "  simulate --corpus corpus.csv --experiment ADAA|ADPA|PDPA|WS|SS\n"
-      "           [--trials N] [--seed N] [--swf-out PREFIX]\n"
-      "           [--faults plan.json] [--fallback fcfs|lkg]\n"
-      "           run a Table II experiment (optionally exporting SWF traces);\n"
-      "           --faults injects the fault plan into every trial and\n"
-      "           --fallback picks the oracle's degraded-mode policy\n"
-      "           (see docs/fault-injection.md)\n");
-  return 2;
 }
 
 core::Corpus load_corpus(const std::string& path) {
@@ -91,11 +120,11 @@ core::Corpus load_corpus(const std::string& path) {
 
 int cmd_collect(const Args& args) {
   const std::string out = args.get("out");
-  if (out.empty()) return usage();
+  if (out.empty()) args.reject("--out is required");
   core::CollectorConfig cfg;
-  cfg.days = static_cast<int>(args.get_int("days", cfg.days));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  cfg.jobs_per_session = static_cast<int>(args.get_int("jobs", cfg.jobs_per_session));
+  cfg.days = args.count("days", cfg.days);
+  cfg.seed = args.seed("seed", 42);
+  cfg.jobs_per_session = args.count("jobs", cfg.jobs_per_session);
   std::printf("collecting %d days x %d jobs/session (seed %llu)...\n", cfg.days,
               cfg.jobs_per_session, static_cast<unsigned long long>(cfg.seed));
   core::LongitudinalCollector collector(cfg, core::single_pod_config());
@@ -111,7 +140,7 @@ int cmd_collect(const Args& args) {
 
 int cmd_evaluate(const Args& args) {
   const std::string path = args.get("corpus");
-  if (path.empty()) return usage();
+  if (path.empty()) args.reject("--corpus is required");
   const core::Corpus corpus = load_corpus(path);
   const core::Labeler labeler(corpus);
   const auto scores = core::compare_models(corpus, labeler);
@@ -126,7 +155,7 @@ int cmd_evaluate(const Args& args) {
 int cmd_train(const Args& args) {
   const std::string path = args.get("corpus");
   const std::string out = args.get("out");
-  if (path.empty() || out.empty()) return usage();
+  if (path.empty() || out.empty()) args.reject("--corpus and --out are required");
   const core::Corpus corpus = load_corpus(path);
   const core::Labeler labeler(corpus);
   core::TrainerConfig tc;
@@ -143,7 +172,7 @@ int cmd_train(const Args& args) {
 
 int cmd_inspect(const Args& args) {
   const std::string path = args.get("model");
-  if (path.empty()) return usage();
+  if (path.empty()) args.reject("--model is required");
   std::ifstream in(path);
   if (!in) throw rush::ParseError("cannot open model: " + path);
   const core::TrainedPredictor predictor = core::TrainedPredictor::load(in);
@@ -166,17 +195,14 @@ int cmd_inspect(const Args& args) {
 int cmd_simulate(const Args& args) {
   const std::string path = args.get("corpus");
   const std::string code = args.get("experiment", "ADAA");
-  if (path.empty()) return usage();
+  if (path.empty()) args.reject("--corpus is required");
   std::optional<core::ExperimentSpec> spec;
   for (const auto& candidate : core::all_experiments())
     if (candidate.code == code) spec = candidate;
-  if (!spec) {
-    std::printf("unknown experiment '%s'\n", code.c_str());
-    return usage();
-  }
+  if (!spec) args.reject("unknown experiment '" + code + "'");
   core::ExperimentConfig config;
-  config.trials_per_policy = static_cast<int>(args.get_int("trials", 3));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  config.trials_per_policy = args.count("trials", 3);
+  config.seed = args.seed("seed", 7);
   const std::string faults_path = args.get("faults");
   if (!faults_path.empty())
     config.fault_plan = faults::FaultPlan::from_json_file(faults_path);
@@ -184,8 +210,7 @@ int cmd_simulate(const Args& args) {
   if (fallback == "lkg") {
     config.oracle_fallback = core::OracleFallback::LastKnownGood;
   } else if (fallback != "fcfs") {
-    std::printf("unknown --fallback '%s' (expected fcfs or lkg)\n", fallback.c_str());
-    return usage();
+    args.reject("--fallback needs fcfs or lkg, got '" + fallback + "'");
   }
   core::ExperimentRunner runner(load_corpus(path), config);
   std::printf("running %s (%d jobs, %d trials/policy)...\n", spec->code.c_str(), spec->num_jobs,
@@ -250,19 +275,55 @@ int cmd_simulate(const Args& args) {
   return 0;
 }
 
+const Command kCommands[] = {
+    {"collect", "--out corpus.csv [--days N] [--seed N] [--jobs N]",
+     "run the in-situ data-collection campaign",
+     {{"out", Kind::Text}, {"days", Kind::Count}, {"seed", Kind::Seed}, {"jobs", Kind::Count}},
+     cmd_collect},
+    {"evaluate", "--corpus corpus.csv", "compare the four model families (leave-one-app-out CV)",
+     {{"corpus", Kind::Text}}, cmd_evaluate},
+    {"train", "--corpus corpus.csv --out model.rush [--model NAME] [--rfe]",
+     "train and export the production 3-class predictor",
+     {{"corpus", Kind::Text}, {"out", Kind::Text}, {"model", Kind::Text}, {"rfe", Kind::Switch}},
+     cmd_train},
+    {"inspect", "--model model.rush", "print an exported predictor's metadata",
+     {{"model", Kind::Text}}, cmd_inspect},
+    {"simulate",
+     "--corpus corpus.csv --experiment ADAA|ADPA|PDPA|WS|SS\n[--trials N] [--seed N] "
+     "[--swf-out PREFIX]\n[--faults plan.json] [--fallback fcfs|lkg]",
+     "run a Table II experiment (optionally exporting SWF traces);\n--faults injects the fault "
+     "plan into every trial and\n--fallback picks the oracle's degraded-mode policy\n(see "
+     "docs/fault-injection.md)",
+     {{"corpus", Kind::Text}, {"experiment", Kind::Text}, {"trials", Kind::Count},
+      {"seed", Kind::Seed}, {"swf-out", Kind::Text}, {"faults", Kind::Text},
+      {"fallback", Kind::Text}},
+     cmd_simulate},
+};
+
+int usage() {
+  std::printf(
+      "rush — Resource Utilization aware Scheduler for HPC (IPDPS'22 reproduction)\n\n"
+      "commands:\n");
+  const char* indent = "\n           ";
+  for (const Command& c : kCommands)
+    std::printf("  %-8s %s%s%s\n", c.name, lines_joined(c.synopsis, indent).c_str(), indent,
+                lines_joined(c.description, indent).c_str());
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
-  try {
-    if (args.command == "collect") return cmd_collect(args);
-    if (args.command == "evaluate") return cmd_evaluate(args);
-    if (args.command == "train") return cmd_train(args);
-    if (args.command == "inspect") return cmd_inspect(args);
-    if (args.command == "simulate") return cmd_simulate(args);
-    return usage();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  const std::string_view name = argc > 1 ? argv[1] : "";
+  for (const Command& command : kCommands) {
+    if (name != command.name) continue;
+    const Args args = parse(command, argc, argv);
+    try {
+      return command.run(args);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
   }
+  return usage();
 }

@@ -107,10 +107,10 @@ void BackgroundLoad::update() {
   }
   const double io_diurnal =
       config_.io_diurnal_amplitude * std::sin(kTwoPi * now / config_.day_length_s + 1.3);
-  io_level_ = std::clamp(config_.io_base + io_diurnal + io_ar1_ + io_incident_intensity_ +
-                             storm_boost(now, /*io=*/true),
-                         0.0, 2.5);
-  lustre_.set_ambient_demand(io_level_ * lustre_.capacity_gbps());
+  const double io_level = std::clamp(config_.io_base + io_diurnal + io_ar1_ +
+                                         io_incident_intensity_ + storm_boost(now, /*io=*/true),
+                                     0.0, 2.5);
+  lustre_.set_ambient_demand(io_level * lustre_.capacity_gbps());
 }
 
 // rush-analyze: allow(dead-symbol) seam: Background.StormRaisesLevels

@@ -73,7 +73,6 @@ class BackgroundLoad {
   void update();
 
   [[nodiscard]] double current_net_level(int pod) const;
-  [[nodiscard]] double current_io_level() const noexcept { return io_level_; }
 
  private:
   struct PodState {
@@ -97,7 +96,6 @@ class BackgroundLoad {
   double io_ar1_ = 0.0;
   sim::Time io_incident_until_ = -1.0;
   double io_incident_intensity_ = 0.0;
-  double io_level_ = 0.0;
   std::vector<Storm> storms_;
   sim::EventId task_ = 0;
   bool running_ = false;

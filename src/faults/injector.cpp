@@ -139,7 +139,6 @@ void FaultInjector::notify(FaultKind kind, cluster::NodeId node) {
 }
 
 void FaultInjector::count_fault(FaultKind kind) {
-  ++faults_fired_;
   obs::Counter* metric = metric_kind_[static_cast<std::size_t>(kind)];
   if (metric != nullptr) metric->inc();
 }
@@ -171,7 +170,6 @@ bool FaultInjector::counters_corrupted(sim::Time now) const noexcept {
 
 bool FaultInjector::drop_frame(sim::Time t) {
   if (!in_window(dropout_, t)) return false;
-  ++frames_dropped_;
   if (metric_frames_dropped_ != nullptr) metric_frames_dropped_->inc();
   return true;
 }
@@ -198,7 +196,6 @@ void FaultInjector::corrupt_frame(sim::Time t, const cluster::NodeSet& nodes,
     touched = true;
   }
   if (!touched) return;
-  ++frames_corrupted_;
   if (metric_frames_corrupted_ != nullptr) metric_frames_corrupted_->inc();
 }
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -82,10 +81,6 @@ class FaultInjector {
   [[nodiscard]] bool counters_corrupted(sim::Time now) const noexcept;
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
-  /// Plan events (including synthesized auto-restores) fired so far.
-  [[nodiscard]] std::uint64_t faults_fired() const noexcept { return faults_fired_; }
-  [[nodiscard]] std::uint64_t frames_dropped() const noexcept { return frames_dropped_; }
-  [[nodiscard]] std::uint64_t frames_corrupted() const noexcept { return frames_corrupted_; }
 
  private:
   /// Half-open [begin, end) outage window, plus the target node for
@@ -123,10 +118,6 @@ class FaultInjector {
   std::array<obs::Counter*, kNumFaultKinds> metric_kind_{};
   obs::Counter* metric_frames_dropped_ = nullptr;
   obs::Counter* metric_frames_corrupted_ = nullptr;
-
-  std::uint64_t faults_fired_ = 0;
-  std::uint64_t frames_dropped_ = 0;
-  std::uint64_t frames_corrupted_ = 0;
 };
 
 }  // namespace rush::faults

@@ -51,7 +51,7 @@ void AdaBoost::fit(const Dataset& data, std::span<const double> sample_weights) 
 
     double error = 0.0;
     for (std::size_t i = 0; i < data.rows(); ++i) {
-      wrong[i] = stage.tree.predict(data.row(i)) != data.label(i);
+      wrong[i] = stage.tree.compiled().predict(data.row(i)) != data.label(i);
       if (wrong[i]) error += weights[i];
     }
 
@@ -94,37 +94,11 @@ void AdaBoost::compile_() {
   for (const Stage& s : stages_) compiled_.add_tree(s.tree.compiled(), s.alpha);
 }
 
-int AdaBoost::predict(std::span<const double> x) const {
-  RUSH_EXPECTS(is_fitted());
-  const auto k = static_cast<std::size_t>(num_classes_);
-  constexpr std::size_t kStack = 16;
-  double buf[kStack];
-  if (k <= kStack) {
-    const std::span<double> out(buf, k);
-    compiled_.vote_proba_into(x, out);
-    return argmax_first(out);
-  }
-  std::vector<double> out(k);
-  compiled_.vote_proba_into(x, out);
-  return argmax_first(out);
-}
-
 void AdaBoost::predict_proba_into(std::span<const double> x, std::span<double> out) const {
   RUSH_EXPECTS(is_fitted());
   RUSH_EXPECTS(x.size() == num_features_);
   RUSH_EXPECTS(out.size() == static_cast<std::size_t>(num_classes_));
   compiled_.vote_proba_into(x, out);
-}
-
-void AdaBoost::predict_many(const Dataset& data, std::span<int> out) const {
-  RUSH_EXPECTS(is_fitted());
-  RUSH_EXPECTS(data.cols() == num_features_);
-  RUSH_EXPECTS(out.size() == data.rows());
-  std::vector<double> votes(static_cast<std::size_t>(num_classes_));
-  for (std::size_t i = 0; i < data.rows(); ++i) {
-    compiled_.vote_proba_into(data.row(i), votes);
-    out[i] = argmax_first(votes);
-  }
 }
 
 std::vector<double> AdaBoost::feature_importances() const {

@@ -23,11 +23,8 @@ class AdaBoost final : public Classifier {
   explicit AdaBoost(AdaBoostConfig config = {});
 
   void fit(const Dataset& data, std::span<const double> sample_weights = {}) override;
-  /// Argmax over the compiled forest's weighted votes; no temporary
-  /// vector for ensembles up to 16 classes.
-  [[nodiscard]] int predict(std::span<const double> x) const override;
+  /// The compiled forest's weight-normalized votes.
   void predict_proba_into(std::span<const double> x, std::span<double> out) const override;
-  void predict_many(const Dataset& data, std::span<int> out) const override;
   [[nodiscard]] int num_classes() const noexcept override { return num_classes_; }
   [[nodiscard]] std::size_t num_features() const noexcept override { return num_features_; }
   [[nodiscard]] bool is_fitted() const noexcept override { return !stages_.empty(); }

@@ -1,12 +1,19 @@
 #include "ml/classifier.hpp"
 
-#include "common/error.hpp"
+#include "ml/compiled.hpp"
 
 namespace rush::ml {
 
-void Classifier::predict_many(const Dataset& data, std::span<int> out) const {
-  RUSH_EXPECTS(out.size() == data.rows());
-  for (std::size_t i = 0; i < data.rows(); ++i) out[i] = predict(data.row(i));
+int Classifier::predict(std::span<const double> x) const {
+  const auto k = static_cast<std::size_t>(num_classes());
+  // A stack buffer covers every class count the pipeline produces; the
+  // heap vector stays empty, so allocates nothing, unless k exceeds it.
+  constexpr std::size_t kStack = 16;
+  double stack[kStack] = {};
+  std::vector<double> heap(k > kStack ? k : 0);
+  const std::span<double> out = heap.empty() ? std::span<double>(stack, k) : heap;
+  predict_proba_into(x, out);
+  return argmax_first(out);
 }
 
 }  // namespace rush::ml

@@ -19,28 +19,15 @@ class Classifier {
   /// entry per row; models that cannot honor weights ignore them.
   virtual void fit(const Dataset& data, std::span<const double> sample_weights = {}) = 0;
 
-  /// Predicted class label for one feature vector.
-  [[nodiscard]] virtual int predict(std::span<const double> x) const = 0;
-
   /// Per-class scores summing to 1 (vote fractions / weighted votes)
-  /// written into `out` (size num_classes()). The compiled-tree models
-  /// walk their flat arrays without allocating.
+  /// written into `out` (size num_classes()): the one prediction every
+  /// model implements. The compiled-tree models walk their flat arrays
+  /// without allocating.
   virtual void predict_proba_into(std::span<const double> x, std::span<double> out) const = 0;
 
-  /// Scores into `out` plus the argmax label in one call — the zero-alloc
-  /// steady-state entry point (given a zero-alloc predict_proba_into).
-  int predict_into(std::span<const double> x, std::span<double> out) const {
-    predict_proba_into(x, out);
-    int best = 0;
-    for (std::size_t c = 1; c < out.size(); ++c) {
-      if (out[c] > out[static_cast<std::size_t>(best)]) best = static_cast<int>(c);
-    }
-    return best;
-  }
-
-  /// Batched labels for every row of `data` into `out` (size
-  /// data.rows()). Overrides reuse one scratch buffer across all rows.
-  virtual void predict_many(const Dataset& data, std::span<int> out) const;
+  /// Predicted class label: the first argmax of predict_proba_into. No
+  /// temporary vector up to 16 classes.
+  [[nodiscard]] int predict(std::span<const double> x) const;
 
   [[nodiscard]] virtual int num_classes() const noexcept = 0;
   [[nodiscard]] virtual std::size_t num_features() const noexcept = 0;

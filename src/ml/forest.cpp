@@ -78,39 +78,11 @@ void Forest::compile_() {
   for (const DecisionTree& tree : trees_) compiled_.add_tree(tree.compiled());
 }
 
-int Forest::predict(std::span<const double> x) const {
-  RUSH_EXPECTS(is_fitted());
-  const auto k = static_cast<std::size_t>(num_classes_);
-  // Small stack buffer covers every class count the pipeline produces;
-  // the heap fallback keeps arbitrary ensembles correct.
-  constexpr std::size_t kStack = 16;
-  double buf[kStack];
-  if (k <= kStack) {
-    const std::span<double> out(buf, k);
-    compiled_.mean_proba_into(x, out);
-    return argmax_first(out);
-  }
-  std::vector<double> out(k);
-  compiled_.mean_proba_into(x, out);
-  return argmax_first(out);
-}
-
 void Forest::predict_proba_into(std::span<const double> x, std::span<double> out) const {
   RUSH_EXPECTS(is_fitted());
   RUSH_EXPECTS(x.size() == num_features_);
   RUSH_EXPECTS(out.size() == static_cast<std::size_t>(num_classes_));
   compiled_.mean_proba_into(x, out);
-}
-
-void Forest::predict_many(const Dataset& data, std::span<int> out) const {
-  RUSH_EXPECTS(is_fitted());
-  RUSH_EXPECTS(data.cols() == num_features_);
-  RUSH_EXPECTS(out.size() == data.rows());
-  std::vector<double> proba(static_cast<std::size_t>(num_classes_));
-  for (std::size_t i = 0; i < data.rows(); ++i) {
-    compiled_.mean_proba_into(data.row(i), proba);
-    out[i] = argmax_first(proba);
-  }
 }
 
 std::vector<double> Forest::feature_importances() const {

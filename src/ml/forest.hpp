@@ -25,11 +25,8 @@ class Forest : public Classifier {
   explicit Forest(ForestConfig config = {});
 
   void fit(const Dataset& data, std::span<const double> sample_weights = {}) override;
-  /// Argmax over the compiled forest's mean leaf probabilities; no
-  /// temporary vector for ensembles up to 16 classes.
-  [[nodiscard]] int predict(std::span<const double> x) const override;
+  /// The compiled forest's mean leaf probabilities.
   void predict_proba_into(std::span<const double> x, std::span<double> out) const override;
-  void predict_many(const Dataset& data, std::span<int> out) const override;
   [[nodiscard]] int num_classes() const noexcept override { return num_classes_; }
   [[nodiscard]] std::size_t num_features() const noexcept override { return num_features_; }
   [[nodiscard]] bool is_fitted() const noexcept override { return !trees_.empty(); }

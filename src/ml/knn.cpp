@@ -4,6 +4,7 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -29,13 +30,12 @@ void Knn::fit(const Dataset& data, std::span<const double> sample_weights) {
   }
 }
 
-void Knn::votes_into(std::span<const double> q, std::span<double> votes,
-                     std::vector<std::pair<double, std::size_t>>& dist) const {
+void Knn::votes_into(std::span<const double> q, std::span<double> votes) const {
   const std::size_t n = labels_.size();
   const std::size_t k = std::min(config_.k, n);
 
   // Partial selection of the k smallest squared distances.
-  dist.resize(n);
+  std::vector<std::pair<double, std::size_t>> dist(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double* row = x_.data() + i * num_features_;
     double d2 = 0.0;
@@ -63,28 +63,7 @@ void Knn::predict_proba_into(std::span<const double> x, std::span<double> out) c
   RUSH_EXPECTS(is_fitted());
   RUSH_EXPECTS(x.size() == num_features_);
   RUSH_EXPECTS(out.size() == static_cast<std::size_t>(num_classes_));
-  const auto q = scaler_.transform(x);
-  std::vector<std::pair<double, std::size_t>> dist;
-  votes_into(q, out, dist);
-}
-
-int Knn::predict(std::span<const double> x) const {
-  std::vector<double> votes(static_cast<std::size_t>(num_classes_));
-  return predict_into(x, votes);
-}
-
-void Knn::predict_many(const Dataset& data, std::span<int> out) const {
-  RUSH_EXPECTS(is_fitted());
-  RUSH_EXPECTS(data.cols() == num_features_);
-  RUSH_EXPECTS(out.size() == data.rows());
-  std::vector<double> q(num_features_);
-  std::vector<double> votes(static_cast<std::size_t>(num_classes_));
-  std::vector<std::pair<double, std::size_t>> dist;
-  for (std::size_t i = 0; i < data.rows(); ++i) {
-    scaler_.transform_into(data.row(i), q);
-    votes_into(q, votes, dist);
-    out[i] = static_cast<int>(std::max_element(votes.begin(), votes.end()) - votes.begin());
-  }
+  votes_into(scaler_.transform(x), out);
 }
 
 std::unique_ptr<Classifier> Knn::clone_config() const { return std::make_unique<Knn>(config_); }

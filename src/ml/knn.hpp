@@ -5,8 +5,6 @@
 // counts) contribute comparably.
 #pragma once
 
-#include <utility>
-
 #include "ml/classifier.hpp"
 #include "ml/scaler.hpp"
 
@@ -24,10 +22,7 @@ class Knn final : public Classifier {
 
   /// Sample weights are ignored (noted in the interface contract).
   void fit(const Dataset& data, std::span<const double> sample_weights = {}) override;
-  [[nodiscard]] int predict(std::span<const double> x) const override;
   void predict_proba_into(std::span<const double> x, std::span<double> out) const override;
-  /// Batched labels reusing one query/distance scratch across all rows.
-  void predict_many(const Dataset& data, std::span<int> out) const override;
   [[nodiscard]] int num_classes() const noexcept override { return num_classes_; }
   [[nodiscard]] std::size_t num_features() const noexcept override { return num_features_; }
   [[nodiscard]] bool is_fitted() const noexcept override { return !labels_.empty(); }
@@ -39,10 +34,8 @@ class Knn final : public Classifier {
   [[nodiscard]] const KnnConfig& config() const noexcept { return config_; }
 
  private:
-  /// Votes for one standardized query; `dist` is caller-owned scratch so
-  /// batched prediction reuses one buffer across rows.
-  void votes_into(std::span<const double> q, std::span<double> votes,
-                  std::vector<std::pair<double, std::size_t>>& dist) const;
+  /// Votes for one standardized query.
+  void votes_into(std::span<const double> q, std::span<double> votes) const;
 
   KnnConfig config_;
   int num_classes_ = 0;

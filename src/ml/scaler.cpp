@@ -33,16 +33,11 @@ void StandardScaler::fit(const Dataset& data) {
 }
 
 std::vector<double> StandardScaler::transform(std::span<const double> x) const {
-  std::vector<double> out(x.size());
-  transform_into(x, out);
-  return out;
-}
-
-void StandardScaler::transform_into(std::span<const double> x, std::span<double> out) const {
   RUSH_EXPECTS(is_fitted());
   RUSH_EXPECTS(x.size() == means_.size());
-  RUSH_EXPECTS(out.size() == x.size());
+  std::vector<double> out(x.size());
   for (std::size_t f = 0; f < x.size(); ++f) out[f] = (x[f] - means_[f]) / stddevs_[f];
+  return out;
 }
 
 Dataset StandardScaler::transform(const Dataset& data) const {

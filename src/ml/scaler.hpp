@@ -18,13 +18,8 @@ class StandardScaler {
 
   /// Scaled copy of one feature vector. Constant features map to 0.
   [[nodiscard]] std::vector<double> transform(std::span<const double> x) const;
-  /// Same values written into `out` (size num_features) — no allocation.
-  void transform_into(std::span<const double> x, std::span<double> out) const;
   /// Scaled copy of a whole dataset (labels/groups preserved).
   [[nodiscard]] Dataset transform(const Dataset& data) const;
-
-  [[nodiscard]] const std::vector<double>& means() const noexcept { return means_; }
-  [[nodiscard]] const std::vector<double>& stddevs() const noexcept { return stddevs_; }
 
   void save(std::ostream& os) const;
   void load(std::istream& is);

@@ -433,25 +433,12 @@ std::int32_t DecisionTree::Builder::build(std::size_t lo, std::size_t hi, int de
   return self;
 }
 
-int DecisionTree::predict(std::span<const double> x) const {
-  RUSH_EXPECTS(is_fitted());
-  RUSH_EXPECTS(x.size() == num_features_);
-  return compiled_.predict(x);
-}
-
 void DecisionTree::predict_proba_into(std::span<const double> x, std::span<double> out) const {
   RUSH_EXPECTS(is_fitted());
   RUSH_EXPECTS(x.size() == num_features_);
   RUSH_EXPECTS(out.size() == static_cast<std::size_t>(num_classes_));
   const auto leaf = compiled_.leaf(x);
   std::copy(leaf.begin(), leaf.end(), out.begin());
-}
-
-void DecisionTree::predict_many(const Dataset& data, std::span<int> out) const {
-  RUSH_EXPECTS(is_fitted());
-  RUSH_EXPECTS(data.cols() == num_features_);
-  RUSH_EXPECTS(out.size() == data.rows());
-  for (std::size_t i = 0; i < data.rows(); ++i) out[i] = compiled_.predict(data.row(i));
 }
 
 void DecisionTree::compile() {

@@ -98,10 +98,8 @@ class DecisionTree final : public Classifier {
   /// been built for a dataset of `data`'s shape (in practice, `data`).
   void fit(const Dataset& data, std::span<const double> sample_weights,
            FitWorkspace& workspace);
-  /// Direct argmax walk over the compiled arrays — no temporary vector.
-  [[nodiscard]] int predict(std::span<const double> x) const override;
+  /// The probabilities of the compiled leaf `x` falls into.
   void predict_proba_into(std::span<const double> x, std::span<double> out) const override;
-  void predict_many(const Dataset& data, std::span<int> out) const override;
   [[nodiscard]] int num_classes() const noexcept override { return num_classes_; }
   [[nodiscard]] std::size_t num_features() const noexcept override { return num_features_; }
   [[nodiscard]] bool is_fitted() const noexcept override { return !nodes_.empty(); }

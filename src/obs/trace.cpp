@@ -34,7 +34,6 @@ void EventTrace::flush() {
   if (!sink_ || buffer_.empty()) return;
   sink_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
   sink_->flush();
-  bytes_flushed_ += buffer_.size();
   buffer_.clear();
 }
 

@@ -60,11 +60,6 @@ class EventTrace {
   EventTrace(const EventTrace&) = delete;
   EventTrace& operator=(const EventTrace&) = delete;
 
-  /// Total bytes handed to the sink plus bytes still buffered.
-  [[nodiscard]] std::uint64_t bytes_written() const noexcept {
-    return bytes_flushed_ + buffer_.size();
-  }
-
   void flush();
 
   /// Append every record buffered in `child` to this trace, renumbering
@@ -152,7 +147,6 @@ class EventTrace {
   std::mutex absorb_mu_;
   std::string buffer_;
   std::uint64_t seq_ = 0;
-  std::uint64_t bytes_flushed_ = 0;
 };
 
 /// Stable 64-bit FNV-1a over the bit patterns of a double vector; the

@@ -137,9 +137,9 @@ class Scheduler {
   [[nodiscard]] std::size_t queue_length() const noexcept { return queue_.size(); }
   [[nodiscard]] std::size_t running_count() const noexcept { return running_.size(); }
   [[nodiscard]] std::size_t completed_count() const noexcept { return completed_count_; }
-  [[nodiscard]] bool idle() const noexcept { return queue_.empty() && running_.empty(); }
 
   /// Ids of pending jobs in current queue order (head first).
+  // rush-analyze: allow(dead-symbol) seam: Scheduler.SkipPlacementControlsQueueOrder
   [[nodiscard]] std::vector<JobId> queued_jobs() const { return queue_; }
 
   /// Duration from first submission to last completion; 0 before any
@@ -148,7 +148,6 @@ class Scheduler {
 
   /// Total Algorithm-2 delays issued across all jobs.
   [[nodiscard]] std::uint64_t total_skips() const noexcept { return total_skips_; }
-  [[nodiscard]] std::uint64_t passes_run() const noexcept { return passes_; }
   /// Jobs put back in the queue because a node crashed under them.
   [[nodiscard]] std::uint64_t total_requeues() const noexcept { return total_requeues_; }
 

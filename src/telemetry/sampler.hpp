@@ -46,7 +46,6 @@ class CounterSampler {
   /// Begin periodic sampling; the first frame is captured immediately.
   void start();
   void stop();
-  [[nodiscard]] bool running() const noexcept { return running_; }
 
   /// Capture one frame right now regardless of running state.
   void sample_now();

@@ -164,13 +164,6 @@ std::size_t CounterStore::corrupt_frames_in(sim::Time t0, sim::Time t1) const no
   return count;
 }
 
-std::vector<Agg> CounterStore::aggregate_nodes(sim::Time t0, sim::Time t1,
-                                               const cluster::NodeSet& nodes) const {
-  std::vector<Agg> out(num_counters_);
-  aggregate_nodes_into(t0, t1, nodes, out);
-  return out;
-}
-
 // rush: noalloc
 void CounterStore::aggregate_nodes_into(sim::Time t0, sim::Time t1,
                                         const cluster::NodeSet& nodes,
@@ -206,12 +199,6 @@ void CounterStore::aggregate_nodes_into(sim::Time t0, sim::Time t1,
   }
   const double denom = static_cast<double>(samples) * static_cast<double>(idx.size());
   for (Agg& a : out) a.mean /= denom;
-}
-
-std::vector<Agg> CounterStore::aggregate_all(sim::Time t0, sim::Time t1) const {
-  std::vector<Agg> out(num_counters_);
-  aggregate_all_into(t0, t1, out);
-  return out;
 }
 
 // rush: noalloc

@@ -63,22 +63,16 @@ class CounterStore {
   [[nodiscard]] std::size_t corrupt_frames_in(sim::Time t0, sim::Time t1) const noexcept;
 
   /// Per-counter aggregates over frames with t in [t0, t1] and the given
-  /// nodes (must all be managed). Returns num_counters() entries; returns
-  /// zeros if the window holds no frames.
-  [[nodiscard]] std::vector<Agg> aggregate_nodes(sim::Time t0, sim::Time t1,
-                                                 const cluster::NodeSet& nodes) const;
-
-  /// Same, over every managed node, using the precomputed per-frame
-  /// aggregates (cheap regardless of node count).
-  [[nodiscard]] std::vector<Agg> aggregate_all(sim::Time t0, sim::Time t1) const;
-
-  /// Variants writing into caller-owned storage of size num_counters();
-  /// values are identical to the vector forms. Both are steady-state
-  /// allocation-free (the nodes variant reuses a member scratch for node
-  /// indices); the '// rush: noalloc' contract on the definitions is
-  /// enforced by rush_analyze.
+  /// nodes (must all be managed), written into `out` (size
+  /// num_counters()); zeros if the window holds no frames.
   void aggregate_nodes_into(sim::Time t0, sim::Time t1, const cluster::NodeSet& nodes,
                             std::span<Agg> out) const;
+  /// Same, over every managed node, using the precomputed per-frame
+  /// aggregates (cheap regardless of node count).
+  ///
+  /// Both are steady-state allocation-free (the nodes variant reuses a
+  /// member scratch for node indices); the '// rush: noalloc' contract on
+  /// the definitions is enforced by rush_analyze.
   void aggregate_all_into(sim::Time t0, sim::Time t1, std::span<Agg> out) const;
 
   /// Most recent value of one counter on one node; 0 if no frames.

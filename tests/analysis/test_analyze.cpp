@@ -176,8 +176,7 @@ TEST(AnalyzeOutline, MembersFunctionsAccessAndTraits) {
 
   const ra::FunctionDecl& depth = fn_named(o, "depth");
   EXPECT_TRUE(depth.is_const);
-  EXPECT_TRUE(depth.is_definition);
-  EXPECT_TRUE(depth.inline_like);  // defined in-class
+  EXPECT_TRUE(depth.is_definition);  // defined in-class
   EXPECT_FALSE(depth.has_params);
 
   EXPECT_TRUE(fn_named(o, "make").is_static);
@@ -236,8 +235,7 @@ TEST(AnalyzeOutline, GnarlyTemplatesNestedClassesAndOutOfLineMembers) {
   EXPECT_EQ(marks, 2);
 
   const ra::FunctionDecl& clamp = fn_named(o, "clamp_unit");
-  EXPECT_TRUE(clamp.inline_like);  // template
-  EXPECT_TRUE(clamp.is_definition);
+  EXPECT_TRUE(clamp.is_definition);  // a template
   EXPECT_EQ(clamp.cls(), "");
 
   // Template args in a parameter type must not confuse the arity count.
@@ -506,25 +504,54 @@ TEST(AnalyzeGuardedMember, TouchBeforeLockFiresHelpersAndCtorsExempt) {
 
 TEST(AnalyzeDeadSymbol, UnreferencedDefinitionsOnlyVirtualOperatorMainExempt) {
   const ra::AnalyzeResult r = run("deadsym", {"dead-symbol"});
-  // orphan and bench_only are referenced nowhere in the tree; inline/
-  // constexpr/template header API, the virtual override, the operator,
-  // main, and the allow-markered tolerated stay quiet.
+  // orphan, bench_only, the constexpr header_const, the template
+  // header_tmpl and the in-class Tally::peek are referenced nowhere in
+  // the tree; the called inline header_helper and in-class Tally::bump,
+  // the virtual override, the operator, main, and the allow-markered
+  // tolerated stay quiet.
   EXPECT_EQ(file_keys(r),
             (std::multiset<std::pair<std::string, std::string>>{
                 {"core/util.cpp", "orphan"},
                 {"core/util.cpp", "bench_only"},
+                {"core/util.hpp", "header_const"},
+                {"core/util.hpp", "header_tmpl"},
+                {"core/util.hpp", "Tally::peek"},
             }));
 }
 
 TEST(AnalyzeDeadSymbol, RefRootsKeepExternallyExercisedApiAlive) {
   const ra::AnalyzeResult r = run("deadsym", {"dead-symbol"}, {"deadsym_ref"});
-  // bench_only is called from the reference tree, so only orphan remains;
+  // bench_only is called from the reference tree, so it leaves the set;
   // the reference tree's own local_orphan is not a rule target.
   EXPECT_EQ(file_keys(r),
             (std::multiset<std::pair<std::string, std::string>>{
                 {"core/util.cpp", "orphan"},
+                {"core/util.hpp", "header_const"},
+                {"core/util.hpp", "header_tmpl"},
+                {"core/util.hpp", "Tally::peek"},
             }));
   EXPECT_EQ(r.stats.ref_files, 1u);
+}
+
+TEST(AnalyzeDeadSymbol, InClassAccessorOnlyANonReferenceTreeCallsIsReported) {
+  // Tally::peek is defined inside its class and called only from the
+  // deadsym_tests tree, which the gate does not index (as the ctest gate
+  // does not index tests/): it is a finding.
+  const auto keys = file_keys(run("deadsym", {"dead-symbol"}, {"deadsym_ref"}));
+  EXPECT_EQ(keys.count({"core/util.hpp", "Tally::peek"}), 1u);
+  EXPECT_EQ(keys.count({"core/util.hpp", "Tally::bump"}), 0u);
+  // Indexed as a reference tree, the same call keeps it alive.
+  const auto with_tests =
+      file_keys(run("deadsym", {"dead-symbol"}, {"deadsym_ref", "deadsym_tests"}));
+  EXPECT_EQ(with_tests.count({"core/util.hpp", "Tally::peek"}), 0u);
+}
+
+TEST(AnalyzeDeadSymbol, DefineBodiesCountAsReferences) {
+  // check_failed is defined in util.cpp and named only in the body of
+  // util.hpp's CHECK macro, as detail::precondition_failure is named
+  // only by RUSH_EXPECTS.
+  const auto keys = file_keys(run("deadsym", {"dead-symbol"}));
+  EXPECT_EQ(keys.count({"core/util.cpp", "check_failed"}), 0u);
 }
 
 // ---------------------------------------------------------- integration
@@ -533,16 +560,16 @@ TEST(AnalyzeFullCatalogue, FixtureTreesProduceExactlyTheSeededFindings) {
   // Fixture functions are mostly unreferenced by construction, so the
   // full catalogue adds deterministic dead-symbol (and in sim/sched
   // trees missing-expects) findings on top of each tree's seeded rule.
-  EXPECT_EQ(run("determinism").findings.size(), 26u);  // 5 rand + 3 thread + 2 iter + 2 scan + 2 expects + 12 dead
-  EXPECT_EQ(run("hygiene").findings.size(), 5u);  // 1 guard + 2 redundant + 1 unused + 1 dead
-  EXPECT_EQ(run("layering").findings.size(), 2u);
-  EXPECT_EQ(run("cycle").findings.size(), 1u);
+  EXPECT_EQ(run("determinism").findings.size(), 34u);  // 5 rand + 3 thread + 2 iter + 2 scan + 2 expects + 20 dead
+  EXPECT_EQ(run("hygiene").findings.size(), 10u);  // 1 guard + 2 redundant + 1 unused + 6 dead
+  EXPECT_EQ(run("layering").findings.size(), 5u);   // 2 layer + 3 dead
+  EXPECT_EQ(run("cycle").findings.size(), 2u);      // 1 cycle + 1 dead
   EXPECT_EQ(run("faultdag").findings.size(), 2u);   // 1 upward include + 1 cycle
-  EXPECT_EQ(run("expects").findings.size(), 9u);    // 2 expects + 7 dead
+  EXPECT_EQ(run("expects").findings.size(), 11u);   // 2 expects + 9 dead
   EXPECT_EQ(run("tracetime").findings.size(), 3u);  // 2 trace + 1 dead
   EXPECT_EQ(run("noalloc").findings.size(), 8u);    // 3 noalloc + 3 expects + 2 dead
-  EXPECT_EQ(run("guarded").findings.size(), 9u);    // 2 guarded + 7 dead
-  EXPECT_EQ(run("deadsym").findings.size(), 2u);
+  EXPECT_EQ(run("guarded").findings.size(), 10u);   // 2 guarded + 8 dead
+  EXPECT_EQ(run("deadsym").findings.size(), 5u);
 }
 
 // ------------------------------------------------------------ reporting
@@ -551,7 +578,7 @@ TEST(AnalyzeReport, HumanAndStatsRendersCarryTheRun) {
   const ra::AnalyzeResult r = run("cycle");
   const std::string human = ra::render_human(r);
   EXPECT_NE(human.find("include-cycle"), std::string::npos);
-  EXPECT_NE(human.find("4 file(s), 1 finding(s)"), std::string::npos) << human;
+  EXPECT_NE(human.find("4 file(s), 2 finding(s)"), std::string::npos) << human;
   EXPECT_GT(r.stats.tokens, 0u);
   EXPECT_NE(ra::render_stats(r.stats).find("analyzed 4 file(s)"), std::string::npos);
 }
@@ -594,5 +621,5 @@ TEST(AnalyzeReport, SarifKeepsItsBytes) {
                         "sim may not include core/pipeline.hpp"});
   r.findings.push_back({"pragma-once", "obs/a \"b\".hpp", 0, "pragma", "missing #pragma once"});
   const std::string sarif = ra::render_sarif(r);
-  EXPECT_EQ(rush::golden::hex(rush::golden::fnv1a(sarif)), "0xf563fdbd4a06751c") << sarif;
+  EXPECT_EQ(rush::golden::hex(rush::golden::fnv1a(sarif)), "0xee47373ca2a8220e") << sarif;
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -54,6 +55,18 @@ class InjectorTest : public ::testing::Test {
         store_({0, 1, 2, 3}, telemetry::num_counters(), 300.0),
         sampler_(engine_, net_, lustre_, store_, {}, Rng(7)) {}
 
+  /// Plan events (synthesized auto-restores included) an injector
+  /// attached to metrics_ has fired: the sum of its per-kind counters.
+  std::uint64_t faults_fired() {
+    std::uint64_t total = 0;
+    for (int k = 0; k < kNumFaultKinds; ++k)
+      total += metrics_.counter(std::string("faults.") +
+                                fault_kind_name(static_cast<FaultKind>(k)))
+                   .value();
+    return total;
+  }
+
+  obs::MetricsRegistry metrics_;
   sim::Engine engine_;
   cluster::FatTree tree_;
   cluster::NetworkModel net_;
@@ -71,6 +84,7 @@ TEST_F(InjectorTest, CrashDrainRestoreDriveNodeEventsAndDownSet) {
   restore.node = 2;
 
   FaultInjector injector(engine_, plan_of({crash, drain, restore}));
+  injector.set_obs(nullptr, &metrics_);
   std::vector<std::pair<FaultKind, cluster::NodeId>> seen;
   injector.subscribe_node_events(
       [&](const NodeFaultEvent& ev) { seen.emplace_back(ev.kind, ev.node); });
@@ -90,7 +104,7 @@ TEST_F(InjectorTest, CrashDrainRestoreDriveNodeEventsAndDownSet) {
   EXPECT_EQ(seen[0], (std::pair{FaultKind::NodeCrash, cluster::NodeId{2}}));
   EXPECT_EQ(seen[1], (std::pair{FaultKind::NodeDrain, cluster::NodeId{5}}));
   EXPECT_EQ(seen[2], (std::pair{FaultKind::NodeRestore, cluster::NodeId{2}}));
-  EXPECT_EQ(injector.faults_fired(), 3u);
+  EXPECT_EQ(faults_fired(), 3u);
 }
 
 TEST_F(InjectorTest, BoundedCrashSynthesizesItsOwnRestore) {
@@ -99,12 +113,13 @@ TEST_F(InjectorTest, BoundedCrashSynthesizesItsOwnRestore) {
   crash.duration_s = 50.0;
 
   FaultInjector injector(engine_, plan_of({crash}));
+  injector.set_obs(nullptr, &metrics_);
   injector.arm();
   engine_.run_until(120.0);
   EXPECT_TRUE(injector.node_down(1));
   engine_.run_until(160.0);
   EXPECT_FALSE(injector.node_down(1));
-  EXPECT_EQ(injector.faults_fired(), 2u);  // crash + synthesized restore
+  EXPECT_EQ(faults_fired(), 2u);  // crash + synthesized restore
 }
 
 TEST_F(InjectorTest, DuplicateCrashAndOrphanRestoreAreIdempotent) {
@@ -116,13 +131,14 @@ TEST_F(InjectorTest, DuplicateCrashAndOrphanRestoreAreIdempotent) {
   orphan.node = 6;  // never went down
 
   FaultInjector injector(engine_, plan_of({first, again, orphan}));
+  injector.set_obs(nullptr, &metrics_);
   int events = 0;
   injector.subscribe_node_events([&](const NodeFaultEvent&) { ++events; });
   injector.arm();
   engine_.run_until(150.0);
   EXPECT_TRUE(injector.node_down(3));
   EXPECT_EQ(events, 1);  // duplicate crash and orphan restore notified nobody
-  EXPECT_EQ(injector.faults_fired(), 1u);
+  EXPECT_EQ(faults_fired(), 1u);
 }
 
 TEST_F(InjectorTest, LinkDegradeScalesUtilizationAndAutoRestores) {
@@ -154,6 +170,7 @@ TEST_F(InjectorTest, SamplerDropoutLeavesAGapAndCountsFrames) {
   dropout.duration_s = 65.0;  // swallows the 100s and 130s ticks (30s period)
 
   FaultInjector injector(engine_, plan_of({dropout}));
+  injector.set_obs(nullptr, &metrics_);
   injector.attach_sampler(&sampler_);
   injector.arm();
 
@@ -163,7 +180,7 @@ TEST_F(InjectorTest, SamplerDropoutLeavesAGapAndCountsFrames) {
 
   // Ticks at 0,30,60,90,120,150,180 = 7; the 120 and 150 ticks are inside
   // [100, 165) and dropped.
-  EXPECT_EQ(injector.frames_dropped(), 2u);
+  EXPECT_EQ(metrics_.counter("faults.frames_dropped").value(), 2u);
   EXPECT_EQ(store_.frame_count(), 5u);
   EXPECT_TRUE(injector.sampler_dropped_out(110.0));
   EXPECT_FALSE(injector.sampler_dropped_out(165.0));  // half-open window
@@ -176,6 +193,7 @@ TEST_F(InjectorTest, CounterCorruptionIsQuarantinedButDetectable) {
   corrupt.duration_s = 40.0;
 
   FaultInjector injector(engine_, plan_of({corrupt}));
+  injector.set_obs(nullptr, &metrics_);
   injector.attach_sampler(&sampler_);
   injector.arm();
 
@@ -185,13 +203,14 @@ TEST_F(InjectorTest, CounterCorruptionIsQuarantinedButDetectable) {
 
   // Ticks at 60 and 90 fall inside [50, 90): exactly the 60s frame plus
   // nothing else (90 is outside the half-open window).
-  EXPECT_EQ(injector.frames_corrupted(), 1u);
+  EXPECT_EQ(metrics_.counter("faults.frames_corrupted").value(), 1u);
   EXPECT_EQ(store_.corrupt_frames_in(0.0, 130.0), 1u);
   EXPECT_TRUE(injector.counters_corrupted(60.0));
   EXPECT_FALSE(injector.counters_corrupted(90.0));  // half-open window
   EXPECT_FALSE(injector.counters_corrupted(49.9));
   // Quarantine at ingest: nothing non-finite reaches aggregation.
-  const auto agg = store_.aggregate_all(0.0, 130.0);
+  std::vector<telemetry::Agg> agg(store_.num_counters());
+  store_.aggregate_all_into(0.0, 130.0, agg);
   for (const auto& a : agg) {
     EXPECT_TRUE(std::isfinite(a.min) && std::isfinite(a.max) && std::isfinite(a.mean));
   }

@@ -5,8 +5,8 @@
 //  - each fit below produces the save_body text whose digest is recorded
 //    in its row, including AdaBoost rounds that share one PresortedIndex;
 //  - predict_proba_into writes the recorded bytes over each probe set,
-//    and predict, predict_into and predict_many return the argmax of
-//    those bytes, including after a save/load round trip.
+//    and predict returns the argmax of those bytes, including after a
+//    save/load round trip.
 // The digests were recorded from runs in which the production paths and
 // the per-node-sort trainer and nested predict walks they replaced agreed
 // byte for byte. A mismatch prints the observed digest; see
@@ -192,21 +192,15 @@ bool bytes_equal(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// Every probe row's predict_proba_into bytes, back to back. predict,
-/// predict_into and predict_many must each return the argmax of them.
+/// Every probe row's predict_proba_into bytes, back to back. predict must
+/// return the argmax of them.
 std::vector<double> scores_over(const Classifier& model, const Dataset& probe) {
   const auto k = static_cast<std::size_t>(model.num_classes());
   std::vector<double> scores(probe.rows() * k);
-  std::vector<double> into(k);
-  std::vector<int> many(probe.rows());
-  model.predict_many(probe, many);
   for (std::size_t i = 0; i < probe.rows(); ++i) {
     const std::span<double> row(scores.data() + i * k, k);
     model.predict_proba_into(probe.row(i), row);
-    const int expected = argmax_first(row);
-    EXPECT_EQ(model.predict(probe.row(i)), expected) << "row " << i;
-    EXPECT_EQ(model.predict_into(probe.row(i), into), expected) << "row " << i;
-    EXPECT_EQ(many[i], expected) << "row " << i;
+    EXPECT_EQ(model.predict(probe.row(i)), argmax_first(row)) << "row " << i;
   }
   return scores;
 }

@@ -122,8 +122,6 @@ TEST(EventTrace, RoundTripThroughSchedulerRun) {
     trace.emit_trial_end(w.engine.now(), "test", 7, scheduler.makespan(),
                          scheduler.total_skips());
     EXPECT_GT(scheduler.total_skips(), 0u);
-    trace.flush();
-    EXPECT_EQ(trace.bytes_written(), sink.str().size());
   }
 
   const auto lines = lines_of(sink.str());

@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace rush::sched {
@@ -96,7 +97,8 @@ TEST(Scheduler, RunsJobsImmediatelyWhenTheyFit) {
   EXPECT_DOUBLE_EQ(sched_ptr->job(a).wait_s(), 0.0);
   EXPECT_DOUBLE_EQ(sched_ptr->job(b).wait_s(), 0.0);
   EXPECT_NEAR(sched_ptr->job(a).runtime_s(), 100.0, 0.5);
-  EXPECT_TRUE(sched_ptr->idle());
+  EXPECT_EQ(sched_ptr->queue_length(), 0u);
+  EXPECT_EQ(sched_ptr->running_count(), 0u);
 }
 
 TEST(Scheduler, QueuesWhenFullAndRunsFcfs) {
@@ -361,7 +363,10 @@ TEST(Scheduler, ManyDelayedJobsAllCompleteEventually) {
 
 TEST(Scheduler, AccountingAndAccessors) {
   World w;
-  const auto sched_ptr = w.make(SchedulerConfig{});
+  obs::MetricsRegistry metrics;
+  SchedulerConfig cfg;
+  cfg.metrics = &metrics;
+  const auto sched_ptr = w.make(cfg);
   const JobId a = sched_ptr->submit(make_spec(16, 100.0));
   w.engine.run_until(500.0);
   const JobId b = sched_ptr->submit(make_spec(16, 100.0));
@@ -373,7 +378,7 @@ TEST(Scheduler, AccountingAndAccessors) {
   EXPECT_EQ(sched_ptr->completed_count(), 2u);
   // Makespan: first submit (t=0) to last end (~600).
   EXPECT_NEAR(sched_ptr->makespan(), 600.0, 1.0);
-  EXPECT_GT(sched_ptr->passes_run(), 0u);
+  EXPECT_GT(metrics.counter("sched.passes").value(), 0u);
   EXPECT_THROW((void)sched_ptr->job(999), PreconditionError);
 }
 

@@ -104,6 +104,8 @@ std::vector<faults::FaultEvent> corrupt_windows() {
 
 TEST(Sampler, FrameBitsKeepTheirGoldenDigest) {
   Rig rig(corrupt_windows());
+  obs::MetricsRegistry metrics;
+  rig.injector.set_obs(nullptr, &metrics);
   rig.start();
   const CounterStore& store = rig.env.store();
   const cluster::NodeSet& nodes = store.managed_nodes();
@@ -111,6 +113,7 @@ TEST(Sampler, FrameBitsKeepTheirGoldenDigest) {
 
   std::string tick_digests;
   std::vector<double> values;
+  std::vector<Agg> aggs(counters);
   for (int k = 0; k < kTicks; ++k) {
     const double t = k * kPeriodS;
     rig.env.engine().run_until(t);
@@ -120,7 +123,8 @@ TEST(Sampler, FrameBitsKeepTheirGoldenDigest) {
       for (std::size_t c = 0; c < counters; ++c) values.push_back(store.latest(node, c));
     // The per-frame aggregates and prefix sums behind the window queries.
     const double t0 = t - 5 * kPeriodS;
-    for (const Agg& a : store.aggregate_all(t0, t)) {
+    store.aggregate_all_into(t0, t, aggs);
+    for (const Agg& a : aggs) {
       values.push_back(a.min);
       values.push_back(a.max);
       values.push_back(a.mean);
@@ -137,7 +141,7 @@ TEST(Sampler, FrameBitsKeepTheirGoldenDigest) {
       EXPECT_EQ(store.latest(Rig::kCorruptNode, 0), 0.0);
     }
   }
-  EXPECT_EQ(rig.injector.frames_corrupted(), 5u);
+  EXPECT_EQ(metrics.counter("faults.frames_corrupted").value(), 5u);
   EXPECT_EQ(golden::hex(golden::fnv1a(tick_digests)), golden::hex(0x72c461b446c3a397ULL));
 }
 
@@ -173,8 +177,8 @@ Observed observe(bool synthesize) {
   const obs::Histogram& util = metrics.histogram("telemetry.max_link_util", 0.0, 2.0, 40);
   out.util_count = util.count();
   out.util_sum = util.sum();
-  out.frames_dropped = rig.injector.frames_dropped();
-  out.frames_corrupted = rig.injector.frames_corrupted();
+  out.frames_dropped = metrics.counter("faults.frames_dropped").value();
+  out.frames_corrupted = metrics.counter("faults.frames_corrupted").value();
   out.frames_stored = rig.env.store().frame_count();
   return out;
 }

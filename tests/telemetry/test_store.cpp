@@ -25,6 +25,20 @@ std::vector<float> frame(std::initializer_list<float> values) {
   return std::vector<float>(values);
 }
 
+/// The store's per-counter aggregates over every managed node, or over
+/// `nodes`, as a fresh vector.
+std::vector<Agg> aggregate_all(const CounterStore& store, sim::Time t0, sim::Time t1) {
+  std::vector<Agg> out(store.num_counters());
+  store.aggregate_all_into(t0, t1, out);
+  return out;
+}
+std::vector<Agg> aggregate_nodes(const CounterStore& store, sim::Time t0, sim::Time t1,
+                                 const cluster::NodeSet& nodes) {
+  std::vector<Agg> out(store.num_counters());
+  store.aggregate_nodes_into(t0, t1, nodes, out);
+  return out;
+}
+
 /// Frame `i` at t = i s holding `i` in every cell, for i in [first, last).
 void add_ramp(CounterStore& store, int first, int last) {
   for (int i = first; i < last; ++i) {
@@ -42,7 +56,7 @@ class StoreTest : public ::testing::Test {
 };
 
 TEST_F(StoreTest, EmptyStoreReturnsZeros) {
-  const auto aggs = store_.aggregate_all(0.0, 100.0);
+  const auto aggs = aggregate_all(store_, 0.0, 100.0);
   ASSERT_EQ(aggs.size(), kCounters);
   for (const Agg& a : aggs) {
     EXPECT_EQ(a.min, 0.0);
@@ -56,7 +70,7 @@ TEST_F(StoreTest, EmptyStoreReturnsZeros) {
 TEST_F(StoreTest, SingleFrameAggregates) {
   // node-major: node10=(1,2,3), node20=(4,5,6), node30=(7,8,9)
   store_.add_frame(5.0, frame({1, 2, 3, 4, 5, 6, 7, 8, 9}));
-  const auto aggs = store_.aggregate_all(0.0, 10.0);
+  const auto aggs = aggregate_all(store_, 0.0, 10.0);
   EXPECT_DOUBLE_EQ(aggs[0].min, 1.0);
   EXPECT_DOUBLE_EQ(aggs[0].max, 7.0);
   EXPECT_DOUBLE_EQ(aggs[0].mean, 4.0);
@@ -68,7 +82,7 @@ TEST_F(StoreTest, SingleFrameAggregates) {
 TEST_F(StoreTest, SubsetAggregationMatchesManualComputation) {
   store_.add_frame(1.0, frame({1, 2, 3, 4, 5, 6, 7, 8, 9}));
   store_.add_frame(2.0, frame({2, 2, 2, 10, 10, 10, 0, 0, 0}));
-  const auto aggs = store_.aggregate_nodes(0.0, 3.0, {10, 30});
+  const auto aggs = aggregate_nodes(store_, 0.0, 3.0, {10, 30});
   // Counter 0 over nodes {10,30} and both frames: values {1,7,2,0}.
   EXPECT_DOUBLE_EQ(aggs[0].min, 0.0);
   EXPECT_DOUBLE_EQ(aggs[0].max, 7.0);
@@ -78,8 +92,8 @@ TEST_F(StoreTest, SubsetAggregationMatchesManualComputation) {
 TEST_F(StoreTest, AllNodesEqualsSubsetOfEverything) {
   store_.add_frame(1.0, frame({1, 2, 3, 4, 5, 6, 7, 8, 9}));
   store_.add_frame(2.0, frame({9, 8, 7, 6, 5, 4, 3, 2, 1}));
-  const auto all = store_.aggregate_all(0.0, 3.0);
-  const auto subset = store_.aggregate_nodes(0.0, 3.0, nodes3());
+  const auto all = aggregate_all(store_, 0.0, 3.0);
+  const auto subset = aggregate_nodes(store_, 0.0, 3.0, nodes3());
   for (std::size_t c = 0; c < kCounters; ++c) {
     EXPECT_DOUBLE_EQ(all[c].min, subset[c].min);
     EXPECT_DOUBLE_EQ(all[c].max, subset[c].max);
@@ -92,7 +106,7 @@ TEST_F(StoreTest, WindowFiltersByTime) {
   store_.add_frame(5.0, frame({5, 5, 5, 5, 5, 5, 5, 5, 5}));
   store_.add_frame(9.0, frame({9, 9, 9, 9, 9, 9, 9, 9, 9}));
   EXPECT_EQ(store_.frames_in(4.0, 6.0), 1u);
-  const auto aggs = store_.aggregate_all(4.0, 6.0);
+  const auto aggs = aggregate_all(store_, 4.0, 6.0);
   EXPECT_DOUBLE_EQ(aggs[0].min, 5.0);
   EXPECT_DOUBLE_EQ(aggs[0].max, 5.0);
   // Window boundaries are inclusive.
@@ -130,9 +144,9 @@ TEST_F(StoreTest, WindowBoundaryEdgeCases) {
   EXPECT_EQ(store_.frames_in(5.0, 5.0), 1u);     // exact single timestamp
   EXPECT_EQ(store_.frames_in(1.0, 9.0), 3u);     // both endpoints inclusive
   EXPECT_EQ(store_.frames_in(6.0, 2.0), 0u);     // inverted window
-  const auto empty = store_.aggregate_all(2.0, 4.0);
+  const auto empty = aggregate_all(store_, 2.0, 4.0);
   EXPECT_DOUBLE_EQ(empty[0].mean, 0.0);
-  const auto one = store_.aggregate_all(5.0, 5.0);
+  const auto one = aggregate_all(store_, 5.0, 5.0);
   EXPECT_DOUBLE_EQ(one[0].min, 5.0);
   EXPECT_DOUBLE_EQ(one[0].max, 5.0);
   EXPECT_DOUBLE_EQ(one[0].mean, 5.0);
@@ -143,7 +157,7 @@ TEST_F(StoreTest, DuplicateTimestampsAllLandInTheWindow) {
   store_.add_frame(3.0, frame({2, 2, 2, 2, 2, 2, 2, 2, 2}));
   store_.add_frame(3.0, frame({3, 3, 3, 3, 3, 3, 3, 3, 3}));
   EXPECT_EQ(store_.frames_in(3.0, 3.0), 3u);
-  const auto aggs = store_.aggregate_all(3.0, 3.0);
+  const auto aggs = aggregate_all(store_, 3.0, 3.0);
   EXPECT_DOUBLE_EQ(aggs[0].min, 1.0);
   EXPECT_DOUBLE_EQ(aggs[0].max, 3.0);
   EXPECT_DOUBLE_EQ(aggs[0].mean, 2.0);
@@ -152,15 +166,15 @@ TEST_F(StoreTest, DuplicateTimestampsAllLandInTheWindow) {
 TEST_F(StoreTest, PrefixAggregatesSurviveEviction) {
   // A 3 s horizon: frames 0 and 1 get evicted, the prefix base carries.
   add_ramp(short_, 0, 6);
-  const auto aggs = short_.aggregate_all(2.0, 5.0);
+  const auto aggs = aggregate_all(short_, 2.0, 5.0);
   EXPECT_DOUBLE_EQ(aggs[0].min, 2.0);
   EXPECT_DOUBLE_EQ(aggs[0].max, 5.0);
   EXPECT_DOUBLE_EQ(aggs[0].mean, 3.5);  // (2+3+4+5)/4
   // A window starting at the (evicted-into) front of the deque.
-  const auto front = short_.aggregate_all(0.0, 3.0);
+  const auto front = aggregate_all(short_, 0.0, 3.0);
   EXPECT_DOUBLE_EQ(front[0].mean, 2.5);  // frames 2 and 3 remain
   // Subset aggregation over the same window agrees.
-  const auto subset = short_.aggregate_nodes(2.0, 5.0, nodes3());
+  const auto subset = aggregate_nodes(short_, 2.0, 5.0, nodes3());
   EXPECT_NEAR(subset[0].mean, aggs[0].mean, 1e-12);
 }
 
@@ -176,14 +190,14 @@ TEST_F(StoreTest, GapEvictsSeveralFramesAndKeepsTheMeanExact) {
   for (int first = 10; first <= 12; ++first) {
     double sum = 0.0;
     for (int i = first; i <= 12; ++i) sum += 3.0 * i;
-    const auto aggs = short_.aggregate_all(static_cast<double>(first), 12.0);
+    const auto aggs = aggregate_all(short_, static_cast<double>(first), 12.0);
     EXPECT_EQ(aggs[0].mean, sum / (3.0 * (13 - first))) << "window from " << first;
     EXPECT_EQ(aggs[0].min, static_cast<double>(first));
   }
   // A gap wider than the horizon with a single frame behind it.
   add_ramp(short_, 30, 31);
   EXPECT_EQ(short_.frame_count(), 1u);
-  EXPECT_EQ(short_.aggregate_all(0.0, 30.0)[0].mean, 30.0);
+  EXPECT_EQ(aggregate_all(short_, 0.0, 30.0)[0].mean, 30.0);
 }
 
 TEST_F(StoreTest, RestartTickKeepsEveryFrameAWindowCanRead) {
@@ -203,7 +217,7 @@ TEST_F(StoreTest, RestartTickKeepsEveryFrameAWindowCanRead) {
   }
   ASSERT_EQ(times.size(), 12u);
   EXPECT_EQ(store.frames_in(0.0, 300.0), 12u);
-  const auto aggs = store.aggregate_all(0.0, 300.0);
+  const auto aggs = aggregate_all(store, 0.0, 300.0);
   EXPECT_EQ(aggs[0].min, 1.0);
   EXPECT_EQ(aggs[0].mean, sum / 36.0);
 }
@@ -224,7 +238,7 @@ TEST_F(StoreTest, ClearResetsPrefixBase) {
   store_.add_frame(1.0, frame({7, 7, 7, 7, 7, 7, 7, 7, 7}));
   store_.clear();
   store_.add_frame(2.0, frame({1, 1, 1, 1, 1, 1, 1, 1, 1}));
-  const auto aggs = store_.aggregate_all(0.0, 10.0);
+  const auto aggs = aggregate_all(store_, 0.0, 10.0);
   EXPECT_DOUBLE_EQ(aggs[0].mean, 1.0);
   EXPECT_NO_THROW(store_.audit_invariants());
 }
@@ -238,8 +252,8 @@ TEST_F(StoreTest, AggregateAllMatchesAggregateNodesUnderChurn) {
     const auto c = static_cast<float>(11 - i);
     short_.add_frame(static_cast<double>(i), frame({a, b, c, b, c, a, c, a, b}));
     const double t0 = std::max(0.0, static_cast<double>(i) - 2.0);
-    const auto all = short_.aggregate_all(t0, static_cast<double>(i));
-    const auto subset = short_.aggregate_nodes(t0, static_cast<double>(i), nodes3());
+    const auto all = aggregate_all(short_, t0, static_cast<double>(i));
+    const auto subset = aggregate_nodes(short_, t0, static_cast<double>(i), nodes3());
     for (std::size_t k = 0; k < kCounters; ++k) {
       EXPECT_DOUBLE_EQ(all[k].min, subset[k].min);
       EXPECT_DOUBLE_EQ(all[k].max, subset[k].max);
@@ -253,7 +267,7 @@ TEST_F(StoreTest, PreconditionViolations) {
   store_.add_frame(5.0, frame({1, 2, 3, 4, 5, 6, 7, 8, 9}));
   EXPECT_THROW(store_.add_frame(4.0, frame({1, 2, 3, 4, 5, 6, 7, 8, 9})),
                PreconditionError);  // time went backwards
-  EXPECT_THROW((void)store_.aggregate_nodes(0.0, 10.0, {99}), PreconditionError);  // unmanaged
+  EXPECT_THROW((void)aggregate_nodes(store_, 0.0, 10.0, {99}), PreconditionError);  // unmanaged
   EXPECT_THROW((void)store_.latest(10, 99), PreconditionError);
   EXPECT_THROW(CounterStore(nodes3(), 0, 3.0), PreconditionError);
   EXPECT_THROW(CounterStore(nodes3(), 3, 0.0), PreconditionError);
@@ -268,7 +282,7 @@ TEST_F(StoreTest, NonFiniteReadingsAreQuarantinedAtIngest) {
   store_.add_frame(20.0, frame({1, nan, 3, 4, 5, inf, 7, 8, 9}));
 
   // Aggregates stay finite: corrupt cells ingest as 0.
-  const auto aggs = store_.aggregate_all(0.0, 30.0);
+  const auto aggs = aggregate_all(store_, 0.0, 30.0);
   for (const Agg& a : aggs) {
     EXPECT_TRUE(std::isfinite(a.min));
     EXPECT_TRUE(std::isfinite(a.max));
