@@ -15,23 +15,34 @@ namespace {
 /// scratch (two small index arrays).
 constexpr std::size_t kWalkGroup = 64;
 
+/// The child of split `n`, at index `i`, that `x` takes: the next node
+/// (left) or the node `n.index` past it (right). A mask select, because
+/// GCC compiles a `?:` between the two into a branch, which random
+/// inputs mispredict half the time.
+inline std::int32_t child(std::int32_t i, const CompiledNode& n,
+                          std::span<const double> x) noexcept {
+  const std::int32_t go_right = x[static_cast<std::size_t>(n.feature)] <= n.threshold ? 0 : 1;
+  return i + 1 + (n.index & -go_right);
+}
+
 }  // namespace
 
-void CompiledTree::clear() noexcept {
-  nodes_.clear();
-  leaf_proba_.clear();
-  num_classes_ = 0;
-}
-
-void CompiledTree::reserve(std::size_t nodes, int num_classes) {
+CompiledTree::CompiledTree(int num_classes) : num_classes_(num_classes) {
   RUSH_EXPECTS(num_classes > 0);
-  num_classes_ = num_classes;
-  nodes_.reserve(nodes);
 }
 
-void CompiledTree::add_split(int feature, double threshold, std::int32_t left) {
-  RUSH_EXPECTS(feature >= 0 && left > 0);
-  nodes_.push_back({threshold, feature, left});
+std::int32_t CompiledTree::add_split(int feature, double threshold) {
+  RUSH_EXPECTS(feature >= 0);
+  RUSH_EXPECTS(nodes_.size() <
+               static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
+  nodes_.push_back({threshold, feature, 0});
+  return static_cast<std::int32_t>(nodes_.size() - 1);
+}
+
+void CompiledTree::set_right(std::int32_t split, std::int32_t right) {
+  RUSH_EXPECTS(split >= 0 && static_cast<std::size_t>(split) < nodes_.size());
+  RUSH_EXPECTS(nodes_[static_cast<std::size_t>(split)].feature != kLeaf && right > split + 1);
+  nodes_[static_cast<std::size_t>(split)].index = right - split - 1;
 }
 
 void CompiledTree::add_leaf(std::span<const double> proba) {
@@ -44,13 +55,9 @@ void CompiledTree::add_leaf(std::span<const double> proba) {
 
 std::span<const double> CompiledTree::leaf(std::span<const double> x) const noexcept {
   const CompiledNode* nodes = nodes_.data();
-  std::size_t node = 0;
-  while (nodes[node].feature != kLeaf) {
-    const CompiledNode n = nodes[node];
-    node = static_cast<std::size_t>(n.index) +
-           (x[static_cast<std::size_t>(n.feature)] <= n.threshold ? 0u : 1u);
-  }
-  return {leaf_proba_.data() + nodes[node].index, static_cast<std::size_t>(num_classes_)};
+  std::int32_t node = 0;
+  while (nodes[node].feature != kLeaf) node = child(node, nodes[node], x);
+  return proba(nodes[node]);
 }
 
 int CompiledTree::predict(std::span<const double> x) const noexcept {
@@ -75,11 +82,11 @@ void CompiledForest::add_tree(const CompiledTree& tree, double weight) {
   RUSH_EXPECTS(leaf_proba_.size() + tree.leaf_proba_.size() <=
                static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
 
-  // Children stay adjacent under a uniform shift, so the packed nodes
-  // rebase by plain index arithmetic.
-  for (const CompiledNode& n : tree.nodes_) {
-    nodes_.push_back({n.threshold, n.feature,
-                      n.index + (n.feature == CompiledTree::kLeaf ? arena_base : node_base)});
+  // A split's children are relative to it, so only the leaves' arena
+  // offsets move.
+  for (CompiledNode n : tree.nodes_) {
+    if (n.feature == CompiledTree::kLeaf) n.index += arena_base;
+    nodes_.push_back(n);
   }
   leaf_proba_.insert(leaf_proba_.end(), tree.leaf_proba_.begin(), tree.leaf_proba_.end());
   roots_.push_back(node_base);
@@ -107,8 +114,7 @@ void CompiledForest::walk_group(std::span<const double> x, std::size_t base, std
       const std::size_t i = live[a];
       const CompiledNode nd = nodes[static_cast<std::size_t>(cur[i])];
       if (nd.feature == CompiledTree::kLeaf) continue;
-      cur[i] = nd.index +
-               (x[static_cast<std::size_t>(nd.feature)] <= nd.threshold ? 0 : 1);
+      cur[i] = child(cur[i], nd, x);
       live[kept++] = i;
     }
     count = kept;

@@ -1,15 +1,16 @@
-// Flat, allocation-free inference plane for the CART ensembles.
+// Flat, allocation-free tree storage and inference plane for the CART
+// ensembles.
 //
-// CompiledTree flattens DecisionTree's node vector (an AoS layout where
-// every leaf owns its own heap probability vector) into one contiguous
-// array of packed 16-byte nodes plus a pooled leaf-probability arena.
-// Nodes are laid out in BFS order with a split's two children adjacent,
-// so a node carries only its left-child index (right = left + 1): a
-// prediction walk touches one cache line per visited node — four nodes
-// per line, hot upper levels contiguous — and no allocator.
+// CompiledTree is the one representation of a fitted tree: the trainer
+// appends into it, the predict walks read it and save_body writes it. It
+// is one contiguous array of packed 16-byte nodes in pre-order plus a
+// pooled leaf-probability arena. A split's left child is the next node,
+// so a node carries only the distance to its right child: a prediction
+// walk touches one cache line per visited node (four nodes per line, a
+// split and its left child usually on the same one) and no allocator.
 //
 // CompiledForest concatenates many compiled trees into one shared node
-// array (child and arena indices rebased at insertion) and walks the
+// array (arena offsets rebased at insertion) and walks the
 // trees in interleaved groups: each round advances every cursor in the
 // group one level, so the walks' independent cache misses overlap
 // instead of serializing. It supports the two combine rules used by the
@@ -33,10 +34,10 @@ namespace rush::ml {
   return best;
 }
 
-/// One packed tree node. Splits branch on threshold and hold the left
-/// child in `index` (the right child is `index + 1` by construction);
-/// leaves mark `feature` with kLeaf and hold their arena offset in
-/// `index`.
+/// One packed tree node, in pre-order. A split branches on threshold; its
+/// left child is the next node, and `index` counts the nodes of its left
+/// subtree, so its right child is `index` nodes after the left one. A
+/// leaf marks `feature` with kLeaf and holds its arena offset in `index`.
 struct CompiledNode {
   double threshold;
   std::int32_t feature;
@@ -48,18 +49,29 @@ class CompiledTree {
  public:
   static constexpr std::int32_t kLeaf = -1;
 
-  void clear() noexcept;
-  void reserve(std::size_t nodes, int num_classes);
+  CompiledTree() = default;
+  explicit CompiledTree(int num_classes);
 
-  /// Append the next node; nodes must arrive in an order where a split's
-  /// children land at `left` and `left + 1` (DecisionTree::compile emits
-  /// BFS order). A leaf's probabilities are copied into the pooled arena.
-  void add_split(int feature, double threshold, std::int32_t left);
+  /// Append nodes in pre-order: a split, its left subtree, then its
+  /// right subtree, whose first node the caller names with set_right.
+  /// Returns the split's index.
+  std::int32_t add_split(int feature, double threshold);
+  /// Make node `right`, past the split's left child, its right child.
+  void set_right(std::int32_t split, std::int32_t right);
+  /// Append a leaf; its probabilities are copied into the pooled arena.
   void add_leaf(std::span<const double> proba);
 
   [[nodiscard]] bool empty() const noexcept { return nodes_.empty(); }
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
-  [[nodiscard]] int num_classes() const noexcept { return num_classes_; }
+  [[nodiscard]] std::span<const CompiledNode> nodes() const noexcept { return nodes_; }
+  /// The right child of split `i`; its left child is `i + 1`.
+  [[nodiscard]] std::size_t right_child(std::size_t i) const noexcept {
+    return i + 1 + static_cast<std::size_t>(nodes_[i].index);
+  }
+  /// The probability slice (size num_classes) of a leaf of this tree.
+  [[nodiscard]] std::span<const double> proba(const CompiledNode& leaf) const noexcept {
+    return {leaf_proba_.data() + leaf.index, static_cast<std::size_t>(num_classes_)};
+  }
 
   /// Probability slice (size num_classes) of the leaf `x` falls into.
   [[nodiscard]] std::span<const double> leaf(std::span<const double> x) const noexcept;

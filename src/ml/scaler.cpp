@@ -40,14 +40,6 @@ std::vector<double> StandardScaler::transform(std::span<const double> x) const {
   return out;
 }
 
-Dataset StandardScaler::transform(const Dataset& data) const {
-  RUSH_EXPECTS(data.cols() == means_.size());
-  Dataset out(data.feature_names());
-  for (std::size_t i = 0; i < data.rows(); ++i)
-    out.add_row(transform(data.row(i)), data.label(i), data.group(i));
-  return out;
-}
-
 void StandardScaler::save(std::ostream& os) const {
   RUSH_EXPECTS(is_fitted());
   os << "scaler " << means_.size() << "\n";

@@ -18,8 +18,6 @@ class StandardScaler {
 
   /// Scaled copy of one feature vector. Constant features map to 0.
   [[nodiscard]] std::vector<double> transform(std::span<const double> x) const;
-  /// Scaled copy of a whole dataset (labels/groups preserved).
-  [[nodiscard]] Dataset transform(const Dataset& data) const;
 
   void save(std::ostream& os) const;
   void load(std::istream& is);

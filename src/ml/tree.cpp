@@ -131,7 +131,7 @@ class DecisionTree::Builder {
         ws_(ws),
         k_(static_cast<std::size_t>(tree.num_classes_)),
         rng_(cfg_.seed) {
-    ws_.parent_w_.resize(k_);
+    ws_.node_w_.resize(k_);
     ws_.left_w_.resize(k_);
     ws_.right_w_.resize(k_);
     std::iota(ws_.row_block(), ws_.row_block() + data.rows(), 0U);
@@ -150,7 +150,7 @@ class DecisionTree::Builder {
             static_cast<std::size_t>(labels_[row]) == c ? weights_[row] : 0.0;
   }
 
-  std::int32_t build(std::size_t lo, std::size_t hi, int depth);
+  void build(std::size_t lo, std::size_t hi, int depth);
 
  private:
   struct Split {
@@ -175,7 +175,7 @@ class DecisionTree::Builder {
   void scan(std::size_t f, const std::uint32_t* blk, const NodeStats& node, Split& best);
   void draw_threshold(std::size_t f, const NodeStats& node, Split& best);
   std::size_t partition(const Split& split, std::size_t lo, std::size_t hi, int depth);
-  std::int32_t make_leaf(std::size_t lo, std::size_t hi);
+  void make_leaf(std::size_t lo, std::size_t hi);
   [[nodiscard]] Column column(std::size_t f) const;
 
   DecisionTree& tree_;
@@ -217,9 +217,9 @@ void DecisionTree::fit_impl(const Dataset& data, std::span<const double> sample_
   RUSH_EXPECTS(!data.empty());
   RUSH_EXPECTS(sample_weights.empty() || sample_weights.size() == data.rows());
 
-  nodes_.clear();
   num_classes_ = data.num_classes();
   num_features_ = data.cols();
+  compiled_ = CompiledTree(num_classes_);
   importances_.assign(num_features_, 0.0);
 
   std::vector<double> unit;
@@ -228,7 +228,6 @@ void DecisionTree::fit_impl(const Dataset& data, std::span<const double> sample_
     sample_weights = unit;
   }
   Builder(*this, data, sample_weights, ws).build(0, data.rows(), 0);
-  compile();
 
   // Normalize importances to sum to 1 (when any split was made).
   double total = 0.0;
@@ -242,27 +241,26 @@ Column DecisionTree::Builder::column(std::size_t f) const {
   return {data_.row(0).data() + f, data_.cols()};
 }
 
-std::int32_t DecisionTree::Builder::make_leaf(std::size_t lo, std::size_t hi) {
+void DecisionTree::Builder::make_leaf(std::size_t lo, std::size_t hi) {
   const std::uint32_t* rows = ws_.row_block();
-  Node leaf;
-  leaf.proba.assign(k_, 0.0);
+  const std::span<double> proba(ws_.node_w_);
+  std::fill(proba.begin(), proba.end(), 0.0);
   double total = 0.0;
   for (std::size_t pos = lo; pos < hi; ++pos) {
     const std::uint32_t row = rows[pos];
-    leaf.proba[static_cast<std::size_t>(labels_[row])] += weights_[row];
+    proba[static_cast<std::size_t>(labels_[row])] += weights_[row];
     total += weights_[row];
   }
   if (total > 0.0)
-    for (double& p : leaf.proba) p /= total;
-  tree_.nodes_.push_back(std::move(leaf));
-  return static_cast<std::int32_t>(tree_.nodes_.size() - 1);
+    for (double& p : proba) p /= total;
+  tree_.compiled_.add_leaf(proba);
 }
 
 DecisionTree::Builder::Split DecisionTree::Builder::find_split(std::size_t lo, std::size_t hi,
                                                                int depth) {
   // Parent impurity, summed in ascending row order.
   const std::uint32_t* rows = ws_.row_block();
-  double* parent_w = ws_.parent_w_.data();
+  double* parent_w = ws_.node_w_.data();
   std::fill_n(parent_w, k_, 0.0);
   double total_w = 0.0;
   for (std::size_t pos = lo; pos < hi; ++pos) {
@@ -339,7 +337,7 @@ void DecisionTree::Builder::scan(std::size_t f, const std::uint32_t* blk, const 
     const std::size_t right_n = count - left_n;
     if (left_n < cfg_.min_samples_leaf || right_n < cfg_.min_samples_leaf) continue;
     const double decrease =
-        decrease_of(ws_.parent_w_.data(), left, right, k, lw, node.total_w, node.gini);
+        decrease_of(ws_.node_w_.data(), left, right, k, lw, node.total_w, node.gini);
     if (decrease > best.impurity_decrease) {
       best = Split{true, static_cast<int>(f), threshold_between(here, value), decrease, left_n};
     }
@@ -373,7 +371,7 @@ void DecisionTree::Builder::draw_threshold(std::size_t f, const NodeStats& node,
   }
   const std::size_t right_n = node.hi - node.lo - left_n;
   if (left_n < cfg_.min_samples_leaf || right_n < cfg_.min_samples_leaf) return;
-  const double decrease = decrease_of(ws_.parent_w_.data(), left, ws_.right_w_.data(), k_, lw,
+  const double decrease = decrease_of(ws_.node_w_.data(), left, ws_.right_w_.data(), k_, lw,
                                       node.total_w, node.gini);
   if (decrease > best.impurity_decrease) {
     best = Split{true, static_cast<int>(f), threshold, decrease, left_n};
@@ -408,7 +406,8 @@ std::size_t DecisionTree::Builder::partition(const Split& split, std::size_t lo,
   return mid;
 }
 
-std::int32_t DecisionTree::Builder::build(std::size_t lo, std::size_t hi, int depth) {
+// Depth first, left subtree before right: the nodes land in pre-order.
+void DecisionTree::Builder::build(std::size_t lo, std::size_t hi, int depth) {
   RUSH_ASSERT(lo < hi);
   Split split;
   if (depth < cfg_.max_depth) split = find_split(lo, hi, depth);
@@ -420,17 +419,11 @@ std::int32_t DecisionTree::Builder::build(std::size_t lo, std::size_t hi, int de
       split.node_weight * split.impurity_decrease;
   const std::size_t mid = partition(split, lo, hi, depth);
 
-  Node internal;
-  internal.feature = split.feature;
-  internal.threshold = split.threshold;
-  tree_.nodes_.push_back(std::move(internal));
-  const auto self = static_cast<std::int32_t>(tree_.nodes_.size() - 1);
-
-  const std::int32_t left = build(lo, mid, depth + 1);
-  const std::int32_t right = build(mid, hi, depth + 1);
-  tree_.nodes_[static_cast<std::size_t>(self)].left = left;
-  tree_.nodes_[static_cast<std::size_t>(self)].right = right;
-  return self;
+  CompiledTree& nodes = tree_.compiled_;
+  const std::int32_t self = nodes.add_split(split.feature, split.threshold);
+  build(lo, mid, depth + 1);
+  nodes.set_right(self, static_cast<std::int32_t>(nodes.node_count()));
+  build(mid, hi, depth + 1);
 }
 
 void DecisionTree::predict_proba_into(std::span<const double> x, std::span<double> out) const {
@@ -441,66 +434,27 @@ void DecisionTree::predict_proba_into(std::span<const double> x, std::span<doubl
   std::copy(leaf.begin(), leaf.end(), out.begin());
 }
 
-void DecisionTree::compile() {
-  compiled_.clear();
-  if (nodes_.empty()) return;
-  compiled_.reserve(nodes_.size(), num_classes_);
-  // BFS relayout: dest slot d holds source node order[d], and a split's
-  // children are appended together so they land adjacently — the packed
-  // node then needs only the left index (right = left + 1), and the hot
-  // upper levels of the tree share cache lines.
-  std::vector<std::int32_t> order;
-  order.reserve(nodes_.size());
-  order.push_back(0);
-  for (std::size_t dest = 0; dest < order.size(); ++dest) {
-    const Node& n = nodes_[static_cast<std::size_t>(order[dest])];
-    if (n.feature >= 0) {
-      compiled_.add_split(n.feature, n.threshold, static_cast<std::int32_t>(order.size()));
-      order.push_back(n.left);
-      order.push_back(n.right);
-    } else {
-      compiled_.add_leaf(n.proba);
-    }
-  }
-}
-
 std::vector<double> DecisionTree::feature_importances() const { return importances_; }
 
 std::unique_ptr<Classifier> DecisionTree::clone_config() const {
   return std::make_unique<DecisionTree>(config_);
 }
 
-int DecisionTree::depth() const noexcept {
-  if (nodes_.empty()) return 0;
-  // Iterative depth computation over the node array.
-  std::vector<std::pair<std::int32_t, int>> stack{{0, 1}};
-  int max_depth = 0;
-  while (!stack.empty()) {
-    const auto [idx, d] = stack.back();
-    stack.pop_back();
-    max_depth = std::max(max_depth, d);
-    const Node& n = nodes_[static_cast<std::size_t>(idx)];
-    if (n.feature >= 0) {
-      stack.emplace_back(n.left, d + 1);
-      stack.emplace_back(n.right, d + 1);
-    }
-  }
-  return max_depth;
-}
-
 void DecisionTree::save_body(std::ostream& os) const {
   RUSH_EXPECTS(is_fitted());
   os << "classes " << num_classes_ << "\n";
   os << "features " << num_features_ << "\n";
-  os << "nodes " << nodes_.size() << "\n";
+  os << "nodes " << compiled_.node_count() << "\n";
   os.precision(17);
-  for (const Node& n : nodes_) {
-    if (n.feature >= 0) {
-      os << "split " << n.feature << " " << n.threshold << " " << n.left << " " << n.right
-         << "\n";
+  const auto nodes = compiled_.nodes();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const CompiledNode& n = nodes[i];
+    if (n.feature != CompiledTree::kLeaf) {
+      os << "split " << n.feature << " " << n.threshold << " " << i + 1 << " "
+         << compiled_.right_child(i) << "\n";
     } else {
       os << "leaf";
-      for (double p : n.proba) os << " " << p;
+      for (double p : compiled_.proba(n)) os << " " << p;
       os << "\n";
     }
   }
@@ -521,36 +475,44 @@ void DecisionTree::load_body(std::istream& is) {
 
   // Containers grow as entries arrive, so a huge count in a header fails
   // at the first missing entry instead of allocating up front.
-  nodes_.clear();
+  compiled_ = CompiledTree(num_classes_);
+  std::vector<double> proba;
   for (std::size_t i = 0; i < node_count; ++i) {
     is >> tag;
-    Node n;
     if (tag == "split") {
-      is >> n.feature >> n.threshold >> n.left >> n.right;
-      if (!is || n.feature < 0 || n.left < 0 || n.right < 0)
+      int feature = -1;
+      double threshold = 0.0;
+      std::int32_t left = -1;
+      std::int32_t right = -1;
+      is >> feature >> threshold >> left >> right;
+      if (!is || feature < 0 || left < 0 || right < 0)
         throw ParseError("tree: malformed split node");
-      if (static_cast<std::size_t>(n.feature) >= num_features_)
+      if (static_cast<std::size_t>(feature) >= num_features_)
         throw ParseError("tree: split feature out of range");
+      if (static_cast<std::size_t>(left) != i + 1)
+        throw ParseError("tree: a split's left child is not the next node");
+      if (static_cast<std::size_t>(right) <= i + 1 || static_cast<std::size_t>(right) >= node_count)
+        throw ParseError("tree: child index out of range");
+      compiled_.set_right(compiled_.add_split(feature, threshold), right);
     } else if (tag == "leaf") {
+      proba.clear();
       for (int c = 0; c < num_classes_; ++c) {
         double p = 0.0;
         if (!(is >> p)) throw ParseError("tree: malformed leaf node");
-        n.proba.push_back(p);
+        proba.push_back(p);
       }
+      compiled_.add_leaf(proba);
     } else {
       throw ParseError("tree: unknown node tag '" + tag + "'");
     }
-    nodes_.push_back(std::move(n));
   }
   // save_body writes pre-order, so a split's children follow it and no
-  // node is anyone's child twice. Holding every file to that keeps
-  // compile() and the predict walks inside the node array and the input.
+  // node is anyone's child twice. Holding every file to that keeps the
+  // predict walks inside the node array and the input.
   std::vector<bool> is_child(node_count, false);
   for (std::size_t i = 0; i < node_count; ++i) {
-    if (nodes_[i].feature < 0) continue;
-    for (const std::int32_t child : {nodes_[i].left, nodes_[i].right}) {
-      const auto c = static_cast<std::size_t>(child);
-      if (c <= i || c >= node_count) throw ParseError("tree: child index out of range");
+    if (compiled_.nodes()[i].feature == CompiledTree::kLeaf) continue;
+    for (const std::size_t c : {i + 1, compiled_.right_child(i)}) {
       if (is_child[c]) throw ParseError("tree: node is the child of two splits");
       is_child[c] = true;
     }
@@ -563,7 +525,6 @@ void DecisionTree::load_body(std::istream& is) {
     if (!(is >> v)) throw ParseError("tree: malformed importances");
     importances_.push_back(v);
   }
-  compile();
 }
 
 }  // namespace rush::ml

@@ -82,7 +82,7 @@ class FitWorkspace {
   std::vector<unsigned char> goes_left_;  // per row: its side during a partition
   std::vector<std::uint32_t> spill_;      // right-side rows during a partition
   std::vector<double> class_w_;           // rows x classes: a row's weight in its label's slot
-  std::vector<double> parent_w_;          // per class
+  std::vector<double> node_w_;            // per class: the weight of a node or leaf
   std::vector<double> left_w_;            // per class, for a run-time class count
   std::vector<double> right_w_;           // per class, for a run-time class count
   std::vector<std::size_t> candidates_;
@@ -102,7 +102,7 @@ class DecisionTree final : public Classifier {
   void predict_proba_into(std::span<const double> x, std::span<double> out) const override;
   [[nodiscard]] int num_classes() const noexcept override { return num_classes_; }
   [[nodiscard]] std::size_t num_features() const noexcept override { return num_features_; }
-  [[nodiscard]] bool is_fitted() const noexcept override { return !nodes_.empty(); }
+  [[nodiscard]] bool is_fitted() const noexcept override { return !compiled_.empty(); }
   [[nodiscard]] std::string type_name() const override { return "decision_tree"; }
   [[nodiscard]] std::vector<double> feature_importances() const override;
   [[nodiscard]] std::unique_ptr<Classifier> clone_config() const override;
@@ -110,32 +110,22 @@ class DecisionTree final : public Classifier {
   void load_body(std::istream& is) override;
 
   [[nodiscard]] const TreeConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
-  [[nodiscard]] int depth() const noexcept;
-  /// Flat SoA twin of the fitted tree (rebuilt after fit and load).
+  [[nodiscard]] std::size_t node_count() const noexcept { return compiled_.node_count(); }
+  /// The fitted tree's pre-order nodes and leaf probabilities, which fit
+  /// and load write, predict walks and save_body writes out.
   [[nodiscard]] const CompiledTree& compiled() const noexcept { return compiled_; }
 
  private:
-  struct Node {
-    int feature = -1;  // -1 marks a leaf
-    double threshold = 0.0;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    std::vector<double> proba;  // leaf only: per-class probability
-  };
-
   /// One fit's recursion over a FitWorkspace (tree.cpp).
   class Builder;
 
   void fit_impl(const Dataset& data, std::span<const double> sample_weights, FitWorkspace& ws);
-  void compile();
 
   TreeConfig config_;
   int num_classes_ = 0;
   std::size_t num_features_ = 0;
-  std::vector<Node> nodes_;               // nodes_[0] is the root when fitted
   std::vector<double> importances_;       // accumulated impurity decrease
-  CompiledTree compiled_;                 // flat inference plane
+  CompiledTree compiled_;                 // the nodes; node 0 is the root when fitted
 };
 
 }  // namespace rush::ml

@@ -31,6 +31,7 @@
 #include "ml/forest.hpp"
 #include "ml/tree.hpp"
 #include "ml/validation.hpp"
+#include "tree_depth.hpp"
 
 namespace rush::ml {
 namespace {
@@ -328,7 +329,7 @@ TEST(PresortedTraining, ShallowTreesEndInLeavesAtMaxDepth) {
     cfg.max_depth = depth;
     DecisionTree tree(cfg);
     tree.fit(d, balanced_weights(d));
-    ASSERT_EQ(tree.depth(), depth + 1);
+    ASSERT_EQ(depth_of(tree), depth + 1);
     expect_golden("tree at max_depth " + std::to_string(depth), body_of(tree));
   }
 }

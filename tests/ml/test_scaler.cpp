@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -18,13 +19,20 @@ Dataset make_data() {
   return d;
 }
 
+/// Feature `f` of every row of `d`, scaled row by row.
+std::vector<double> scaled_column(const StandardScaler& scaler, const Dataset& d,
+                                  std::size_t f) {
+  std::vector<double> col;
+  for (std::size_t i = 0; i < d.rows(); ++i) col.push_back(scaler.transform(d.row(i))[f]);
+  return col;
+}
+
 TEST(Scaler, TransformedColumnsHaveZeroMeanUnitVariance) {
   const Dataset d = make_data();
   StandardScaler scaler;
   scaler.fit(d);
-  const Dataset t = scaler.transform(d);
   for (std::size_t f = 0; f < 2; ++f) {
-    const auto col = t.column(f);
+    const auto col = scaled_column(scaler, d, f);
     EXPECT_NEAR(stats::mean(col), 0.0, 1e-12);
     EXPECT_NEAR(stats::variance(col), 1.0, 1e-9);
   }
@@ -34,26 +42,7 @@ TEST(Scaler, ConstantFeatureMapsToZero) {
   const Dataset d = make_data();
   StandardScaler scaler;
   scaler.fit(d);
-  for (double v : scaler.transform(d).column(2)) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(Scaler, PreservesLabelsAndGroups) {
-  const Dataset d = make_data();
-  StandardScaler scaler;
-  scaler.fit(d);
-  const Dataset t = scaler.transform(d);
-  EXPECT_EQ(t.labels(), d.labels());
-  EXPECT_EQ(t.groups(), d.groups());
-  EXPECT_EQ(t.feature_names(), d.feature_names());
-}
-
-TEST(Scaler, SingleVectorTransformMatchesDataset) {
-  const Dataset d = make_data();
-  StandardScaler scaler;
-  scaler.fit(d);
-  const auto v = scaler.transform(d.row(1));
-  const Dataset t = scaler.transform(d);
-  for (std::size_t f = 0; f < d.cols(); ++f) EXPECT_DOUBLE_EQ(v[f], t.row(1)[f]);
+  for (double v : scaled_column(scaler, d, 2)) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(Scaler, SaveLoadRoundTrip) {

@@ -95,14 +95,22 @@ void load_and_predict(const std::string& text) {
 
 TEST(Serialize, LoadRejectsChildIndexPastTheNodeCount) {
   EXPECT_THROW(load_and_predict("rush-model 1\ntype decision_tree\nclasses 2\nfeatures 1\n"
-                                "nodes 3\nsplit 0 0.5 7 8\nleaf 1 0\nleaf 0 1\n"
+                                "nodes 3\nsplit 0 0.5 1 8\nleaf 1 0\nleaf 0 1\n"
                                 "importances 1\n"),
                ParseError);
 }
 
 TEST(Serialize, LoadRejectsASplitThatIsItsOwnChild) {
   EXPECT_THROW(load_and_predict("rush-model 1\ntype decision_tree\nclasses 2\nfeatures 1\n"
-                                "nodes 3\nsplit 0 0.5 0 2\nleaf 1 0\nleaf 0 1\n"
+                                "nodes 3\nsplit 0 0.5 1 0\nleaf 1 0\nleaf 0 1\n"
+                                "importances 1\n"),
+               ParseError);
+}
+
+TEST(Serialize, LoadRejectsASplitWhoseLeftChildIsNotTheNextNode) {
+  // Valid indices, but not the pre-order save_body writes.
+  EXPECT_THROW(load_and_predict("rush-model 1\ntype decision_tree\nclasses 2\nfeatures 1\n"
+                                "nodes 3\nsplit 0 0.5 2 1\nleaf 1 0\nleaf 0 1\n"
                                 "importances 1\n"),
                ParseError);
 }

@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "ml/adaboost.hpp"
 #include "ml/forest.hpp"
+#include "tree_depth.hpp"
 
 namespace rush::ml {
 namespace {
@@ -78,7 +79,7 @@ TEST(DecisionTree, DepthOneCannotSolveXor) {
   DecisionTree stump(cfg);
   stump.fit(d);
   EXPECT_LT(accuracy_on(stump, d), 0.75);
-  EXPECT_LE(stump.depth(), 2);
+  EXPECT_LE(depth_of(stump), 2);
 }
 
 TEST(DecisionTree, RespectsMaxDepth) {
@@ -88,7 +89,7 @@ TEST(DecisionTree, RespectsMaxDepth) {
     cfg.max_depth = depth;
     DecisionTree tree(cfg);
     tree.fit(d);
-    EXPECT_LE(tree.depth(), depth + 1);
+    EXPECT_LE(depth_of(tree), depth + 1);
   }
 }
 
