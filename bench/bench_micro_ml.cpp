@@ -12,6 +12,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -138,49 +140,85 @@ void BM_AdaBoostFitPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_AdaBoostFitPipeline)->Unit(benchmark::kMillisecond);
 
+// The predict benchmarks fit their model once per process, so every
+// repetition times the same model, and cycle through queries drawn before
+// the timed loop, so no Rng draw lands inside an op.
+
+constexpr std::size_t kQueries = 64;
+
+std::vector<std::vector<double>> queries(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> out(kQueries, std::vector<double>(282));
+  for (auto& x : out)
+    for (auto& v : x) v = rng.uniform(0.0, 1.0);
+  return out;
+}
+
+const ml::Forest& predict_forest() {
+  static const std::unique_ptr<ml::Forest> forest = [] {
+    auto f = std::make_unique<ml::Forest>(ml::decision_forest_config(60));
+    f->fit(synthetic(1000, 282, 5));
+    return f;
+  }();
+  return *forest;
+}
+
+const ml::AdaBoost& predict_adaboost() {
+  static const std::unique_ptr<ml::AdaBoost> model = [] {
+    auto m = std::make_unique<ml::AdaBoost>();
+    m->fit(synthetic(1000, 282, 7));
+    return m;
+  }();
+  return *model;
+}
+
+const ml::Knn& predict_knn(std::size_t rows) {
+  static std::map<std::size_t, std::unique_ptr<ml::Knn>> fitted;
+  std::unique_ptr<ml::Knn>& knn = fitted[rows];
+  if (!knn) {
+    knn = std::make_unique<ml::Knn>();
+    knn->fit(synthetic(rows, 282, 9));
+  }
+  return *knn;
+}
+
 void BM_ForestPredict(benchmark::State& state) {
-  const auto d = synthetic(1000, 282, 5);
-  ml::Forest forest(ml::decision_forest_config(60));
-  forest.fit(d);
-  Rng rng(6);
-  std::vector<double> x(282);
+  const ml::Forest& forest = predict_forest();
+  const auto xs = queries(6);
+  std::size_t q = 0;
   std::uint64_t allocs = 0;
   for (auto _ : state) {
-    for (auto& v : x) v = rng.uniform(0.0, 1.0);
     const std::uint64_t before = bench::g_alloc_count;
-    benchmark::DoNotOptimize(forest.predict(x));
+    benchmark::DoNotOptimize(forest.predict(xs[q]));
     allocs += bench::g_alloc_count - before;
+    q = (q + 1) % kQueries;
   }
   bench::report_allocs(state, allocs, "forest predict allocated in steady state");
 }
 BENCHMARK(BM_ForestPredict);
 
 void BM_AdaBoostPredict(benchmark::State& state) {
-  const auto d = synthetic(1000, 282, 7);
-  ml::AdaBoost model;
-  model.fit(d);
-  Rng rng(8);
-  std::vector<double> x(282);
+  const ml::AdaBoost& model = predict_adaboost();
+  const auto xs = queries(8);
+  std::size_t q = 0;
   std::uint64_t allocs = 0;
   for (auto _ : state) {
-    for (auto& v : x) v = rng.uniform(0.0, 1.0);
     const std::uint64_t before = bench::g_alloc_count;
-    benchmark::DoNotOptimize(model.predict(x));
+    benchmark::DoNotOptimize(model.predict(xs[q]));
     allocs += bench::g_alloc_count - before;
+    q = (q + 1) % kQueries;
   }
   bench::report_allocs(state, allocs, "adaboost predict allocated in steady state");
 }
 BENCHMARK(BM_AdaBoostPredict);
 
 void BM_KnnPredict(benchmark::State& state) {
-  const auto d = synthetic(static_cast<std::size_t>(state.range(0)), 282, 9);
-  ml::Knn knn;
-  knn.fit(d);
-  Rng rng(10);
-  std::vector<double> x(282);
+  const ml::Knn& knn = predict_knn(static_cast<std::size_t>(state.range(0)));
+  const auto xs = queries(10);
+  std::size_t q = 0;
   for (auto _ : state) {
-    for (auto& v : x) v = rng.uniform(0.0, 1.0);
-    benchmark::DoNotOptimize(knn.predict(x));
+    benchmark::DoNotOptimize(knn.predict(xs[q]));
+    q = (q + 1) % kQueries;
   }
 }
 BENCHMARK(BM_KnnPredict)->Arg(1000)->Arg(3000);

@@ -77,7 +77,7 @@ void BM_CounterFrameSynthesis(benchmark::State& state) {
   fs.set_ambient_demand(200.0);
   sim::Engine engine;
   telemetry::CounterStore store(nodes, telemetry::num_counters(), 3 * kTickS);
-  telemetry::CounterSampler sampler(engine, net, fs, store, telemetry::SamplerConfig{}, Rng(6));
+  telemetry::CounterSampler sampler(engine, net, fs, store, Rng(6));
   // Fill the store with four ticks; from then on every op evicts one.
   const auto tick = [&] {
     engine.run_until(engine.now() + kTickS);

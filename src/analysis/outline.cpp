@@ -255,7 +255,7 @@ class OutlineParser {
   struct Frame {
     enum class Kind : std::uint8_t { kNamespace, kClass, kFunction, kOther };
     Kind kind;
-    std::string name;                 // namespace path text or class name
+    std::string name;                 // class frames only
     Access access = Access::kNone;    // current section, class frames only
     int fn = -1;                      // functions: index into out_.functions
   };
@@ -273,21 +273,6 @@ class OutlineParser {
     std::vector<std::string> path;
     for (const Frame& fr : frames_) {
       if (fr.kind == Frame::Kind::kClass) path.push_back(fr.name);
-    }
-    return path;
-  }
-
-  [[nodiscard]] std::vector<std::string> ns_path() const {
-    std::vector<std::string> path;
-    for (const Frame& fr : frames_) {
-      if (fr.kind != Frame::Kind::kNamespace) continue;
-      SV rest = fr.name;
-      while (!rest.empty()) {
-        const std::size_t sep = rest.find("::");
-        path.emplace_back(rest.substr(0, sep));
-        if (sep == SV::npos) break;
-        rest.remove_prefix(sep + 2);
-      }
     }
     return path;
   }
@@ -315,21 +300,7 @@ class OutlineParser {
     const HeadScan h = scan_head(f_, s, i);
 
     if (h.is_namespace || h.is_extern_block) {
-      Frame fr{Frame::Kind::kNamespace, {}, Access::kNone, -1};
-      if (h.is_namespace) {
-        // Name: everything after the `namespace` keyword, `::`s included.
-        std::string name;
-        bool after_kw = false;
-        for (std::size_t k = s; k < i; ++k) {
-          if (is_ident(f_, k, "namespace")) {
-            after_kw = true;
-            continue;
-          }
-          if (after_kw && (is_ident(f_, k) || is_punct(f_, k, "::"))) name += f_.tok(k);
-        }
-        fr.name = std::move(name);
-      }
-      frames_.push_back(std::move(fr));
+      frames_.push_back(Frame{Frame::Kind::kNamespace, {}, Access::kNone, -1});
       return;
     }
     if (h.is_enum || h.is_using) {
@@ -454,7 +425,6 @@ class OutlineParser {
     fn.name = std::move(w.name);
     fn.classes = class_path();
     for (std::string& q : w.qualifiers) fn.classes.push_back(std::move(q));
-    fn.namespaces = ns_path();
     fn.access = in_class() ? frames_.back().access : Access::kNone;
     fn.is_const = h.is_const_tail;
     fn.is_static = h.is_static;
@@ -465,8 +435,6 @@ class OutlineParser {
     fn.is_operator = w.is_operator;
     fn.line = f_.tokens[s].line;
     fn.name_tok = w.name_tok;
-    fn.params_begin = open;
-    fn.params_end = close;
     fn.body_begin = body_begin;
 
     const std::string& inner =

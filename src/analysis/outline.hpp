@@ -1,15 +1,15 @@
 // Structural outline of one translation unit for rush_analyze.
 //
 // A single forward token walk recovers the declaration skeleton the
-// semantic rules need: namespaces, class bodies with access tracking,
-// member-variable declarations, and function declarations/definitions
-// (free, member, and out-of-line member) with their signature traits and
-// body token ranges. It is deliberately not a C++ parser — templates,
-// attributes, and operators are handled structurally, and pathological
-// constructs degrade to "not recorded" rather than misparse. One known
-// hole: a brace-initializer inside a constructor's member-init list hides
-// that constructor's body (ctors are exempt from every rule that reads
-// bodies, so nothing downstream cares).
+// semantic rules need: class bodies with access tracking, member-variable
+// declarations, and function declarations/definitions (free, member, and
+// out-of-line member) with their signature traits and body token ranges.
+// It is deliberately not a C++ parser — templates, attributes, and
+// operators are handled structurally, and pathological constructs
+// degrade to "not recorded" rather than misparse. One known hole: a
+// brace-initializer inside a constructor's member-init list hides that
+// constructor's body (ctors are exempt from every rule that reads bodies,
+// so nothing downstream cares).
 //
 // `rush:` contract annotations recorded by the lexer are attached to the
 // declaration whose signature spans the annotated line (see lexer.hpp for
@@ -31,7 +31,6 @@ enum class Access : std::uint8_t { kNone, kPublic, kProtected, kPrivate };
 struct FunctionDecl {
   std::string name;                  // last component: "schedule_pass", "operator<", "~Engine"
   std::vector<std::string> classes;  // enclosing class frames + out-of-line qualifiers
-  std::vector<std::string> namespaces;
   Access access = Access::kNone;  // kNone outside any class body
   int arity = 0;                  // parameter count (default args included)
   bool is_const = false;
@@ -46,9 +45,8 @@ struct FunctionDecl {
   bool has_lock_param = false;  // takes a unique_lock/scoped_lock/lock_guard parameter
   int line = 0;                 // declaration head line
   std::size_t name_tok = 0;     // token index of the name's last component
-  std::size_t params_begin = 0, params_end = 0;  // token indices of '(' and ')'
-  std::size_t body_begin = 0, body_end = 0;      // token indices of '{' and '}'; 0 when decl-only
-  std::vector<std::string> annotations;          // rush: texts spanning the signature
+  std::size_t body_begin = 0, body_end = 0;  // token indices of '{' and '}'; 0 when decl-only
+  std::vector<std::string> annotations;      // rush: texts spanning the signature
 
   /// "A::B::name" using the class path only (namespaces omitted).
   [[nodiscard]] std::string qualified() const;

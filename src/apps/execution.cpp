@@ -9,10 +9,14 @@
 
 namespace rush::apps {
 
+namespace {
+/// Period of the tick that integrates background and noise changes.
+constexpr double kReevaluatePeriodS = 15.0;
+}  // namespace
+
 ExecutionModel::ExecutionModel(sim::Engine& engine, cluster::NetworkModel& net,
                                cluster::LustreModel& lustre, ExecutionConfig config, Rng rng)
     : engine_(engine), net_(net), lustre_(lustre), config_(config), rng_(rng) {
-  RUSH_EXPECTS(config_.reevaluate_period_s > 0.0);
   RUSH_EXPECTS(config_.os_noise >= 0.0);
 }
 
@@ -31,8 +35,8 @@ ExecutionModel::~ExecutionModel() {
 void ExecutionModel::start() {
   if (ticking_) return;
   ticking_ = true;
-  tick_ = engine_.schedule_periodic(engine_.now() + config_.reevaluate_period_s,
-                                    config_.reevaluate_period_s, [this] { refresh_all(); });
+  tick_ = engine_.schedule_periodic(engine_.now() + kReevaluatePeriodS, kReevaluatePeriodS,
+                                    [this] { refresh_all(); });
 }
 
 void ExecutionModel::stop() {

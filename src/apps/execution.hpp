@@ -7,7 +7,7 @@
 //   rate(t) = 1 / (fc + fn * Sn(t) + fio * Sio(t) + os_noise)
 //
 // Remaining work (measured in uncontended seconds) is integrated
-// piecewise: whenever the running set changes — and on a periodic tick to
+// piecewise: whenever the running set changes — and on a 15 s tick to
 // capture background/noise level changes — each job's remaining work is
 // advanced at the old rate and its rate recomputed. The model keeps one
 // pending completion event, at the earliest projected finish over the
@@ -30,7 +30,6 @@
 namespace rush::apps {
 
 struct ExecutionConfig {
-  double reevaluate_period_s = 15.0;
   double os_noise = 0.004;  // scale of per-interval OS interference
 };
 

@@ -13,6 +13,13 @@ namespace {
 constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
 
 std::size_t word_count(std::size_t slots) { return (slots + 63) / 64; }
+
+/// Bits of word `w` that hold slots of a `slots`-slot bitset: all but the
+/// tail of a partial last word.
+std::uint64_t slot_mask(std::size_t slots, std::size_t w) {
+  const std::size_t tail = slots & 63;
+  return tail != 0 && w == slots >> 6 ? kAllOnes >> (64 - tail) : kAllOnes;
+}
 }  // namespace
 
 NodeAllocator::NodeAllocator(NodeSet managed) : managed_(std::move(managed)) {
@@ -20,14 +27,8 @@ NodeAllocator::NodeAllocator(NodeSet managed) : managed_(std::move(managed)) {
   RUSH_EXPECTS(std::is_sorted(managed_.begin(), managed_.end()));
   RUSH_EXPECTS(std::adjacent_find(managed_.begin(), managed_.end()) == managed_.end());
   const std::size_t words = word_count(managed_.size());
-  free_.assign(words, kAllOnes);
   allocated_.assign(words, 0);
   out_.assign(words, 0);
-  // Clear the tail past the managed count so popcounts and run scans
-  // never see phantom slots.
-  if (const std::size_t tail = managed_.size() & 63; tail != 0) {
-    free_.back() = kAllOnes >> (64 - tail);
-  }
   free_count_ = static_cast<int>(managed_.size());
 }
 
@@ -41,15 +42,19 @@ bool NodeAllocator::can_allocate(int count) const noexcept {
   return count > 0 && count <= free_count_;
 }
 
+std::uint64_t NodeAllocator::free_word(std::size_t w) const noexcept {
+  return ~(allocated_[w] | out_[w]) & slot_mask(managed_.size(), w);
+}
+
 std::size_t NodeAllocator::next_free(std::size_t from) const noexcept {
   const std::size_t n = managed_.size();
   if (from >= n) return n;
   std::size_t w = from >> 6;
-  std::uint64_t word = free_[w] >> (from & 63);
+  std::uint64_t word = free_word(w) >> (from & 63);
   if (word != 0) return from + static_cast<std::size_t>(std::countr_zero(word));
-  for (++w; w < free_.size(); ++w) {
-    if (free_[w] != 0) {
-      return (w << 6) + static_cast<std::size_t>(std::countr_zero(free_[w]));
+  for (++w; w < allocated_.size(); ++w) {
+    if (const std::uint64_t next = free_word(w); next != 0) {
+      return (w << 6) + static_cast<std::size_t>(std::countr_zero(next));
     }
   }
   return n;
@@ -59,16 +64,16 @@ std::size_t NodeAllocator::next_used(std::size_t from) const noexcept {
   const std::size_t n = managed_.size();
   if (from >= n) return n;
   // Scan the complement: a clear free bit is a used (or tail) slot. Tail
-  // bits are zero in free_, so the complement finds them; callers only
-  // care about positions up to n, which std::min restores.
+  // bits are zero in the free word, so the complement finds them; callers
+  // only care about positions up to n, which std::min restores.
   std::size_t w = from >> 6;
-  std::uint64_t word = ~free_[w] >> (from & 63);
+  std::uint64_t word = ~free_word(w) >> (from & 63);
   if (word != 0) {
     return std::min(n, from + static_cast<std::size_t>(std::countr_zero(word)));
   }
-  for (++w; w < free_.size(); ++w) {
-    if (~free_[w] != 0) {
-      return std::min(n, (w << 6) + static_cast<std::size_t>(std::countr_zero(~free_[w])));
+  for (++w; w < allocated_.size(); ++w) {
+    if (const std::uint64_t used = ~free_word(w); used != 0) {
+      return std::min(n, (w << 6) + static_cast<std::size_t>(std::countr_zero(used)));
     }
   }
   return n;
@@ -76,7 +81,6 @@ std::size_t NodeAllocator::next_used(std::size_t from) const noexcept {
 
 void NodeAllocator::take_run(std::size_t begin, std::size_t end, NodeSet& out) {
   for (std::size_t i = begin; i < end; ++i) {
-    clear_bit(free_, i);
     set_bit(allocated_, i);
     out.push_back(managed_[i]);
   }
@@ -128,25 +132,13 @@ void NodeAllocator::audit_invariants() const {
   RUSH_AUDIT_CHECK(std::adjacent_find(managed_.begin(), managed_.end()) == managed_.end(),
                    "duplicate managed node");
   const std::size_t words = word_count(managed_.size());
-  RUSH_AUDIT_CHECK(free_.size() == words && allocated_.size() == words && out_.size() == words,
+  RUSH_AUDIT_CHECK(allocated_.size() == words && out_.size() == words,
                    "bitset not parallel to managed set");
   int actually_free = 0;
   for (std::size_t w = 0; w < words; ++w) {
-    actually_free += std::popcount(free_[w]);
-    // Exactly one state per slot: free == !allocated && !out, and no
-    // bits past the managed count.
-    std::uint64_t valid = kAllOnes;
-    if (w == words - 1) {
-      if (const std::size_t tail = managed_.size() & 63; tail != 0) {
-        valid = kAllOnes >> (64 - tail);
-      }
-    }
-    RUSH_AUDIT_CHECK(((free_[w] | allocated_[w] | out_[w]) & ~valid) == 0,
+    actually_free += std::popcount(free_word(w));
+    RUSH_AUDIT_CHECK(((allocated_[w] | out_[w]) & ~slot_mask(managed_.size(), w)) == 0,
                      "stray bits past the managed count in word " + std::to_string(w));
-    RUSH_AUDIT_CHECK((free_[w] & (allocated_[w] | out_[w])) == 0,
-                     "word " + std::to_string(w) + " state bits inconsistent");
-    RUSH_AUDIT_CHECK((free_[w] | allocated_[w] | out_[w]) == valid,
-                     "word " + std::to_string(w) + " has a slot in no state");
   }
   RUSH_AUDIT_CHECK(free_count_ == actually_free,
                    "free_count_=" + std::to_string(free_count_) + " but bitset has " +
@@ -161,10 +153,7 @@ void NodeAllocator::release(const NodeSet& nodes) {
     clear_bit(allocated_, *idx);
     // An out-of-service node parks instead of rejoining the free pool;
     // set_available(node, true) brings it back.
-    if (!test(out_, *idx)) {
-      set_bit(free_, *idx);
-      ++free_count_;
-    }
+    if (!test(out_, *idx)) ++free_count_;
   }
   RUSH_AUDIT_HOOK(audit_invariants());
 }
@@ -175,16 +164,10 @@ bool NodeAllocator::set_available(NodeId node, bool available) {
   if (test(out_, *idx) != available) return true;  // already in the requested state
   if (available) {
     clear_bit(out_, *idx);
-    if (!test(allocated_, *idx)) {
-      set_bit(free_, *idx);
-      ++free_count_;
-    }
+    if (!test(allocated_, *idx)) ++free_count_;
   } else {
     set_bit(out_, *idx);
-    if (test(free_, *idx)) {
-      clear_bit(free_, *idx);
-      --free_count_;
-    }
+    if (!test(allocated_, *idx)) --free_count_;
   }
   RUSH_AUDIT_HOOK(audit_invariants());
   return true;
@@ -208,7 +191,7 @@ int NodeAllocator::unavailable_count() const noexcept {
 bool NodeAllocator::is_free(NodeId node) const {
   const auto idx = find_index(node);
   RUSH_EXPECTS(idx.has_value());
-  return test(free_, idx.value());
+  return !test(allocated_, *idx) && !test(out_, *idx);
 }
 
 }  // namespace rush::cluster

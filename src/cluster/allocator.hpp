@@ -5,15 +5,15 @@
 // resource matcher) and falls back to the lowest-indexed free nodes when
 // fragmentation prevents a contiguous placement.
 //
-// Storage is three word-level (uint64_t) bitsets parallel to the managed
-// set — free / allocated / out-of-service — so the contiguous-run search
-// advances a whole word per iteration (countr_zero over bit transitions)
-// and free accounting is popcount, instead of the bit-at-a-time
-// std::vector<bool> walk this replaced. Placement order is exactly the
-// slot-index order of the old scan: the first window of `k` consecutive
-// free slots, else the lowest-indexed free slots
-// (tests/cluster/test_allocator.cpp pins this differentially against a
-// reference bitmap implementation).
+// Storage is two word-level (uint64_t) bitsets parallel to the managed
+// set — allocated / out-of-service — and a slot is free when it is
+// neither, so the contiguous-run search advances a whole word per
+// iteration (countr_zero over bit transitions of the derived free word)
+// instead of the bit-at-a-time std::vector<bool> walk this replaced.
+// Placement order is exactly the slot-index order of the old scan: the
+// first window of `k` consecutive free slots, else the lowest-indexed
+// free slots (tests/cluster/test_allocator.cpp pins this differentially
+// against a reference bitmap implementation).
 //
 // Nodes can be taken out of service (crash or drain, see faults/): an
 // out-of-service node is never handed to a new allocation. If it is
@@ -63,9 +63,8 @@ class NodeAllocator {
 
   /// Re-derives the allocation bitset bookkeeping and throws AuditError on
   /// corruption: managed_ stays sorted/unique, the word bitsets stay
-  /// parallel to it with no stray bits past the managed count, free_count_
-  /// equals the free popcount, and every slot is in exactly one of the
-  /// free / allocated / parked-out states (free == !allocated && !out).
+  /// parallel to it with no stray bits past the managed count, and
+  /// free_count_ equals the number of slots neither allocated nor out.
   /// Called automatically after every mutation in RUSH_AUDIT builds.
   void audit_invariants() const;
 
@@ -84,9 +83,12 @@ class NodeAllocator {
     words[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   }
 
-  /// First slot >= `from` whose free bit is set, or the managed count.
+  /// Word `w` of the free set: the managed slots neither allocated nor
+  /// out of service.
+  [[nodiscard]] std::uint64_t free_word(std::size_t w) const noexcept;
+  /// First free slot >= `from`, or the managed count.
   [[nodiscard]] std::size_t next_free(std::size_t from) const noexcept;
-  /// First slot >= `from` whose free bit is clear, or the managed count.
+  /// First slot >= `from` that is not free, or the managed count.
   [[nodiscard]] std::size_t next_used(std::size_t from) const noexcept;
   /// Marks [begin, end) allocated and appends the managed node ids.
   void take_run(std::size_t begin, std::size_t end, NodeSet& out);
@@ -94,7 +96,6 @@ class NodeAllocator {
   NodeSet managed_;  // sorted
   // Parallel word bitsets over managed_ slots; bits past managed_.size()
   // in the last word stay zero.
-  std::vector<std::uint64_t> free_;       // available for new placements
   std::vector<std::uint64_t> allocated_;  // bound to a live allocation
   std::vector<std::uint64_t> out_;        // out of service (crash/drain)
   int free_count_ = 0;

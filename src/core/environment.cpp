@@ -36,14 +36,13 @@ Environment::Environment(EnvironmentConfig config)
   tree_ = std::make_unique<cluster::FatTree>(config_.tree);
   network_ = std::make_unique<cluster::NetworkModel>(*tree_);
   lustre_ = std::make_unique<cluster::LustreModel>(kLustreGbps);
-  background_ = std::make_unique<cluster::BackgroundLoad>(
-      engine_, *network_, *lustre_, cluster::BackgroundConfig{}, rng_for(0xBACD));
+  background_ =
+      std::make_unique<cluster::BackgroundLoad>(engine_, *network_, *lustre_, rng_for(0xBACD));
   store_ = std::make_unique<telemetry::CounterStore>(pod_nodes(), telemetry::num_counters(),
                                                      kFeatureWindowS);
-  sampler_ = std::make_unique<telemetry::CounterSampler>(
-      engine_, *network_, *lustre_, *store_, telemetry::SamplerConfig{}, rng_for(0x5A3B));
-  canary_ = std::make_unique<telemetry::MpiCanary>(*network_, telemetry::CanaryConfig{},
-                                                   rng_for(0xCA4A));
+  sampler_ = std::make_unique<telemetry::CounterSampler>(engine_, *network_, *lustre_, *store_,
+                                                         rng_for(0x5A3B));
+  canary_ = std::make_unique<telemetry::MpiCanary>(*network_, rng_for(0xCA4A));
   features_ = std::make_unique<telemetry::FeatureAssembler>(*store_, kFeatureWindowS);
   execution_ = std::make_unique<apps::ExecutionModel>(
       engine_, *network_, *lustre_, apps::ExecutionConfig{}, rng_for(0xE8EC));
@@ -61,7 +60,7 @@ cluster::NodeSet Environment::pod_nodes() const {
 
 NoisyPod::NoisyPod(Environment& env)
     : noise_(env.engine(), env.network(), stride_nodes(env.pod_nodes(), true),
-             apps::NoiseConfig{}, env.rng_for(0x401CE)),
+             env.rng_for(0x401CE)),
       allocator_(stride_nodes(env.pod_nodes(), false)) {}
 
 }  // namespace rush::core

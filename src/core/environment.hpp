@@ -29,7 +29,7 @@ class MetricsRegistry;
 namespace rush::core {
 
 /// Machine shape and master seed; every other model runs on its own
-/// component defaults (tests that vary a model construct it directly).
+/// constants.
 struct EnvironmentConfig {
   cluster::FatTreeConfig tree;
   std::uint64_t seed = 2022;

@@ -7,13 +7,18 @@
 
 namespace rush::core {
 
+namespace {
+/// A counter window whose newest frame is older than this is "stale" and
+/// triggers the fallback.
+constexpr double kMaxCounterAgeS = 120.0;
+}  // namespace
+
 RushOracle::RushOracle(Environment& env, const TrainedPredictor& predictor,
                        OracleDegradedConfig degraded)
     : env_(env), predictor_(predictor), degraded_(degraded),
       features_(telemetry::FeatureAssembler::kNumFeatures, 0.0),
       agg_scratch_(env.store().num_counters()) {
   RUSH_EXPECTS(predictor.ready());
-  RUSH_EXPECTS(degraded_.max_counter_age_s > 0.0);
 }
 
 void RushOracle::set_metrics(obs::MetricsRegistry* metrics) {
@@ -26,7 +31,7 @@ const char* RushOracle::degraded_reason(sim::Time now) const noexcept {
   if (degraded_.faults == nullptr) return nullptr;
   if (degraded_.faults->canary_timed_out(now)) return "canary-timeout";
   const telemetry::StalenessReport st = env_.features().staleness(now);
-  if (st.newest_frame_age_s > degraded_.max_counter_age_s) return "stale-counters";
+  if (st.newest_frame_age_s > kMaxCounterAgeS) return "stale-counters";
   if (st.corrupt_frames_in_window > 0) return "corrupt-counters";
   return nullptr;
 }

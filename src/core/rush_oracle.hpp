@@ -46,8 +46,6 @@ enum class OracleFallback : std::uint8_t {
 /// the healthy path is untouched.
 struct OracleDegradedConfig {
   const faults::FaultInjector* faults = nullptr;
-  /// Counter window older than this is "stale" and triggers fallback.
-  double max_counter_age_s = 120.0;
   OracleFallback fallback = OracleFallback::Fcfs;
 };
 

@@ -264,7 +264,7 @@ void Scheduler::launch(Job& job, cluster::NodeSet nodes, bool via_backfill) {
   job.start_s = engine_.now();
   job.nodes = std::move(nodes);
   job.backfilled = via_backfill;
-  running_.insert(std::lower_bound(running_.begin(), running_.end(), job.id), job.id);
+  ++running_count_;
   timeline_insert(job.start_s + job.spec.walltime_estimate_s,
                   static_cast<int>(job.nodes.size()));
 
@@ -290,9 +290,7 @@ void Scheduler::handle_completion(JobId id, const apps::RunRecord& record) {
   job.end_s = engine_.now();
   last_end_s_ = std::max(last_end_s_, job.end_s);
   job.record = record;
-  const auto run_it = std::lower_bound(running_.begin(), running_.end(), id);
-  RUSH_ASSERT(run_it != running_.end() && *run_it == id);
-  running_.erase(run_it);
+  --running_count_;
   ++completed_count_;
   if (metric_slowdown_) metric_slowdown_->record(record.slowdown());
   if (config_.trace != nullptr)
@@ -313,17 +311,16 @@ void Scheduler::handle_node_fault(const faults::NodeFaultEvent& ev) {
   const bool managed = allocator_.set_available(ev.node, false);
   if (ev.kind == faults::FaultKind::NodeDrain || !managed) return;
 
-  // Crash: every running job holding the node loses its work and goes
-  // back to the queue. Victims are collected first (requeue mutates
-  // running_); running_ is sorted by id, so the requeue order is the
-  // deterministic job-id order already.
-  std::vector<JobId> victims;
-  for (JobId id : running_) {
-    const Job& r = job_ref(id);
-    if (std::binary_search(r.nodes.begin(), r.nodes.end(), ev.node)) victims.push_back(id);
+  // Crash: the running job holding the node loses its work and goes back
+  // to the queue. An allocation is exclusive, so there is at most one.
+  for (const Job& job : jobs_) {
+    if (job.state == JobState::Running &&
+        std::binary_search(job.nodes.begin(), job.nodes.end(), ev.node)) {
+      requeue(job.id, ev.node);
+      schedule_pass();
+      return;
+    }
   }
-  for (JobId id : victims) requeue(id, ev.node);
-  if (!victims.empty()) schedule_pass();
 }
 
 void Scheduler::requeue(JobId id, cluster::NodeId failed_node) {
@@ -333,9 +330,7 @@ void Scheduler::requeue(JobId id, cluster::NodeId failed_node) {
   allocator_.release(job.nodes);
   timeline_erase(job.start_s + job.spec.walltime_estimate_s,
                  static_cast<int>(job.nodes.size()));
-  const auto run_it = std::lower_bound(running_.begin(), running_.end(), id);
-  RUSH_ASSERT(run_it != running_.end() && *run_it == id);
-  running_.erase(run_it);
+  --running_count_;
 
   job.state = JobState::Pending;
   job.nodes.clear();

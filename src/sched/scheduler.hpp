@@ -135,7 +135,7 @@ class Scheduler {
 
   [[nodiscard]] const Job& job(JobId id) const;
   [[nodiscard]] std::size_t queue_length() const noexcept { return queue_.size(); }
-  [[nodiscard]] std::size_t running_count() const noexcept { return running_.size(); }
+  [[nodiscard]] std::size_t running_count() const noexcept { return running_count_; }
   [[nodiscard]] std::size_t completed_count() const noexcept { return completed_count_; }
 
   /// Ids of pending jobs in current queue order (head first).
@@ -213,9 +213,9 @@ class Scheduler {
   // queue drains to a single element. While set, queue ops fall back to
   // linear walks.
   bool queue_unsorted_ = false;
-  std::vector<JobId> running_;  // sorted by id
-  // (start_s + walltime_estimate_s, node count) per running job, sorted.
-  // compute_reservation walks this instead of re-sorting running_.
+  std::size_t running_count_ = 0;
+  // (start_s + walltime_estimate_s, node count) per running job, sorted:
+  // compute_reservation walks this instead of the running jobs.
   std::vector<std::pair<sim::Time, int>> timeline_;
   std::size_t completed_count_ = 0;
   // delayed_pass_[id - 1] == passes_ marks "delayed in the current

@@ -8,13 +8,15 @@
 
 namespace rush::telemetry {
 
-MpiCanary::MpiCanary(const cluster::NetworkModel& net, CanaryConfig config, Rng rng)
-    : net_(net), config_(config), rng_(rng) {
-  RUSH_EXPECTS(config_.message_mb > 0.0);
-  RUSH_EXPECTS(config_.ring_iterations > 0);
-  RUSH_EXPECTS(config_.allreduce_iterations > 0);
-  RUSH_EXPECTS(config_.probe_gbps > 0.0);
-}
+namespace {
+constexpr double kMessageMb = 100.0;
+constexpr int kRingIterations = 10;
+constexpr int kAllreduceIterations = 5;
+constexpr double kProbeGbps = 0.8;  // transient per-node injection during the probe
+constexpr double kJitter = 0.08;    // relative per-node noise
+}  // namespace
+
+MpiCanary::MpiCanary(const cluster::NetworkModel& net, Rng rng) : net_(net), rng_(rng) {}
 
 std::array<double, 9> CanaryResult::features() const {
   auto agg = [](const std::vector<double>& v, std::array<double, 9>& out, std::size_t base) {
@@ -44,31 +46,29 @@ void MpiCanary::run_into(const cluster::NodeSet& nodes, CanaryResult& result) {
   result.allreduce_wait_s.assign(n, 0.0);
   if (n < 2) return;
 
-  const double message_gb = config_.message_mb / 1000.0;
+  const double message_gb = kMessageMb / 1000.0;
   const double link_gbps = net_.tree().config().node_link_gbps;
 
   // Ring: the token crosses every node once per iteration; each node's
   // send blocks for (message / effective bandwidth) per iteration.
-  const double ring_slow =
-      net_.probe_slowdown(nodes, config_.probe_gbps, cluster::TrafficPattern::Ring);
+  const double ring_slow = net_.probe_slowdown(nodes, kProbeGbps, cluster::TrafficPattern::Ring);
   const double ring_hop_s = message_gb / (link_gbps / ring_slow);
 
   // AllReduce (ring algorithm): each node moves ~2*(n-1)/n message sizes.
-  const double ar_slow =
-      net_.probe_slowdown(nodes, config_.probe_gbps, cluster::TrafficPattern::AllToAll);
+  const double ar_slow = net_.probe_slowdown(nodes, kProbeGbps, cluster::TrafficPattern::AllToAll);
   const double ar_volume_gb = 2.0 * message_gb * static_cast<double>(n - 1) /
                               static_cast<double>(n);
   const double ar_iter_s = ar_volume_gb / (link_gbps / ar_slow);
 
   for (std::size_t i = 0; i < n; ++i) {
-    const double j_send = std::max(0.1, 1.0 + config_.jitter * rng_.normal());
-    const double j_recv = std::max(0.1, 1.0 + config_.jitter * rng_.normal());
-    const double j_ar = std::max(0.1, 1.0 + config_.jitter * rng_.normal());
-    result.send_wait_s[i] = config_.ring_iterations * ring_hop_s * j_send;
+    const double j_send = std::max(0.1, 1.0 + kJitter * rng_.normal());
+    const double j_recv = std::max(0.1, 1.0 + kJitter * rng_.normal());
+    const double j_ar = std::max(0.1, 1.0 + kJitter * rng_.normal());
+    result.send_wait_s[i] = kRingIterations * ring_hop_s * j_send;
     // A ring receive waits for the whole upstream chain on the first
     // iteration, so receive waits run slightly longer than sends.
-    result.recv_wait_s[i] = config_.ring_iterations * ring_hop_s * 1.15 * j_recv;
-    result.allreduce_wait_s[i] = config_.allreduce_iterations * ar_iter_s * j_ar;
+    result.recv_wait_s[i] = kRingIterations * ring_hop_s * 1.15 * j_recv;
+    result.allreduce_wait_s[i] = kAllreduceIterations * ar_iter_s * j_ar;
   }
 }
 

@@ -23,14 +23,6 @@
 
 namespace rush::telemetry {
 
-struct CanaryConfig {
-  double message_mb = 100.0;
-  int ring_iterations = 10;
-  int allreduce_iterations = 5;
-  double probe_gbps = 0.8;  // transient per-node injection during the probe
-  double jitter = 0.08;     // relative per-node noise
-};
-
 struct CanaryResult {
   std::vector<double> send_wait_s;       // per node
   std::vector<double> recv_wait_s;       // per node
@@ -42,7 +34,7 @@ struct CanaryResult {
 
 class MpiCanary {
  public:
-  MpiCanary(const cluster::NetworkModel& net, CanaryConfig config, Rng rng);
+  MpiCanary(const cluster::NetworkModel& net, Rng rng);
 
   /// Run both benchmarks on `nodes` (>= 2 nodes for meaningful traffic;
   /// a single node yields near-zero waits).
@@ -53,7 +45,6 @@ class MpiCanary {
 
  private:
   const cluster::NetworkModel& net_;
-  CanaryConfig config_;
   Rng rng_;
 };
 

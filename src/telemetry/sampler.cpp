@@ -10,11 +10,17 @@
 
 namespace rush::telemetry {
 
+namespace {
+constexpr double kPeriodS = 30.0;
+/// A max-congestion episode starts when the worst fabric-link
+/// utilization seen by a frame crosses this and ends when it falls back
+/// below; episode records go to the attached EventTrace.
+constexpr double kEpisodeUtilThreshold = 0.9;
+}  // namespace
+
 CounterSampler::CounterSampler(sim::Engine& engine, const cluster::NetworkModel& net,
-                               const cluster::LustreModel& lustre, CounterStore& store,
-                               SamplerConfig config, Rng rng)
-    : engine_(engine), net_(net), lustre_(lustre), store_(store), config_(config), rng_(rng) {
-  RUSH_EXPECTS(config_.period_s > 0.0);
+                               const cluster::LustreModel& lustre, CounterStore& store, Rng rng)
+    : engine_(engine), net_(net), lustre_(lustre), store_(store), rng_(rng) {
   RUSH_EXPECTS(store_.num_counters() == num_counters());
   scratch_.resize(store_.managed_nodes().size() * store_.num_counters());
 }
@@ -22,7 +28,7 @@ CounterSampler::CounterSampler(sim::Engine& engine, const cluster::NetworkModel&
 void CounterSampler::start() {
   if (running_) return;
   running_ = true;
-  task_ = engine_.schedule_periodic(engine_.now(), config_.period_s, [this] { sample_now(); });
+  task_ = engine_.schedule_periodic(engine_.now(), kPeriodS, [this] { sample_now(); });
 }
 
 void CounterSampler::stop() {
@@ -94,12 +100,12 @@ void CounterSampler::sample_now() {
       episode_peak_ = worst_util;
       episode_link_ = worst_link;
     }
-    if (worst_util < config_.episode_util_threshold) {
+    if (worst_util < kEpisodeUtilThreshold) {
       if (trace_)
         trace_->emit_congestion_episode(now_s, episode_start_s_, episode_link_, episode_peak_);
       in_episode_ = false;
     }
-  } else if (worst_util >= config_.episode_util_threshold) {
+  } else if (worst_util >= kEpisodeUtilThreshold) {
     in_episode_ = true;
     episode_start_s_ = now_s;
     episode_peak_ = worst_util;

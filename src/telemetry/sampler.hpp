@@ -1,6 +1,6 @@
 // Periodic counter sampler (the LDMS daemon stand-in).
 //
-// Every `period_s` of simulated time it snapshots the network/filesystem
+// Every 30 s of simulated time it snapshots the network/filesystem
 // state for each managed node, synthesizes the 90-counter frame, and
 // appends it to the CounterStore. Sampling can be paused when no consumer
 // needs data (the longitudinal collector fast-forwards between control
@@ -29,19 +29,10 @@ class MetricsRegistry;
 
 namespace rush::telemetry {
 
-struct SamplerConfig {
-  double period_s = 30.0;
-  /// A max-congestion episode starts when the worst fabric-link
-  /// utilization seen by a frame crosses this and ends when it falls
-  /// back below; episode records go to the attached EventTrace.
-  double episode_util_threshold = 0.9;
-};
-
 class CounterSampler {
  public:
   CounterSampler(sim::Engine& engine, const cluster::NetworkModel& net,
-                 const cluster::LustreModel& lustre, CounterStore& store, SamplerConfig config,
-                 Rng rng);
+                 const cluster::LustreModel& lustre, CounterStore& store, Rng rng);
 
   /// Begin periodic sampling; the first frame is captured immediately.
   void start();
@@ -77,7 +68,6 @@ class CounterSampler {
   const cluster::NetworkModel& net_;
   const cluster::LustreModel& lustre_;
   CounterStore& store_;
-  SamplerConfig config_;
   Rng rng_;
   sim::EventId task_ = 0;
   bool running_ = false;
@@ -88,7 +78,7 @@ class CounterSampler {
 
   obs::EventTrace* trace_ = nullptr;
   obs::Histogram* metric_worst_util_ = nullptr;  // owned by the registry
-  // Episode tracking across frames (see SamplerConfig threshold).
+  // Episode tracking across frames (see kEpisodeUtilThreshold in sampler.cpp).
   bool in_episode_ = false;
   double episode_start_s_ = 0.0;
   double episode_peak_ = 0.0;

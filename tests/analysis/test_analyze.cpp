@@ -171,8 +171,6 @@ TEST(AnalyzeOutline, MembersFunctionsAccessAndTraits) {
   EXPECT_TRUE(push.has_params);
   EXPECT_FALSE(push.is_definition);
   EXPECT_FALSE(push.is_const);
-  // `namespace rush::sched` splits into components.
-  EXPECT_EQ(push.namespaces, (std::vector<std::string>{"rush", "sched"}));
 
   const ra::FunctionDecl& depth = fn_named(o, "depth");
   EXPECT_TRUE(depth.is_const);

@@ -26,8 +26,8 @@ struct AuditTestPeer {
 namespace rush::cluster {
 struct AuditTestPeer {
   static void fake_free_count(NodeAllocator& a) { a.free_count_ += 3; }
-  static void truncate_bitmap(NodeAllocator& a) { a.free_.pop_back(); }
-  static void poison_tail_bit(NodeAllocator& a) { a.free_.back() |= 1ULL << 63; }
+  static void truncate_bitmap(NodeAllocator& a) { a.allocated_.pop_back(); }
+  static void poison_tail_bit(NodeAllocator& a) { a.out_.back() |= 1ULL << 63; }
 };
 struct NetworkAuditTestPeer {
   static void leak_load(NetworkModel& m) { m.loads_.at(0) += 7.5; }

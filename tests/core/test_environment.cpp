@@ -61,8 +61,15 @@ TEST(Environment, RngForIsDeterministicPerTag) {
 TEST(Environment, NoisyPodSplitsThePodAsInThePaper) {
   Environment env{single_pod_config(4)};
   NoisyPod stage(env);
-  const cluster::NodeSet& noise = stage.noise().nodes();
+  stage.noise().start();
+  // With nothing else running, only the noise nodes' access links carry
+  // traffic: each carries the noise rate.
+  cluster::NodeSet noise;
+  for (cluster::NodeId n : env.pod_nodes())
+    if (env.network().node_xmit_gbps(n) > 0.0) noise.push_back(n);
   ASSERT_EQ(noise.size(), 32u);  // 1/16 of 512 nodes
+  for (cluster::NodeId n : noise)
+    EXPECT_EQ(env.network().node_xmit_gbps(n), env.network().node_xmit_gbps(noise.front()));
   std::vector<int> per_edge(16, 0);
   for (cluster::NodeId n : noise) ++per_edge[static_cast<std::size_t>(env.tree().edge_of(n))];
   for (int count : per_edge) EXPECT_EQ(count, 2);

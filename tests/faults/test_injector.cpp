@@ -53,7 +53,7 @@ class InjectorTest : public ::testing::Test {
   InjectorTest()
       : tree_(small_tree()), net_(tree_), lustre_(100.0),
         store_({0, 1, 2, 3}, telemetry::num_counters(), 300.0),
-        sampler_(engine_, net_, lustre_, store_, {}, Rng(7)) {}
+        sampler_(engine_, net_, lustre_, store_, Rng(7)) {}
 
   /// Plan events (synthesized auto-restores included) an injector
   /// attached to metrics_ has fired: the sum of its per-kind counters.
