@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "common/error.hpp"
+#include "golden.hpp"
 #include "sim/engine.hpp"
 
 namespace rush::apps {
@@ -129,6 +133,54 @@ TEST(Execution, MidRunContentionChangeIsIntegrated) {
   const double clean = run_with_window(1e6, 0.0);  // congestion after the job
   EXPECT_GT(fully_contended, half_contended + 5.0);
   EXPECT_GT(half_contended, clean + 5.0);
+}
+
+/// Completion callback that appends the run's label and slowdown.
+ExecutionModel::CompletionFn log_to(std::vector<int>& order, std::vector<double>& slowdowns,
+                                    int label) {
+  return [&order, &slowdowns, label](const RunRecord& r) {
+    order.push_back(label);
+    slowdowns.push_back(r.slowdown());
+  };
+}
+
+// Golden rows: the slowdowns, in completion order, of noisy runs that
+// overlap each other and a congestion window on edge 0's uplink (the rig
+// of MidRunContentionChangeIsIntegrated), recorded before the model
+// reported a slowdown instead of a run record.
+TEST(Execution, MidRunSlowdownsKeepTheirGoldenRows) {
+  World w;
+  w.engine.schedule_at(60.0, [&] { w.net.set_ambient_load(w.tree.edge_uplink(0), 25.0); });
+  w.engine.schedule_at(200.0, [&] { w.net.set_ambient_load(w.tree.edge_uplink(0), 0.0); });
+  auto app = test_app(0.5, 2.0);
+  app.noise_sigma = 0.05;
+  auto short_app = app;
+  short_app.base_runtime_s = 40.0;
+  std::vector<int> order;
+  std::vector<double> slowdowns;
+  w.exec->launch(app, {6, 7, 8, 9}, ScalingMode::Strong, log_to(order, slowdowns, 0));
+  w.exec->launch(short_app, {0, 1, 2, 3}, ScalingMode::Strong, log_to(order, slowdowns, 1));
+  w.engine.schedule_at(30.0, [&] {
+    w.exec->launch(app, {4, 5, 10, 11}, ScalingMode::Strong, log_to(order, slowdowns, 2));
+  });
+  w.engine.schedule_at(150.0, [&] {
+    w.exec->launch(short_app, {12, 13, 14, 15, 16, 17}, ScalingMode::Strong,
+                   log_to(order, slowdowns, 3));
+    w.exec->launch(app, {20, 21}, ScalingMode::Strong, log_to(order, slowdowns, 4));
+  });
+  w.engine.run();
+
+  const std::array<int, 5> golden_order{1, 0, 2, 3, 4};
+  const std::array<std::uint64_t, 5> golden_bits{0x3ff00013d42387faULL, 0x3ff524d01ac4c320ULL,
+                                                 0x3ff91ba1bf06c879ULL, 0x3ff000545f497b4aULL,
+                                                 0x3ff00013d42387fbULL};
+  ASSERT_EQ(order.size(), golden_order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], golden_order[i]) << "completion " << i;
+    EXPECT_EQ(golden::hex(std::bit_cast<std::uint64_t>(slowdowns[i])),
+              golden::hex(golden_bits[i]))
+        << "completion " << i;
+  }
 }
 
 TEST(Execution, ConcurrentJobsSlowEachOther) {

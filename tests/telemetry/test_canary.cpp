@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <optional>
+
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "golden.hpp"
 
 namespace rush::telemetry {
 namespace {
@@ -104,6 +110,60 @@ TEST_F(CanaryTest, DeterministicWithSameSeed) {
   const auto rb = b.run({0, 1, 8, 9});
   EXPECT_EQ(ra.send_wait_s, rb.send_wait_s);
   EXPECT_EQ(ra.allreduce_wait_s, rb.allreduce_wait_s);
+}
+
+/// The nine features one probe returns: send, recv and allreduce waits,
+/// each as min, max and mean over the probed nodes.
+std::array<double, 9> features_of(MpiCanary& canary, const cluster::NodeSet& nodes) {
+  return canary.run(nodes).features();
+}
+
+// Golden rows: the bits of the nine features, recorded before the probe
+// folded its per-node waits into them. Each seed probes a 16-node
+// placement over two edge switches whose uplinks carry ambient load, then
+// a single node, then the 16 nodes again, so the rows also pin the
+// canary's draws per probe (three normals per node, none for one node).
+TEST_F(CanaryTest, FeatureBitsKeepTheirGoldenRows) {
+  net_.set_ambient_load(tree_.edge_uplink(0), 15.0);
+  net_.set_ambient_load(tree_.edge_uplink(1), 22.0);
+  cluster::NodeSet straddling;
+  for (cluster::NodeId n = 0; n < 16; ++n) straddling.push_back(n);
+  const cluster::NodeSet single{5};
+
+  struct Row {
+    std::uint64_t seed;
+    const cluster::NodeSet* nodes;
+    std::array<std::uint64_t, 9> bits;
+  };
+  const std::array<Row, 6> rows{{
+      {1, &straddling,
+       {0x3fc8b06bd67c84c4ULL, 0x3fd0e1f0e7572412ULL, 0x3fcceb89a73e9d92ULL,
+        0x3fcaf05326d8e826ULL, 0x3fd350f939a35584ULL, 0x3fd054752cfa8631ULL,
+        0x3fca81020c3b21e4ULL, 0x3fd00e26bfafb4c7ULL, 0x3fcd8fa2d35e878bULL}},
+      {1, &single, {}},  // nine zeros
+      {1, &straddling,
+       {0x3fc81680ebfcd6a4ULL, 0x3fce7119c00952a2ULL, 0x3fcba8836e11ce40ULL,
+        0x3fcd543a9274bf8fULL, 0x3fd4226fd93ae017ULL, 0x3fd0ab9529bd7c3eULL,
+        0x3fca434065665d92ULL, 0x3fd090d48ea156b9ULL, 0x3fcd96b2a316802eULL}},
+      {42, &straddling,
+       {0x3fc8dc342faf2ed9ULL, 0x3fd0848fa16bfda1ULL, 0x3fcbfba37c9ac839ULL,
+        0x3fce1d426cb97b8eULL, 0x3fd26d786b04c52fULL, 0x3fd0361738128826ULL,
+        0x3fcb5af51c521586ULL, 0x3fd065c3410ebaa7ULL, 0x3fce35acdf671809ULL}},
+      {42, &single, {}},
+      {42, &straddling,
+       {0x3fc86ca86af2bd74ULL, 0x3fd0a96bc59540f9ULL, 0x3fcc32397118f9a2ULL,
+        0x3fcb8965346845efULL, 0x3fd3226b83707911ULL, 0x3fcff27849d55685ULL,
+        0x3fca7b85d5d5ae70ULL, 0x3fd15e8794d77af0ULL, 0x3fcdcc4b144627b5ULL}},
+  }};
+  std::uint64_t seed = 0;
+  std::optional<MpiCanary> canary;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (!canary || rows[r].seed != seed) canary.emplace(net_, Rng(seed = rows[r].seed));
+    const std::array<double, 9> f = features_of(*canary, *rows[r].nodes);
+    for (std::size_t i = 0; i < f.size(); ++i)
+      EXPECT_EQ(golden::hex(std::bit_cast<std::uint64_t>(f[i])), golden::hex(rows[r].bits[i]))
+          << "row " << r << ", feature " << i;
+  }
 }
 
 TEST_F(CanaryTest, RejectsEmptyNodeSet) {
