@@ -74,7 +74,7 @@ cluster::FatTree pod_tree() {
 /// jobs of the seven proxy apps, launched 20 s apart and run to
 /// completion. Every launch and completion re-rates all running jobs and
 /// moves the one completion event. allocs_per_op is reported, not gated:
-/// each launch registers traffic sources and a RunRecord.
+/// each launch adds a running-set entry and registers traffic sources.
 void BM_ExecutionLifecycle(benchmark::State& state) {
   constexpr int kJobs = 30;
   constexpr int kNodesPerJob = 16;
@@ -91,7 +91,7 @@ void BM_ExecutionLifecycle(benchmark::State& state) {
       engine.schedule_at(20.0 * j, [&exec, &profiles, j] {
         cluster::NodeSet nodes;
         for (int i = 0; i < kNodesPerJob; ++i) nodes.push_back(kNodesPerJob * j + i);
-        exec.launch(profiles[static_cast<std::size_t>(j) % profiles.size()], std::move(nodes),
+        exec.launch(profiles[static_cast<std::size_t>(j) % profiles.size()], nodes,
                     apps::ScalingMode::Strong, nullptr);
       });
     }

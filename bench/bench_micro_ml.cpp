@@ -34,9 +34,7 @@ using namespace rush;
 
 ml::Dataset synthetic(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::string> names;
-  for (std::size_t f = 0; f < cols; ++f) names.push_back("f" + std::to_string(f));
-  ml::Dataset d(std::move(names));
+  ml::Dataset d(cols);
   std::vector<double> row(cols);
   for (std::size_t i = 0; i < rows; ++i) {
     double signal = 0.0;
@@ -55,9 +53,7 @@ ml::Dataset synthetic(std::size_t rows, std::size_t cols, std::uint64_t seed) {
 /// stage.
 ml::Dataset three_class(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::string> names;
-  for (std::size_t f = 0; f < cols; ++f) names.push_back("f" + std::to_string(f));
-  ml::Dataset d(std::move(names));
+  ml::Dataset d(cols);
   std::vector<double> row(cols);
   for (std::size_t i = 0; i < rows; ++i) {
     for (std::size_t f = 0; f < cols; ++f)

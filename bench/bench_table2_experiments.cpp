@@ -10,6 +10,27 @@
 
 using namespace rush;
 
+namespace {
+
+/// Table II's description column.
+const char* description(core::ExperimentId id) {
+  switch (id) {
+    case core::ExperimentId::ADAA:
+      return "ML model trained on data from all running applications";
+    case core::ExperimentId::ADPA:
+      return "Subset of 3 applications running";
+    case core::ExperimentId::PDPA:
+      return "ML model trained on AMG, Kripke, sw4lite, SWFFT";
+    case core::ExperimentId::WS:
+      return "Jobs run on 8, 16, and 32 nodes - weak scaling";
+    case core::ExperimentId::SS:
+      return "Jobs run on 8, 16, and 32 nodes - strong scaling";
+  }
+  return "";
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const auto opts = bench::parse_options(argc, argv);
   bench::print_banner("Table II", "Experiments run in the 512-node reservation", opts);
@@ -18,7 +39,7 @@ int main(int argc, char** argv) {
   for (const auto& spec : core::all_experiments()) {
     const std::string apps = spec.run_apps.size() == 7 ? "All" : str::join(spec.run_apps, ", ");
     table.add_row({spec.code, spec.name, apps, std::to_string(spec.num_jobs),
-                   spec.description});
+                   description(spec.id)});
   }
   std::printf("\n%s\n", table.render().c_str());
 

@@ -44,18 +44,14 @@ Observation observe(const apps::AppProfile& app, double ambient_level, std::uint
   env.sampler().start();
   env.engine().run_until(300.0);  // fill the 5-minute counter window
 
-  const auto canary = env.canary().run(nodes);
-  double canary_mean = 0.0;
-  for (double w : canary.allreduce_wait_s) canary_mean += w;
-  canary_mean /= static_cast<double>(canary.allreduce_wait_s.size());
-
   Observation obs;
-  obs.canary_allreduce_ms = canary_mean * 1000.0;
+  obs.canary_allreduce_ms = env.canary().run(nodes)[8] * 1000.0;  // allreduce mean
   obs.mean_edge_util = env.network().link_utilization(tree.edge_uplink(0));
 
+  const sim::Time start_s = env.engine().now();
   env.execution().launch(app, nodes, apps::ScalingMode::Strong,
-                         [&obs](const apps::RunRecord& record) {
-                           obs.runtime_s = record.duration_s;
+                         [&obs, &env, start_s](double /*slowdown*/) {
+                           obs.runtime_s = env.engine().now() - start_s;
                          });
   env.engine().run_until(env.engine().now() + 4.0 * 3600.0);
   return obs;

@@ -45,8 +45,9 @@ void ExecutionModel::stop() {
   engine_.cancel(tick_);
 }
 
-ExecutionModel::RunId ExecutionModel::launch(const AppProfile& app, cluster::NodeSet nodes,
-                                             ScalingMode scaling, CompletionFn on_complete) {
+ExecutionModel::RunId ExecutionModel::launch(const AppProfile& app,
+                                             const cluster::NodeSet& nodes, ScalingMode scaling,
+                                             CompletionFn on_complete) {
   RUSH_EXPECTS(!nodes.empty());
   const RunId id = next_run_id_++;
 
@@ -55,17 +56,10 @@ ExecutionModel::RunId ExecutionModel::launch(const AppProfile& app, cluster::Nod
   RUSH_ASSERT(base_total > 0.0);
 
   Running job;
-  job.record.run_id = id;
-  job.record.app = app.name;
-  job.record.workload = app.workload;
-  job.record.nodes = nodes;
-  job.record.node_count = static_cast<int>(nodes.size());
-  job.record.scaling = scaling;
-  job.record.start_s = engine_.now();
-  job.record.base_total_s = base_total;
+  job.start_s = engine_.now();
   // Intrinsic (non-contention) run-to-run noise.
-  job.record.uncontended_s = base_total * rng_.lognormal(0.0, app.noise_sigma);
-  job.remaining_work = job.record.uncontended_s;
+  job.uncontended_s = base_total * rng_.lognormal(0.0, app.noise_sigma);
+  job.remaining_work = job.uncontended_s;
   job.last_update = engine_.now();
   job.fc = channels.compute_s / base_total;
   job.fn = channels.network_s / base_total;
@@ -152,14 +146,15 @@ void ExecutionModel::complete(RunId id) {
   if (net_.has_source(gateway_source(id))) net_.remove_source(gateway_source(id));
   if (lustre_.has_client(id)) lustre_.remove_client(id);
 
-  job.record.end_s = engine_.now();
-  job.record.duration_s = job.record.end_s - job.record.start_s;
+  // Contention-induced inflation over the ideal run.
+  const double slowdown =
+      job.uncontended_s > 0.0 ? (engine_.now() - job.start_s) / job.uncontended_s : 1.0;
 
   // Remaining jobs speed up now that this one's traffic is gone.
   refresh_all();
   if (running_.empty()) stop();
 
-  if (job.on_complete) job.on_complete(job.record);
+  if (job.on_complete) job.on_complete(slowdown);
 }
 
 }  // namespace rush::apps

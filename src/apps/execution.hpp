@@ -14,14 +14,17 @@
 // running jobs (ties go to the lowest run id, i.e. launch order). The
 // measured run time is therefore the uncontended time stretched by the
 // congestion the job actually lived through, which is exactly the
-// variation signal the paper's pipeline studies.
+// variation signal the paper's pipeline studies. A completion reports
+// only the run's slowdown; the run time itself (the inclusive main-region
+// time the paper profiles with HPCToolkit) is the engine clock's advance
+// since launch.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 
-#include "apps/run_record.hpp"
+#include "apps/profiles.hpp"
 #include "cluster/lustre.hpp"
 #include "cluster/network.hpp"
 #include "common/rng.hpp"
@@ -36,7 +39,8 @@ struct ExecutionConfig {
 class ExecutionModel {
  public:
   using RunId = std::uint64_t;
-  using CompletionFn = std::function<void(const RunRecord&)>;
+  /// Receives the run's slowdown: its run time over its uncontended time.
+  using CompletionFn = std::function<void(double slowdown)>;
 
   ExecutionModel(sim::Engine& engine, cluster::NetworkModel& net, cluster::LustreModel& lustre,
                  ExecutionConfig config, Rng rng);
@@ -46,8 +50,8 @@ class ExecutionModel {
   ExecutionModel& operator=(const ExecutionModel&) = delete;
 
   /// Launch `app` on `nodes` now. `on_complete` fires (at most once) when
-  /// the job finishes; it receives the filled RunRecord.
-  RunId launch(const AppProfile& app, cluster::NodeSet nodes, ScalingMode scaling,
+  /// the job finishes, at the engine time the run ends.
+  RunId launch(const AppProfile& app, const cluster::NodeSet& nodes, ScalingMode scaling,
                CompletionFn on_complete);
 
   /// Kill a running job (a node died under it, see faults/): its traffic
@@ -64,7 +68,8 @@ class ExecutionModel {
 
  private:
   struct Running {
-    RunRecord record;
+    sim::Time start_s = 0.0;
+    double uncontended_s = 0.0;   // channel total incl. intrinsic noise
     double remaining_work = 0.0;  // uncontended seconds left
     sim::Time last_update = 0.0;
     double rate = 1.0;

@@ -24,15 +24,10 @@ void RunningStats::add(double x) noexcept {
 
 double RunningStats::mean() const noexcept { return n_ == 0 ? 0.0 : mean_; }
 
-double RunningStats::variance() const noexcept {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_);
-}
-
 double RunningStats::sample_variance() const noexcept {
   return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
 }
 
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 double RunningStats::sample_stddev() const noexcept { return std::sqrt(sample_variance()); }
 double RunningStats::min() const noexcept { return n_ == 0 ? 0.0 : min_; }
 double RunningStats::max() const noexcept { return n_ == 0 ? 0.0 : max_; }
@@ -44,22 +39,6 @@ double mean(std::span<const double> xs) noexcept {
   double s = 0.0;
   for (double x : xs) s += x;
   return s / static_cast<double>(xs.size());
-}
-
-double variance(std::span<const double> xs) noexcept {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return s / static_cast<double>(xs.size());
-}
-
-double sample_stddev(std::span<const double> xs) noexcept {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(xs.size() - 1));
 }
 
 double min(std::span<const double> xs) noexcept {
@@ -88,12 +67,6 @@ double quantile(std::span<const double> xs, double q) {
 }
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
-
-double zscore(double x, std::span<const double> xs) noexcept {
-  const double sd = sample_stddev(xs);
-  if (sd <= 0.0) return 0.0;
-  return (x - mean(xs)) / sd;
-}
 
 }  // namespace stats
 

@@ -17,15 +17,11 @@ class RunningStats {
   [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
   /// Mean of added values; 0 when empty.
   [[nodiscard]] double mean() const noexcept;
-  /// Population variance; 0 when fewer than 2 samples.
-  [[nodiscard]] double variance() const noexcept;
   /// Sample (Bessel-corrected) variance; 0 when fewer than 2 samples.
   [[nodiscard]] double sample_variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double sample_stddev() const noexcept;
   [[nodiscard]] double min() const noexcept;
   [[nodiscard]] double max() const noexcept;
-  [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(n_); }
 
  private:
   std::size_t n_ = 0;
@@ -39,18 +35,12 @@ class RunningStats {
 namespace stats {
 
 double mean(std::span<const double> xs) noexcept;
-double variance(std::span<const double> xs) noexcept;         // population
-double sample_stddev(std::span<const double> xs) noexcept;    // Bessel-corrected
 double min(std::span<const double> xs) noexcept;
 double max(std::span<const double> xs) noexcept;
 double median(std::span<const double> xs);
 
 /// Linear-interpolation quantile, q in [0, 1]. Requires non-empty input.
 double quantile(std::span<const double> xs, double q);
-
-/// Z-score of x against the sample mean/stddev of xs. Returns 0 when the
-/// spread is degenerate (stddev == 0).
-double zscore(double x, std::span<const double> xs) noexcept;
 
 }  // namespace stats
 

@@ -1,7 +1,5 @@
 #include "core/experiment.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <memory>
 
 #include "common/error.hpp"
@@ -29,14 +27,6 @@ std::uint64_t mix_seed(std::uint64_t base, const ExperimentSpec& spec, int trial
   return h;
 }
 
-/// Time of the plan's last node crash; -inf for a plan with none.
-sim::Time last_crash_s(const faults::FaultPlan& plan) {
-  sim::Time last = -std::numeric_limits<sim::Time>::infinity();
-  for (const faults::FaultEvent& ev : plan.events)
-    if (ev.kind == faults::FaultKind::NodeCrash) last = std::max(last, ev.at_s);
-  return last;
-}
-
 }  // namespace
 
 ExperimentSpec experiment_spec(ExperimentId id) {
@@ -46,21 +36,18 @@ ExperimentSpec experiment_spec(ExperimentId id) {
     case ExperimentId::ADAA:
       spec.code = "ADAA";
       spec.name = "All Data All Apps";
-      spec.description = "ML model trained on data from all running applications";
       spec.run_apps = all_app_names();
       spec.num_jobs = 190;
       break;
     case ExperimentId::ADPA:
       spec.code = "ADPA";
       spec.name = "All Data Partial Apps";
-      spec.description = "Subset of 3 applications running";
       spec.run_apps = {"Laghos", "LBANN", "PENNANT"};
       spec.num_jobs = 150;
       break;
     case ExperimentId::PDPA:
       spec.code = "PDPA";
       spec.name = "Partial Data Partial Apps";
-      spec.description = "ML model trained on AMG, Kripke, sw4lite, SWFFT";
       spec.run_apps = {"Laghos", "LBANN", "PENNANT"};
       spec.train_apps = {"AMG", "Kripke", "sw4lite", "SWFFT"};
       spec.num_jobs = 150;
@@ -68,7 +55,6 @@ ExperimentSpec experiment_spec(ExperimentId id) {
     case ExperimentId::WS:
       spec.code = "WS";
       spec.name = "Weak Scaling";
-      spec.description = "Jobs run on 8, 16, and 32 nodes - weak scaling";
       spec.run_apps = all_app_names();
       spec.num_jobs = 190;
       spec.node_counts = {8, 16, 32};
@@ -77,7 +63,6 @@ ExperimentSpec experiment_spec(ExperimentId id) {
     case ExperimentId::SS:
       spec.code = "SS";
       spec.name = "Strong Scaling";
-      spec.description = "Jobs run on 8, 16, and 32 nodes - strong scaling";
       spec.run_apps = all_app_names();
       spec.num_jobs = 190;
       spec.node_counts = {8, 16, 32};
@@ -184,11 +169,12 @@ TrialResult ExperimentRunner::run_trial_with_sinks(const ExperimentSpec& spec, b
     // read. The oracle is the store's only reader and runs only from
     // Scheduler::try_start, for a queued job; only a node crash puts a
     // launched job back on the queue. So once every job is running or
-    // done and no crash fires at or after now, no frame is read again.
+    // done and every planned crash has fired, no frame is read again.
     session.on_start([&env, &session, jobs = static_cast<std::size_t>(spec.num_jobs),
-                      crash_s = last_crash_s(config_.fault_plan)](const sched::Job&) {
+                      faults = injector.get()](const sched::Job&) {
       const sched::Scheduler& s = session.scheduler();
-      if (s.running_count() + s.completed_count() == jobs && env.engine().now() > crash_s)
+      if (s.running_count() + s.completed_count() == jobs &&
+          (faults == nullptr || faults->all_crashes_fired()))
         env.sampler().set_synthesize(false);
     });
   }

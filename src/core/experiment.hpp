@@ -30,7 +30,6 @@ struct ExperimentSpec {
   ExperimentId id = ExperimentId::ADAA;
   std::string code;         // "ADAA"
   std::string name;         // "All Data All Apps"
-  std::string description;  // Table II row text
   std::vector<std::string> run_apps;    // workload applications
   std::vector<std::string> train_apps;  // ML training apps; empty = all
   int num_jobs = 190;

@@ -33,7 +33,7 @@ int Labeler::three_class_label(const std::string& app, double runtime_s) const {
 ml::Dataset Labeler::make_dataset(const Corpus& corpus, telemetry::AggregationScope scope,
                                   bool three_class) const {
   RUSH_EXPECTS(!corpus.empty());
-  ml::Dataset out(telemetry::FeatureAssembler::feature_names());
+  ml::Dataset out(telemetry::FeatureAssembler::kNumFeatures);
   for (const CollectedSample& s : corpus.samples()) {
     const int label = three_class ? three_class_label(s.app, s.runtime_s)
                                   : binary_label(s.app, s.runtime_s);

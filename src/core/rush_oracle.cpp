@@ -70,8 +70,8 @@ sched::VariabilityPrediction RushOracle::predict(const sched::Job& job,
   if (const char* reason = degraded_reason(now_s); reason != nullptr)
     return fall_back(job, now_s, reason);
 
-  env_.canary().run_into(candidate_nodes, canary_buf_);
-  env_.features().assemble_into(now_s, predictor_.scope(), candidate_nodes, canary_buf_,
+  const telemetry::CanaryResult canary = env_.canary().run(candidate_nodes);
+  env_.features().assemble_into(now_s, predictor_.scope(), candidate_nodes, canary,
                                 job.spec.app.workload, features_, agg_scratch_);
 
   const auto pred = predictor_.predict(features_, predict_scratch_);

@@ -88,7 +88,6 @@ class RushOracle final : public sched::VariabilityOracle {
 
   // Steady-state buffers: sized once in the constructor, reused by every
   // predict() so the hot path touches no allocator.
-  telemetry::CanaryResult canary_buf_;
   std::vector<double> features_;          // full assembled vector (282)
   std::vector<telemetry::Agg> agg_scratch_;
   TrainedPredictor::PredictScratch predict_scratch_;

@@ -89,7 +89,7 @@ TrialResult WorkloadSession::run() {
     out.submit_s = job.submit_s - t0;
     out.wait_s = job.wait_s();
     out.runtime_s = job.runtime_s();
-    out.slowdown = job.record.slowdown();
+    out.slowdown = job.slowdown;
     out.submitted_at_start = i < initial;
     out.backfilled = job.backfilled;
     out.skips = job.skip_count;

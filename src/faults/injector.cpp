@@ -25,6 +25,7 @@ FaultInjector::FaultInjector(sim::Engine& engine, FaultPlan plan)
       case FaultKind::SamplerDropout: dropout_.push_back(w); break;
       case FaultKind::CounterCorrupt: corrupt_.push_back(w); break;
       case FaultKind::CanaryTimeout: canary_.push_back(w); break;
+      case FaultKind::NodeCrash: ++crashes_pending_; break;
       default: break;
     }
   }
@@ -87,6 +88,7 @@ void FaultInjector::fire(const FaultEvent& ev) {
   switch (ev.kind) {
     case FaultKind::NodeCrash:
     case FaultKind::NodeDrain: {
+      if (ev.kind == FaultKind::NodeCrash) --crashes_pending_;
       const auto it = std::lower_bound(down_.begin(), down_.end(), ev.node);
       if (it != down_.end() && *it == ev.node) return;  // already out of service
       down_.insert(it, ev.node);

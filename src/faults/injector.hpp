@@ -79,6 +79,8 @@ class FaultInjector {
   [[nodiscard]] bool sampler_dropped_out(sim::Time now) const noexcept;
   /// Inside a counter_corrupt window.
   [[nodiscard]] bool counters_corrupted(sim::Time now) const noexcept;
+  /// Every planned node_crash event has fired (true for a plan with none).
+  [[nodiscard]] bool all_crashes_fired() const noexcept { return crashes_pending_ == 0; }
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
@@ -103,6 +105,7 @@ class FaultInjector {
   sim::Engine& engine_;
   FaultPlan plan_;
   bool armed_ = false;
+  std::size_t crashes_pending_ = 0;  // planned node_crash events not yet fired
 
   std::vector<cluster::NodeId> down_;  // sorted set of out-of-service nodes
   std::vector<Window> dropout_;

@@ -6,19 +6,13 @@
 
 namespace rush::ml {
 
-Dataset::Dataset(std::vector<std::string> feature_names)
-    : num_features_(feature_names.size()), feature_names_(std::move(feature_names)) {
+Dataset::Dataset(std::size_t num_features) : num_features_(num_features) {
   RUSH_EXPECTS(num_features_ > 0);
 }
 
 void Dataset::add_row(std::span<const double> features, int label, int group) {
-  if (num_features_ == 0) {
-    // First row of a default-constructed dataset fixes the width.
-    num_features_ = features.size();
-    feature_names_.resize(num_features_);
-    for (std::size_t i = 0; i < num_features_; ++i)
-      feature_names_[i] = "f" + std::to_string(i);
-  }
+  // First row of a default-constructed dataset fixes the width.
+  if (num_features_ == 0) num_features_ = features.size();
   RUSH_EXPECTS(features.size() == num_features_);
   RUSH_EXPECTS(label >= 0);
   x_.insert(x_.end(), features.begin(), features.end());
@@ -36,11 +30,6 @@ int Dataset::label(std::size_t i) const {
   return labels_[i];
 }
 
-int Dataset::group(std::size_t i) const {
-  RUSH_EXPECTS(i < rows());
-  return groups_[i];
-}
-
 int Dataset::num_classes() const noexcept {
   int max_label = -1;
   for (int y : labels_) max_label = std::max(max_label, y);
@@ -54,7 +43,7 @@ std::vector<std::size_t> Dataset::class_counts() const {
 }
 
 Dataset Dataset::subset(std::span<const std::size_t> row_indices) const {
-  Dataset out(feature_names_);
+  Dataset out(num_features_);
   for (std::size_t i : row_indices) {
     RUSH_EXPECTS(i < rows());
     out.add_row(row(i), labels_[i], groups_[i]);
@@ -64,13 +53,8 @@ Dataset Dataset::subset(std::span<const std::size_t> row_indices) const {
 
 Dataset Dataset::select_features(std::span<const std::size_t> feature_indices) const {
   RUSH_EXPECTS(!feature_indices.empty());
-  std::vector<std::string> names;
-  names.reserve(feature_indices.size());
-  for (std::size_t f : feature_indices) {
-    RUSH_EXPECTS(f < num_features_);
-    names.push_back(feature_names_[f]);
-  }
-  Dataset out(std::move(names));
+  for (std::size_t f : feature_indices) RUSH_EXPECTS(f < num_features_);
+  Dataset out(feature_indices.size());
   std::vector<double> buf(feature_indices.size());
   for (std::size_t i = 0; i < rows(); ++i) {
     const auto r = row(i);

@@ -8,15 +8,15 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 namespace rush::ml {
 
 class Dataset {
  public:
+  /// Width unset: the first add_row() fixes it.
   Dataset() = default;
-  explicit Dataset(std::vector<std::string> feature_names);
+  explicit Dataset(std::size_t num_features);
 
   void add_row(std::span<const double> features, int label, int group = 0);
 
@@ -26,12 +26,8 @@ class Dataset {
 
   [[nodiscard]] std::span<const double> row(std::size_t i) const;
   [[nodiscard]] int label(std::size_t i) const;
-  [[nodiscard]] int group(std::size_t i) const;
   [[nodiscard]] const std::vector<int>& labels() const noexcept { return labels_; }
   [[nodiscard]] const std::vector<int>& groups() const noexcept { return groups_; }
-  [[nodiscard]] const std::vector<std::string>& feature_names() const noexcept {
-    return feature_names_;
-  }
 
   /// 1 + max label (0 for an empty dataset).
   [[nodiscard]] int num_classes() const noexcept;
@@ -48,7 +44,6 @@ class Dataset {
 
  private:
   std::size_t num_features_ = 0;
-  std::vector<std::string> feature_names_;
   std::vector<double> x_;  // rows x cols, row-major
   std::vector<int> labels_;
   std::vector<int> groups_;

@@ -58,11 +58,6 @@ std::uint64_t Histogram::count() const noexcept {
   return count_;
 }
 
-double Histogram::sum() const noexcept {
-  const std::scoped_lock lock(mu_);
-  return sum_;
-}
-
 double Histogram::min() const noexcept {
   const std::scoped_lock lock(mu_);
   return count_ ? observed_min_ : 0.0;
@@ -76,11 +71,6 @@ double Histogram::max() const noexcept {
 double Histogram::mean() const noexcept {
   const std::scoped_lock lock(mu_);
   return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-std::vector<std::uint64_t> Histogram::buckets() const {
-  const std::scoped_lock lock(mu_);
-  return buckets_;
 }
 
 double Histogram::percentile(double q) const {

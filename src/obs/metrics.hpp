@@ -61,7 +61,6 @@ class Histogram {
 
   void record(double v) noexcept;
   [[nodiscard]] std::uint64_t count() const noexcept;
-  [[nodiscard]] double sum() const noexcept;
   [[nodiscard]] double min() const noexcept;
   [[nodiscard]] double max() const noexcept;
   [[nodiscard]] double mean() const noexcept;
@@ -70,12 +69,6 @@ class Histogram {
   /// extremes; 0 when empty. Underflow/overflow samples clamp to the
   /// observed extreme on their side.
   [[nodiscard]] double percentile(double q) const;
-
-  [[nodiscard]] double lo() const noexcept { return lo_; }
-  [[nodiscard]] double hi() const noexcept { return hi_; }
-  [[nodiscard]] HistogramScale scale() const noexcept { return scale_; }
-  /// Copy, so readers never observe a half-updated bucket array.
-  [[nodiscard]] std::vector<std::uint64_t> buckets() const;
 
  private:
   // Reading only the bucket *count*, which is fixed at construction.

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "apps/run_record.hpp"
 #include "apps/profiles.hpp"
 #include "cluster/topology.hpp"
 #include "sim/types.hpp"
@@ -41,7 +40,7 @@ struct Job {
   sim::Time last_delay_s = -1.0;  // when the oracle last delayed this job
   bool backfilled = false;        // started via the EASY backfill path
   int requeues = 0;         // times a node crash sent this job back to the queue
-  apps::RunRecord record;   // filled on completion
+  double slowdown = 1.0;    // run time over uncontended time, set on completion
 
   [[nodiscard]] const std::string& app_name() const noexcept { return spec.app.name; }
   [[nodiscard]] double wait_s() const noexcept {

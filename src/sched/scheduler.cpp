@@ -270,8 +270,8 @@ void Scheduler::launch(Job& job, cluster::NodeSet nodes, bool via_backfill) {
 
   const JobId id = job.id;
   job.run_id = execution_.launch(job.spec.app, job.nodes, job.spec.scaling,
-                                 [this, id](const apps::RunRecord& record) {
-                                   handle_completion(id, record);
+                                 [this, id](double slowdown) {
+                                   handle_completion(id, slowdown);
                                  });
   if (metric_launches_) metric_launches_->inc();
   if (via_backfill && metric_backfills_) metric_backfills_->inc();
@@ -280,7 +280,7 @@ void Scheduler::launch(Job& job, cluster::NodeSet nodes, bool via_backfill) {
   if (start_hook_) start_hook_(job);
 }
 
-void Scheduler::handle_completion(JobId id, const apps::RunRecord& record) {
+void Scheduler::handle_completion(JobId id, double slowdown) {
   Job& job = job_ref(id);
   RUSH_ASSERT(job.state == JobState::Running);
   allocator_.release(job.nodes);
@@ -289,12 +289,12 @@ void Scheduler::handle_completion(JobId id, const apps::RunRecord& record) {
   job.state = JobState::Completed;
   job.end_s = engine_.now();
   last_end_s_ = std::max(last_end_s_, job.end_s);
-  job.record = record;
+  job.slowdown = slowdown;
   --running_count_;
   ++completed_count_;
-  if (metric_slowdown_) metric_slowdown_->record(record.slowdown());
+  if (metric_slowdown_) metric_slowdown_->record(slowdown);
   if (config_.trace != nullptr)
-    config_.trace->emit_job_end(engine_.now(), job.id, job.runtime_s(), record.slowdown(),
+    config_.trace->emit_job_end(engine_.now(), job.id, job.runtime_s(), slowdown,
                                 job.skip_count);
   if (complete_hook_) complete_hook_(job);
   schedule_pass();

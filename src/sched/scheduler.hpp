@@ -160,7 +160,7 @@ class Scheduler {
 
   StartOutcome try_start(JobId id, bool via_backfill);
   void launch(Job& job, cluster::NodeSet nodes, bool via_backfill);
-  void handle_completion(JobId id, const apps::RunRecord& record);
+  void handle_completion(JobId id, double slowdown);
   void handle_node_fault(const faults::NodeFaultEvent& ev);
   /// Abort + release + re-enqueue a running job whose node died.
   void requeue(JobId id, cluster::NodeId failed_node);

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
 
 namespace rush::telemetry {
 
@@ -18,33 +18,12 @@ constexpr double kJitter = 0.08;    // relative per-node noise
 
 MpiCanary::MpiCanary(const cluster::NetworkModel& net, Rng rng) : net_(net), rng_(rng) {}
 
-std::array<double, 9> CanaryResult::features() const {
-  auto agg = [](const std::vector<double>& v, std::array<double, 9>& out, std::size_t base) {
-    out[base + 0] = stats::min(v);
-    out[base + 1] = stats::max(v);
-    out[base + 2] = stats::mean(v);
-  };
-  std::array<double, 9> out{};
-  agg(send_wait_s, out, 0);
-  agg(recv_wait_s, out, 3);
-  agg(allreduce_wait_s, out, 6);
-  return out;
-}
-
-CanaryResult MpiCanary::run(const cluster::NodeSet& nodes) {
-  CanaryResult result;
-  run_into(nodes, result);
-  return result;
-}
-
 // rush: noalloc
-void MpiCanary::run_into(const cluster::NodeSet& nodes, CanaryResult& result) {
+CanaryResult MpiCanary::run(const cluster::NodeSet& nodes) {
   RUSH_EXPECTS(!nodes.empty());
   const std::size_t n = nodes.size();
-  result.send_wait_s.assign(n, 0.0);
-  result.recv_wait_s.assign(n, 0.0);
-  result.allreduce_wait_s.assign(n, 0.0);
-  if (n < 2) return;
+  CanaryResult out{};
+  if (n < 2) return out;
 
   const double message_gb = kMessageMb / 1000.0;
   const double link_gbps = net_.tree().config().node_link_gbps;
@@ -60,16 +39,29 @@ void MpiCanary::run_into(const cluster::NodeSet& nodes, CanaryResult& result) {
                               static_cast<double>(n);
   const double ar_iter_s = ar_volume_gb / (link_gbps / ar_slow);
 
+  // Each benchmark's per-node waits fold into [min, max, sum] in node
+  // order, as stats::min, stats::max and stats::mean fold a vector.
+  for (std::size_t b = 0; b < out.size(); b += 3) {
+    out[b] = std::numeric_limits<double>::infinity();
+    out[b + 1] = -std::numeric_limits<double>::infinity();
+  }
+  const auto fold = [&out](std::size_t b, double wait_s) {
+    out[b] = std::min(out[b], wait_s);
+    out[b + 1] = std::max(out[b + 1], wait_s);
+    out[b + 2] += wait_s;
+  };
   for (std::size_t i = 0; i < n; ++i) {
     const double j_send = std::max(0.1, 1.0 + kJitter * rng_.normal());
     const double j_recv = std::max(0.1, 1.0 + kJitter * rng_.normal());
     const double j_ar = std::max(0.1, 1.0 + kJitter * rng_.normal());
-    result.send_wait_s[i] = kRingIterations * ring_hop_s * j_send;
+    fold(0, kRingIterations * ring_hop_s * j_send);
     // A ring receive waits for the whole upstream chain on the first
     // iteration, so receive waits run slightly longer than sends.
-    result.recv_wait_s[i] = kRingIterations * ring_hop_s * 1.15 * j_recv;
-    result.allreduce_wait_s[i] = kAllreduceIterations * ar_iter_s * j_ar;
+    fold(3, kRingIterations * ring_hop_s * 1.15 * j_recv);
+    fold(6, kAllreduceIterations * ar_iter_s * j_ar);
   }
+  for (std::size_t b = 2; b < out.size(); b += 3) out[b] /= static_cast<double>(n);
+  return out;
 }
 
 }  // namespace rush::telemetry

@@ -16,32 +16,23 @@
 #pragma once
 
 #include <array>
-#include <vector>
 
 #include "cluster/network.hpp"
 #include "common/rng.hpp"
 
 namespace rush::telemetry {
 
-struct CanaryResult {
-  std::vector<double> send_wait_s;       // per node
-  std::vector<double> recv_wait_s;       // per node
-  std::vector<double> allreduce_wait_s;  // per node
-
-  /// [send min,max,mean, recv min,max,mean, allreduce min,max,mean]
-  [[nodiscard]] std::array<double, 9> features() const;
-};
+/// The nine canary features, aggregated over the probed nodes:
+/// [send min,max,mean, recv min,max,mean, allreduce min,max,mean].
+using CanaryResult = std::array<double, 9>;
 
 class MpiCanary {
  public:
   MpiCanary(const cluster::NetworkModel& net, Rng rng);
 
   /// Run both benchmarks on `nodes` (>= 2 nodes for meaningful traffic;
-  /// a single node yields near-zero waits).
+  /// a single node yields nine zeros).
   [[nodiscard]] CanaryResult run(const cluster::NodeSet& nodes);
-  /// Same probe written into caller-owned storage (vectors reuse their
-  /// capacity); identical wait values and RNG draws as run().
-  void run_into(const cluster::NodeSet& nodes, CanaryResult& out);
 
  private:
   const cluster::NetworkModel& net_;

@@ -80,7 +80,7 @@ void FeatureAssembler::assemble_into(sim::Time now, AggregationScope scope,
     out[i++] = a.max;
     out[i++] = a.mean;
   }
-  for (double f : canary.features()) out[i++] = f;
+  for (double f : canary) out[i++] = f;
   out[i++] = cls == WorkloadClass::Compute ? 1.0 : 0.0;
   out[i++] = cls == WorkloadClass::Network ? 1.0 : 0.0;
   out[i++] = cls == WorkloadClass::Io ? 1.0 : 0.0;
@@ -94,7 +94,6 @@ StalenessReport FeatureAssembler::staleness(sim::Time now) const noexcept {
   }
   const sim::Time t0 = now - window_s_;
   report.newest_frame_age_s = now - store_.latest_time();
-  report.frames_in_window = store_.frames_in(t0, now);
   report.corrupt_frames_in_window = store_.corrupt_frames_in(t0, now);
   return report;
 }

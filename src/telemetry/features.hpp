@@ -29,15 +29,14 @@ const char* workload_class_name(WorkloadClass cls) noexcept;
 enum class AggregationScope : std::uint8_t { AllNodes, JobNodes };
 
 /// Health of the counter features at a point in time: how old the newest
-/// telemetry frame is and how much of the aggregation window is present
-/// and trustworthy. Consumed by degraded-mode logic (core::RushOracle)
+/// telemetry frame is and how many frames of the aggregation window are
+/// untrustworthy. Consumed by degraded-mode logic (core::RushOracle)
 /// to decide when counter features cannot be trusted.
 struct StalenessReport {
   /// Age of the newest retained frame; +inf when the store is empty.
   double newest_frame_age_s = 0.0;
-  /// Frames inside the look-back window [now - window_s, now].
-  std::size_t frames_in_window = 0;
-  /// Window frames that carried quarantined (non-finite) readings.
+  /// Frames inside the look-back window [now - window_s, now] that
+  /// carried quarantined (non-finite) readings.
   std::size_t corrupt_frames_in_window = 0;
 };
 

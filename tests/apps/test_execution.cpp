@@ -57,56 +57,69 @@ struct World {
   std::optional<ExecutionModel> exec;
 };
 
+/// What a completion reports: the run time, read from the engine clock
+/// when the callback fires, and the slowdown the model passes.
+struct Finished {
+  double duration_s = 0.0;
+  double slowdown = 0.0;
+};
+
+/// Completion callback for a run launched now that stores its Finished.
+ExecutionModel::CompletionFn finish_into(World& w, std::optional<Finished>& out) {
+  return [&w, &out, start_s = w.engine.now()](double slowdown) {
+    out = Finished{w.engine.now() - start_s, slowdown};
+  };
+}
+
 TEST(Execution, UncontendedRunMatchesBaseTime) {
   World w;
-  std::optional<RunRecord> record;
-  w.exec->launch(test_app(), {0, 1, 2, 3}, ScalingMode::Strong,
-                 [&](const RunRecord& r) { record = r; });
+  std::optional<Finished> record;
+  w.exec->launch(test_app(), {0, 1, 2, 3}, ScalingMode::Strong, finish_into(w, record));
   w.engine.run();
   ASSERT_TRUE(record.has_value());
   // Contained placement, no competing traffic: essentially no slowdown.
   EXPECT_NEAR(record->duration_s, 100.0, 1.0);
-  EXPECT_NEAR(record->slowdown(), 1.0, 0.01);
-  EXPECT_EQ(record->node_count, 4);
-  EXPECT_EQ(record->app, "test-app");
+  EXPECT_NEAR(record->slowdown, 1.0, 0.01);
 }
 
-TEST(Execution, RecordTimesAreConsistent) {
+TEST(Execution, SlowdownIsRunTimeOverUncontendedTime) {
+  // Without intrinsic noise the uncontended time is the base run time
+  // (100 s), so the slowdown is the engine-clock run time over it.
   World w;
-  std::optional<RunRecord> record;
+  w.net.set_ambient_load(w.tree.edge_uplink(0), 25.0);
+  std::optional<Finished> record;
   w.engine.schedule_at(50.0, [&] {
-    w.exec->launch(test_app(), {0, 1}, ScalingMode::Strong,
-                   [&](const RunRecord& r) { record = r; });
+    w.exec->launch(test_app(), {6, 7, 8, 9}, ScalingMode::Strong, finish_into(w, record));
   });
   w.engine.run();
   ASSERT_TRUE(record.has_value());
-  EXPECT_DOUBLE_EQ(record->start_s, 50.0);
-  EXPECT_NEAR(record->end_s, record->start_s + record->duration_s, 1e-9);
+  EXPECT_GT(record->slowdown, 1.3);
+  EXPECT_DOUBLE_EQ(record->slowdown, record->duration_s / 100.0);
 }
 
 TEST(Execution, CongestionStretchesRuntime) {
   World w;
-  std::optional<RunRecord> record;
+  std::optional<Finished> record;
   // Saturate the edge-0 uplink for the whole run.
   w.net.set_ambient_load(w.tree.edge_uplink(0), 25.0);
   // Job straddles edges 0-1, so its all-to-all crosses the hot uplink.
   w.exec->launch(test_app(0.5, 1.0), {6, 7, 8, 9}, ScalingMode::Strong,
-                 [&](const RunRecord& r) { record = r; });
+                 finish_into(w, record));
   w.engine.run();
   ASSERT_TRUE(record.has_value());
-  EXPECT_GT(record->slowdown(), 1.3);
+  EXPECT_GT(record->slowdown, 1.3);
   EXPECT_GT(record->duration_s, 130.0);
 }
 
 TEST(Execution, ComputeBoundJobIsInsensitive) {
   World w;
-  std::optional<RunRecord> record;
+  std::optional<Finished> record;
   w.net.set_ambient_load(w.tree.edge_uplink(0), 25.0);
   w.exec->launch(test_app(/*net_frac=*/0.05, 0.5), {6, 7, 8, 9}, ScalingMode::Strong,
-                 [&](const RunRecord& r) { record = r; });
+                 finish_into(w, record));
   w.engine.run();
   ASSERT_TRUE(record.has_value());
-  EXPECT_LT(record->slowdown(), 1.12);
+  EXPECT_LT(record->slowdown, 1.12);
 }
 
 TEST(Execution, MidRunContentionChangeIsIntegrated) {
@@ -114,7 +127,7 @@ TEST(Execution, MidRunContentionChangeIsIntegrated) {
   // noticeably shorter than one contended start to finish.
   auto run_with_window = [](double congest_from, double congest_until) {
     World w;
-    std::optional<RunRecord> record;
+    std::optional<Finished> record;
     w.engine.schedule_at(congest_from, [&] {
       w.net.set_ambient_load(w.tree.edge_uplink(0), 25.0);
     });
@@ -123,8 +136,7 @@ TEST(Execution, MidRunContentionChangeIsIntegrated) {
         w.net.set_ambient_load(w.tree.edge_uplink(0), 0.0);
       });
     }
-    w.exec->launch(test_app(), {6, 7, 8, 9}, ScalingMode::Strong,
-                   [&](const RunRecord& r) { record = r; });
+    w.exec->launch(test_app(), {6, 7, 8, 9}, ScalingMode::Strong, finish_into(w, record));
     w.engine.run();
     return record->duration_s;
   };
@@ -138,9 +150,9 @@ TEST(Execution, MidRunContentionChangeIsIntegrated) {
 /// Completion callback that appends the run's label and slowdown.
 ExecutionModel::CompletionFn log_to(std::vector<int>& order, std::vector<double>& slowdowns,
                                     int label) {
-  return [&order, &slowdowns, label](const RunRecord& r) {
+  return [&order, &slowdowns, label](double slowdown) {
     order.push_back(label);
-    slowdowns.push_back(r.slowdown());
+    slowdowns.push_back(slowdown);
   };
 }
 
@@ -185,45 +197,40 @@ TEST(Execution, MidRunSlowdownsKeepTheirGoldenRows) {
 
 TEST(Execution, ConcurrentJobsSlowEachOther) {
   World w;
-  std::vector<RunRecord> records;
+  std::optional<Finished> first;
+  std::optional<Finished> second;
   const auto app = test_app(0.5, 4.0);  // heavy traffic
   // Both straddle the edge 0-1 boundary.
-  w.exec->launch(app, {4, 5, 6, 7, 8, 9}, ScalingMode::Strong,
-                 [&](const RunRecord& r) { records.push_back(r); });
+  w.exec->launch(app, {4, 5, 6, 7, 8, 9}, ScalingMode::Strong, finish_into(w, first));
   const double solo_projection = [&] {
     World solo;
-    std::optional<RunRecord> r;
-    solo.exec->launch(app, {4, 5, 6, 7, 8, 9}, ScalingMode::Strong,
-                      [&](const RunRecord& rec) { r = rec; });
+    std::optional<Finished> r;
+    solo.exec->launch(app, {4, 5, 6, 7, 8, 9}, ScalingMode::Strong, finish_into(solo, r));
     solo.engine.run();
     return r->duration_s;
   }();
-  w.exec->launch(app, {2, 3, 10, 11, 12, 13}, ScalingMode::Strong,
-                 [&](const RunRecord& r) { records.push_back(r); });
+  w.exec->launch(app, {2, 3, 10, 11, 12, 13}, ScalingMode::Strong, finish_into(w, second));
   w.engine.run();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_GT(records[0].duration_s, solo_projection);
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  EXPECT_GT(first->duration_s, solo_projection);
 }
 
 TEST(Execution, CompletionSpeedsUpSurvivors) {
   World w;
-  std::vector<RunRecord> records;
+  std::vector<int> order;
+  std::vector<double> slowdowns;
   auto heavy = test_app(0.5, 6.0);
   heavy.base_runtime_s = 50.0;  // finishes first
   auto light = test_app(0.5, 0.5);
   light.base_runtime_s = 150.0;
-  w.exec->launch(heavy, {4, 5, 6, 7, 8, 9}, ScalingMode::Strong,
-                 [&](const RunRecord& r) { records.push_back(r); });
-  w.exec->launch(light, {2, 3, 10, 11}, ScalingMode::Strong,
-                 [&](const RunRecord& r) { records.push_back(r); });
+  w.exec->launch(heavy, {4, 5, 6, 7, 8, 9}, ScalingMode::Strong, log_to(order, slowdowns, 0));
+  w.exec->launch(light, {2, 3, 10, 11}, ScalingMode::Strong, log_to(order, slowdowns, 1));
   w.engine.run();
-  ASSERT_EQ(records.size(), 2u);
   // The light job outlives the heavy one and is only contended while the
   // heavy one runs: its slowdown must be below a permanently-contended
   // projection.
-  const RunRecord& light_rec = records[1];
-  EXPECT_EQ(light_rec.app, "test-app");
-  EXPECT_GT(light_rec.slowdown(), 1.0);
+  ASSERT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_GT(slowdowns[1], 1.0);
 }
 
 TEST(Execution, RunningCountTracksLifecycle) {
@@ -249,12 +256,11 @@ TEST(Execution, IntrinsicNoiseVariesRunTimes) {
   World w;
   auto noisy = test_app();
   noisy.noise_sigma = 0.05;
-  std::vector<double> durations;
+  std::vector<double> durations;  // every run starts at t = 0
   for (int i = 0; i < 5; ++i) {
     w.exec->launch(noisy, {static_cast<cluster::NodeId>(2 * i),
                            static_cast<cluster::NodeId>(2 * i + 1)},
-                   ScalingMode::Strong,
-                   [&](const RunRecord& r) { durations.push_back(r.duration_s); });
+                   ScalingMode::Strong, [&](double) { durations.push_back(w.engine.now()); });
   }
   w.engine.run();
   ASSERT_EQ(durations.size(), 5u);
@@ -275,11 +281,13 @@ TEST(Execution, OneCompletionEventWhateverTheRunningCount) {
 
 TEST(Execution, EqualFinishTimesCompleteInLaunchOrder) {
   World w;
-  std::vector<ExecutionModel::RunId> launched;
-  std::vector<ExecutionModel::RunId> finished;
-  for (cluster::NodeId n = 0; n < 4; ++n)
-    launched.push_back(w.exec->launch(test_app(0.0), {n}, ScalingMode::Strong,
-                                      [&](const RunRecord& r) { finished.push_back(r.run_id); }));
+  std::vector<int> launched;
+  std::vector<int> finished;
+  std::vector<double> slowdowns;
+  for (cluster::NodeId n = 0; n < 4; ++n) {
+    w.exec->launch(test_app(0.0), {n}, ScalingMode::Strong, log_to(finished, slowdowns, n));
+    launched.push_back(n);
+  }
   w.engine.run();
   EXPECT_EQ(finished, launched);
 }
@@ -296,8 +304,7 @@ TEST(Execution, AbortNeverCompletesAndRemovesTraffic) {
   World w;
   bool completed = false;
   const ExecutionModel::RunId id = w.exec->launch(
-      test_app(0.5, 2.0), {0, 1, 2, 3}, ScalingMode::Strong,
-      [&](const RunRecord&) { completed = true; });
+      test_app(0.5, 2.0), {0, 1, 2, 3}, ScalingMode::Strong, [&](double) { completed = true; });
   w.engine.schedule_at(30.0, [&] { w.exec->abort(id); });
   w.engine.run();
 
@@ -308,37 +315,27 @@ TEST(Execution, AbortNeverCompletesAndRemovesTraffic) {
 
 TEST(Execution, AbortSpeedsUpSurvivors) {
   World w;
-  std::optional<RunRecord> record;
+  std::optional<Finished> record;
   auto heavy = test_app(0.5, 6.0);
   heavy.base_runtime_s = 1000.0;  // would contend for the victim's whole life
   auto light = test_app(0.5, 0.5);
   light.base_runtime_s = 150.0;
   const ExecutionModel::RunId noisy =
       w.exec->launch(heavy, {4, 5, 6, 7, 8, 9}, ScalingMode::Strong, nullptr);
-  w.exec->launch(light, {2, 3, 10, 11}, ScalingMode::Strong,
-                 [&](const RunRecord& r) { record = r; });
+  w.exec->launch(light, {2, 3, 10, 11}, ScalingMode::Strong, finish_into(w, record));
 
   // Kill the noisy neighbor early; the survivor must finish close to its
   // uncontended time.
   w.engine.schedule_at(10.0, [&] { w.exec->abort(noisy); });
   w.engine.run();
   ASSERT_TRUE(record.has_value());
-  EXPECT_GT(record->slowdown(), 1.0);
+  EXPECT_GT(record->slowdown, 1.0);
   EXPECT_LT(record->duration_s, 165.0);
 }
 
 TEST(Execution, AbortOfUnknownRunIsRejected) {
   World w;
   EXPECT_THROW(w.exec->abort(12345), PreconditionError);
-}
-
-TEST(RunRecord, SlowdownIsRelativeToUncontendedRun) {
-  RunRecord r;
-  r.duration_s = 150.0;
-  r.uncontended_s = 100.0;
-  EXPECT_DOUBLE_EQ(r.slowdown(), 1.5);
-  r.uncontended_s = 0.0;  // degenerate record: no inflation claimed
-  EXPECT_DOUBLE_EQ(r.slowdown(), 1.0);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
+  EXPECT_EQ(s.sample_stddev(), 0.0);
   EXPECT_EQ(s.min(), 0.0);
   EXPECT_EQ(s.max(), 0.0);
 }
@@ -28,25 +28,26 @@ TEST(RunningStats, SingleValue) {
   EXPECT_DOUBLE_EQ(s.mean(), 4.5);
   EXPECT_DOUBLE_EQ(s.min(), 4.5);
   EXPECT_DOUBLE_EQ(s.max(), 4.5);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+  EXPECT_DOUBLE_EQ(s.sample_variance(), 0.0);
 }
 
 TEST(RunningStats, KnownValues) {
   RunningStats s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 4.0, 1e-12);  // classic population-variance example
-  EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
+  // The classic population-variance example (4); Bessel's correction
+  // makes it 32 / 7.
+  EXPECT_NEAR(s.sample_variance(), 32.0 / 7.0, 1e-12);
+  EXPECT_NEAR(s.sample_stddev(), std::sqrt(32.0 / 7.0), 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
 TEST(RunningStats, SampleVarianceUsesBessel) {
   RunningStats s;
   for (double x : {1.0, 2.0, 3.0}) s.add(x);
   EXPECT_NEAR(s.sample_variance(), 1.0, 1e-12);
-  EXPECT_NEAR(s.variance(), 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(s.sample_stddev(), 1.0, 1e-12);
 }
 
 TEST(RunningStats, ClearResets) {
@@ -56,7 +57,7 @@ TEST(RunningStats, ClearResets) {
   EXPECT_TRUE(s.empty());
 }
 
-// Property: merging partial accumulators equals accumulating everything.
+// Property: the streaming accumulator agrees with two-pass batch sums.
 TEST(Stats, BatchHelpersMatchRunning) {
   Rng rng(5);
   std::vector<double> xs;
@@ -67,8 +68,9 @@ TEST(Stats, BatchHelpersMatchRunning) {
     s.add(x);
   }
   EXPECT_NEAR(stats::mean(xs), s.mean(), 1e-9);
-  EXPECT_NEAR(stats::variance(xs), s.variance(), 1e-9);
-  EXPECT_NEAR(stats::sample_stddev(xs), s.sample_stddev(), 1e-9);
+  double squares = 0.0;
+  for (double x : xs) squares += (x - stats::mean(xs)) * (x - stats::mean(xs));
+  EXPECT_NEAR(std::sqrt(squares / static_cast<double>(xs.size() - 1)), s.sample_stddev(), 1e-9);
   EXPECT_DOUBLE_EQ(stats::min(xs), s.min());
   EXPECT_DOUBLE_EQ(stats::max(xs), s.max());
 }
@@ -76,7 +78,6 @@ TEST(Stats, BatchHelpersMatchRunning) {
 TEST(Stats, EmptySpansAreZero) {
   const std::vector<double> empty;
   EXPECT_EQ(stats::mean(empty), 0.0);
-  EXPECT_EQ(stats::variance(empty), 0.0);
   EXPECT_EQ(stats::min(empty), 0.0);
   EXPECT_EQ(stats::max(empty), 0.0);
 }
@@ -104,17 +105,6 @@ TEST(Stats, QuantileRejectsEmptyAndBadQ) {
   EXPECT_THROW((void)stats::quantile(empty, 0.5), PreconditionError);
   const std::vector<double> xs{1.0};
   EXPECT_THROW((void)stats::quantile(xs, 1.5), PreconditionError);
-}
-
-TEST(Stats, ZscoreBasics) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 5.0};  // mean 3, sample sd ~1.581
-  EXPECT_NEAR(stats::zscore(3.0, xs), 0.0, 1e-12);
-  EXPECT_NEAR(stats::zscore(4.581, xs), 1.0, 1e-3);
-}
-
-TEST(Stats, ZscoreDegenerateSpreadIsZero) {
-  const std::vector<double> xs{2.0, 2.0, 2.0};
-  EXPECT_EQ(stats::zscore(100.0, xs), 0.0);
 }
 
 TEST(Summary, FiveNumberSummary) {

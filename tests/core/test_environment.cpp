@@ -37,11 +37,11 @@ TEST(Environment, StoreKeepsEveryFrameTheFeatureWindowReads) {
   env.sampler().stop();
   env.sampler().start();
   env.engine().run_until(300.0);
-  EXPECT_EQ(env.features().staleness(300.0).frames_in_window, 12u);
+  EXPECT_EQ(env.store().frames_in(0.0, 300.0), 12u);
   // One tick later the window slides past the 0 s frame, and so does
   // the store.
   env.engine().run_until(330.0);
-  EXPECT_EQ(env.features().staleness(330.0).frames_in_window, 12u);
+  EXPECT_EQ(env.store().frames_in(30.0, 330.0), 12u);
   EXPECT_EQ(env.store().frame_count(), 12u);
 }
 

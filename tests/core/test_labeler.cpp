@@ -92,8 +92,8 @@ TEST(Labeler, BinaryDatasetUsesScopeFeaturesAndGroups) {
   EXPECT_EQ(all.cols(), telemetry::FeatureAssembler::kNumFeatures);
   EXPECT_DOUBLE_EQ(all.row(0)[0], 100.0);
   EXPECT_DOUBLE_EQ(job.row(0)[0], 101.0);  // the job-scope variant
-  EXPECT_EQ(all.group(0), 0);
-  EXPECT_EQ(all.group(2), 1);
+  EXPECT_EQ(all.groups()[0], 0);
+  EXPECT_EQ(all.groups()[2], 1);
 }
 
 TEST(Labeler, ThreeClassDatasetLabelsMatchDirectCalls) {

@@ -40,7 +40,7 @@ constexpr std::string_view kPreciseHeader =
 
 ml::Dataset three_class_data() {
   Rng rng(31);
-  ml::Dataset d({"a", "b", "c"});
+  ml::Dataset d(3);
   for (int i = 0; i < 40; ++i) {
     const double a = rng.uniform(0.0, 3.0);
     d.add_row(std::vector<double>{a, rng.uniform(0.0, 1.0), rng.normal()}, static_cast<int>(a));

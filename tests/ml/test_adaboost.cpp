@@ -12,7 +12,7 @@ namespace {
 
 Dataset xor_data(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
-  Dataset d({"x0", "x1"});
+  Dataset d(2);
   for (std::size_t i = 0; i < n; ++i) {
     const double x0 = rng.uniform(-1.0, 1.0);
     const double x1 = rng.uniform(-1.0, 1.0);
@@ -23,7 +23,7 @@ Dataset xor_data(std::size_t n, std::uint64_t seed) {
 
 Dataset three_bands(std::size_t n, std::uint64_t seed, double flip = 0.0) {
   Rng rng(seed);
-  Dataset d({"x", "noise"});
+  Dataset d(2);
   for (std::size_t i = 0; i < n; ++i) {
     const double x = rng.uniform(0.0, 3.0);
     int label = static_cast<int>(x);
@@ -44,7 +44,7 @@ double accuracy_on(const Classifier& model, const Dataset& d) {
 /// coarsely; boosting staircases toward it.
 Dataset diagonal_data(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
-  Dataset d({"x0", "x1"});
+  Dataset d(2);
   for (std::size_t i = 0; i < n; ++i) {
     const double x0 = rng.uniform(-1.0, 1.0);
     const double x1 = rng.uniform(-1.0, 1.0);
@@ -79,7 +79,7 @@ TEST(AdaBoost, MultiClassSamme) {
 TEST(AdaBoost, StopsEarlyOnPerfectStage) {
   // Trivially separable: the first stage is perfect, boosting stops.
   Rng rng(5);
-  Dataset d({"x"});
+  Dataset d(1);
   for (int i = 0; i < 100; ++i) {
     const double x = rng.uniform(0.0, 2.0);
     d.add_row(std::vector<double>{x}, x > 1.0 ? 1 : 0);
@@ -91,7 +91,7 @@ TEST(AdaBoost, StopsEarlyOnPerfectStage) {
 }
 
 TEST(AdaBoost, SingleClassDataFallsBackGracefully) {
-  Dataset d({"x"});
+  Dataset d(1);
   for (int i = 0; i < 20; ++i) d.add_row(std::vector<double>{static_cast<double>(i)}, 0);
   AdaBoost model;
   model.fit(d);
@@ -116,7 +116,7 @@ TEST(AdaBoost, PredictProbaIsNormalized) {
 
 TEST(AdaBoost, InitialSampleWeightsBiasTheModel) {
   // Conflicting labels at the same point; external weights break the tie.
-  Dataset d({"x"});
+  Dataset d(1);
   for (int i = 0; i < 10; ++i) d.add_row(std::vector<double>{1.0}, 0);
   for (int i = 0; i < 10; ++i) d.add_row(std::vector<double>{1.0}, 1);
   std::vector<double> weights(20, 1.0);

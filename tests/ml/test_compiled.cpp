@@ -39,9 +39,7 @@ namespace {
 /// Three-class data over `cols` continuous features.
 Dataset synthetic(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::string> names;
-  for (std::size_t c = 0; c < cols; ++c) names.push_back("f" + std::to_string(c));
-  Dataset d(names);
+  Dataset d(cols);
   for (std::size_t i = 0; i < rows; ++i) {
     std::vector<double> x(cols);
     for (double& v : x) v = rng.uniform(0.0, 10.0);
@@ -55,7 +53,7 @@ Dataset synthetic(std::size_t rows, std::size_t cols, std::uint64_t seed) {
 /// the case where the (value, row) tie-break order matters most.
 Dataset tied(std::size_t rows, std::uint64_t seed) {
   Rng rng(seed);
-  Dataset d({"f0", "f1", "f2"});
+  Dataset d(3);
   for (std::size_t i = 0; i < rows; ++i) {
     std::vector<double> x(3);
     for (double& v : x) v = static_cast<double>(rng.uniform_int(0, 4));
@@ -71,9 +69,7 @@ Dataset tied(std::size_t rows, std::uint64_t seed) {
 Dataset pipeline_like(std::size_t rows, std::uint64_t seed) {
   constexpr std::size_t kCols = 12;
   Rng rng(seed);
-  std::vector<std::string> names;
-  for (std::size_t c = 0; c < kCols; ++c) names.push_back("f" + std::to_string(c));
-  Dataset d(names);
+  Dataset d(kCols);
   for (std::size_t i = 0; i < rows; ++i) {
     std::vector<double> x(kCols);
     for (std::size_t c = 0; c < kCols; ++c)
@@ -92,9 +88,7 @@ Dataset pipeline_like(std::size_t rows, std::uint64_t seed) {
 Dataset counters_like(std::size_t rows, std::uint64_t seed) {
   constexpr std::size_t kCols = 24;
   Rng rng(seed);
-  std::vector<std::string> names;
-  for (std::size_t c = 0; c < kCols; ++c) names.push_back("f" + std::to_string(c));
-  Dataset d(names);
+  Dataset d(kCols);
   for (std::size_t i = 0; i < rows; ++i) {
     std::vector<double> x(kCols);
     for (std::size_t c = 0; c < kCols; ++c) {
@@ -117,7 +111,7 @@ Dataset counters_like(std::size_t rows, std::uint64_t seed) {
 /// a class count known only at run time.
 Dataset five_classes(std::size_t rows, std::uint64_t seed) {
   Rng rng(seed);
-  Dataset d({"f0", "f1", "f2", "f3"});
+  Dataset d(4);
   for (std::size_t i = 0; i < rows; ++i) {
     std::vector<double> x(4);
     for (double& v : x) v = static_cast<double>(rng.uniform_int(0, 9));
@@ -282,7 +276,7 @@ TEST(PresortedTraining, SharedPresortAdaBoostMatchesReferenceWhenStoppingEarly) 
   // Labels are a step function of one tied feature, so the first stage is
   // perfect and boosting stops there.
   Rng rng(3);
-  Dataset d({"f0", "f1", "f2"});
+  Dataset d(3);
   for (std::size_t i = 0; i < 150; ++i) {
     std::vector<double> x(3);
     for (double& v : x) v = static_cast<double>(rng.uniform_int(0, 9));

@@ -8,7 +8,7 @@ namespace rush::ml {
 namespace {
 
 Dataset make_small() {
-  Dataset d({"a", "b", "c"});
+  Dataset d(3);
   d.add_row(std::vector<double>{1, 2, 3}, 0, 10);
   d.add_row(std::vector<double>{4, 5, 6}, 1, 20);
   d.add_row(std::vector<double>{7, 8, 9}, 0, 10);
@@ -21,17 +21,16 @@ TEST(Dataset, BasicAccessors) {
   EXPECT_EQ(d.cols(), 3u);
   EXPECT_FALSE(d.empty());
   EXPECT_EQ(d.label(1), 1);
-  EXPECT_EQ(d.group(1), 20);
+  EXPECT_EQ(d.groups()[1], 20);
   EXPECT_DOUBLE_EQ(d.row(2)[1], 8.0);
   EXPECT_EQ(d.num_classes(), 2);
 }
 
-TEST(Dataset, DefaultConstructedInfersWidthAndNames) {
+TEST(Dataset, DefaultConstructedInfersWidth) {
   Dataset d;
   EXPECT_TRUE(d.empty());
   d.add_row(std::vector<double>{1, 2}, 0);
   EXPECT_EQ(d.cols(), 2u);
-  EXPECT_EQ(d.feature_names()[1], "f1");
   EXPECT_THROW(d.add_row(std::vector<double>{1, 2, 3}, 0), PreconditionError);
 }
 
@@ -59,7 +58,6 @@ TEST(Dataset, SelectFeaturesReordersColumns) {
   const std::vector<std::size_t> cols{2, 0};
   const Dataset s = d.select_features(cols);
   EXPECT_EQ(s.cols(), 2u);
-  EXPECT_EQ(s.feature_names(), (std::vector<std::string>{"c", "a"}));
   EXPECT_DOUBLE_EQ(s.row(0)[0], 3.0);
   EXPECT_DOUBLE_EQ(s.row(0)[1], 1.0);
 }
@@ -78,8 +76,9 @@ TEST(Dataset, PreconditionViolations) {
   EXPECT_THROW((void)d.select_features(std::vector<std::size_t>{7}), PreconditionError);
   const std::vector<std::size_t> bad_row{5};
   EXPECT_THROW((void)d.subset(bad_row), PreconditionError);
-  Dataset named({"x"});
-  EXPECT_THROW(named.add_row(std::vector<double>{1.0}, -1), PreconditionError);
+  EXPECT_THROW((void)Dataset(0), PreconditionError);
+  Dataset one_wide(1);
+  EXPECT_THROW(one_wide.add_row(std::vector<double>{1.0}, -1), PreconditionError);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@ namespace {
 /// Noisy concentric-ish data: label from a nonlinear rule + label noise.
 Dataset noisy_rings(std::size_t n, std::uint64_t seed, double flip = 0.05) {
   Rng rng(seed);
-  Dataset d({"x0", "x1", "junk"});
+  Dataset d(3);
   for (std::size_t i = 0; i < n; ++i) {
     const double x0 = rng.uniform(-1.0, 1.0);
     const double x1 = rng.uniform(-1.0, 1.0);
@@ -129,7 +129,7 @@ TEST(Forest, ImportancesFavorInformativeFeatures) {
 
 TEST(Forest, HonorsSampleWeights) {
   // All mass at one x but conflicting labels; weights decide the vote.
-  Dataset d({"x"});
+  Dataset d(1);
   for (int i = 0; i < 10; ++i) d.add_row(std::vector<double>{1.0}, 0);
   for (int i = 0; i < 10; ++i) d.add_row(std::vector<double>{1.0}, 1);
   std::vector<double> weights(20, 1.0);

@@ -12,7 +12,7 @@ namespace {
 
 Dataset two_blobs(std::size_t n, std::uint64_t seed, double spread = 0.3) {
   Rng rng(seed);
-  Dataset d({"x0", "x1"});
+  Dataset d(2);
   for (std::size_t i = 0; i < n; ++i) {
     const int label = static_cast<int>(i % 2);
     const double cx = label == 0 ? -1.0 : 1.0;
@@ -39,7 +39,7 @@ TEST(Knn, StandardizationMakesScalesIrrelevant) {
   // Feature 1 is the informative one but lives on a tiny scale; without
   // standardization feature 0's noise would dominate the distance.
   Rng rng(3);
-  Dataset d({"huge_noise", "tiny_signal"});
+  Dataset d(2);
   for (int i = 0; i < 300; ++i) {
     const int label = i % 2;
     d.add_row(std::vector<double>{rng.uniform(-1000.0, 1000.0),
@@ -60,7 +60,7 @@ TEST(Knn, StandardizationMakesScalesIrrelevant) {
 TEST(Knn, DistanceWeightingBreaksTies) {
   // Two far label-1 points vs one adjacent label-0 point with k=3:
   // inverse-distance weighting favors the close neighbor.
-  Dataset d({"x"});
+  Dataset d(1);
   d.add_row(std::vector<double>{0.0}, 0);
   d.add_row(std::vector<double>{10.0}, 1);
   d.add_row(std::vector<double>{11.0}, 1);
@@ -73,7 +73,7 @@ TEST(Knn, DistanceWeightingBreaksTies) {
 }
 
 TEST(Knn, KLargerThanDatasetIsClamped) {
-  Dataset d({"x"});
+  Dataset d(1);
   d.add_row(std::vector<double>{0.0}, 0);
   d.add_row(std::vector<double>{1.0}, 1);
   Knn knn(KnnConfig{.k = 50});

@@ -16,10 +16,8 @@ namespace {
 /// Two informative features among many pure-noise columns.
 Dataset needle_in_noise(std::size_t n, std::size_t noise_features, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::string> names{"signal0", "signal1"};
-  for (std::size_t f = 0; f < noise_features; ++f) names.push_back("noise" + std::to_string(f));
-  Dataset d(names);
-  std::vector<double> row(names.size());
+  Dataset d(2 + noise_features);  // two signal columns, then the noise
+  std::vector<double> row(2 + noise_features);
   for (std::size_t i = 0; i < n; ++i) {
     const double s0 = rng.uniform(-1.0, 1.0);
     const double s1 = rng.uniform(-1.0, 1.0);

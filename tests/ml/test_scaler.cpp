@@ -12,7 +12,7 @@ namespace rush::ml {
 namespace {
 
 Dataset make_data() {
-  Dataset d({"x", "y", "const"});
+  Dataset d(3);
   d.add_row(std::vector<double>{1.0, 100.0, 5.0}, 0);
   d.add_row(std::vector<double>{2.0, 200.0, 5.0}, 1);
   d.add_row(std::vector<double>{3.0, 300.0, 5.0}, 0);
@@ -34,7 +34,9 @@ TEST(Scaler, TransformedColumnsHaveZeroMeanUnitVariance) {
   for (std::size_t f = 0; f < 2; ++f) {
     const auto col = scaled_column(scaler, d, f);
     EXPECT_NEAR(stats::mean(col), 0.0, 1e-12);
-    EXPECT_NEAR(stats::variance(col), 1.0, 1e-9);
+    double squares = 0.0;  // population variance about the zero mean
+    for (double x : col) squares += x * x;
+    EXPECT_NEAR(squares / static_cast<double>(col.size()), 1.0, 1e-9);
   }
 }
 

@@ -18,7 +18,7 @@ namespace {
 
 Dataset tiny_data(std::uint64_t seed) {
   Rng rng(seed);
-  Dataset d({"x0", "x1"});
+  Dataset d(2);
   for (int i = 0; i < 120; ++i) {
     const double x0 = rng.uniform(0.0, 10.0);
     d.add_row(std::vector<double>{x0, rng.uniform(0, 1)}, x0 > 5.0 ? 1 : 0);

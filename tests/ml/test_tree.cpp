@@ -19,7 +19,7 @@ namespace {
 /// Linearly separable 2-D data: label = x0 > threshold.
 Dataset separable(std::size_t n, double threshold, std::uint64_t seed) {
   Rng rng(seed);
-  Dataset d({"x0", "x1"});
+  Dataset d(2);
   for (std::size_t i = 0; i < n; ++i) {
     const double x0 = rng.uniform(0.0, 10.0);
     const double x1 = rng.uniform(0.0, 10.0);
@@ -31,7 +31,7 @@ Dataset separable(std::size_t n, double threshold, std::uint64_t seed) {
 /// XOR-style data a single axis-aligned split cannot separate.
 Dataset xor_data(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
-  Dataset d({"x0", "x1"});
+  Dataset d(2);
   for (std::size_t i = 0; i < n; ++i) {
     const double x0 = rng.uniform(-1.0, 1.0);
     const double x1 = rng.uniform(-1.0, 1.0);
@@ -121,7 +121,7 @@ TEST(DecisionTree, PredictProbaSumsToOne) {
 
 TEST(DecisionTree, SampleWeightsShiftTheBoundary) {
   // Two overlapping point masses; upweighting the minority flips leaves.
-  Dataset d({"x"});
+  Dataset d(1);
   for (int i = 0; i < 10; ++i) d.add_row(std::vector<double>{1.0}, 0);
   for (int i = 0; i < 10; ++i) d.add_row(std::vector<double>{1.0}, 1);
   d.add_row(std::vector<double>{2.0}, 1);
@@ -144,7 +144,7 @@ TEST(DecisionTree, ImportancesConcentrateOnInformativeFeature) {
 
 TEST(DecisionTree, MulticlassLabels) {
   Rng rng(13);
-  Dataset d({"x"});
+  Dataset d(1);
   for (int i = 0; i < 300; ++i) {
     const double x = rng.uniform(0.0, 3.0);
     d.add_row(std::vector<double>{x}, static_cast<int>(x));
@@ -158,7 +158,7 @@ TEST(DecisionTree, MulticlassLabels) {
 }
 
 TEST(DecisionTree, PureNodeBecomesLeafImmediately) {
-  Dataset d({"x"});
+  Dataset d(1);
   for (int i = 0; i < 20; ++i) d.add_row(std::vector<double>{static_cast<double>(i)}, 1);
   DecisionTree tree;
   tree.fit(d);
@@ -170,7 +170,7 @@ TEST(DecisionTree, SplitsBetweenAdjacentDoubles) {
   // The midpoint of two adjacent doubles rounds up to the larger one, so
   // the threshold must fall back to the smaller: x <= threshold < next.
   const double below = std::nextafter(1.0, 0.0);
-  Dataset d({"x"});
+  Dataset d(1);
   for (int i = 0; i < 3; ++i) d.add_row(std::vector<double>{below}, 0);
   for (int i = 0; i < 3; ++i) d.add_row(std::vector<double>{1.0}, 1);
 

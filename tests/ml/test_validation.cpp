@@ -81,7 +81,7 @@ TEST(LeaveOneGroupOut, RequiresTwoGroups) {
 
 Dataset grouped_separable(std::size_t n_per_group, int groups, std::uint64_t seed) {
   Rng rng(seed);
-  Dataset d({"x0", "x1"});
+  Dataset d(2);
   for (int g = 0; g < groups; ++g) {
     for (std::size_t i = 0; i < n_per_group; ++i) {
       const double x0 = rng.uniform(0.0, 10.0);
@@ -105,7 +105,7 @@ TEST(CrossValidate, HighScoreOnLearnableProblem) {
 
 TEST(CrossValidate, RandomLabelsScoreNearChance) {
   Rng rng(6);
-  Dataset d({"x"});
+  Dataset d(1);
   for (int i = 0; i < 400; ++i)
     d.add_row(std::vector<double>{rng.uniform(0, 1)}, rng.bernoulli(0.5) ? 1 : 0, i % 4);
   const auto folds = leave_one_group_out(d.groups());

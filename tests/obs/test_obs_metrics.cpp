@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "common/error.hpp"
@@ -25,7 +26,6 @@ TEST(Histogram, CountSumMinMaxMean) {
   h.record(3.0);
   h.record(5.0);
   EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 9.0);
   EXPECT_DOUBLE_EQ(h.min(), 1.0);
   EXPECT_DOUBLE_EQ(h.max(), 5.0);
   EXPECT_DOUBLE_EQ(h.mean(), 3.0);
@@ -67,8 +67,9 @@ TEST(Histogram, UnderflowOverflowClampToObservedExtremes) {
 }
 
 TEST(Histogram, BinningAndClamping) {
-  // [0,10) over 5 buckets of width 2, plus underflow (index 0) and
-  // overflow (index 6).
+  // [0,10) over 5 buckets of width 2, plus underflow and overflow. A
+  // quantile whose rank falls inside a bucket interpolates across that
+  // bucket's width, so it shows which bucket holds which sample.
   Histogram h(0.0, 10.0, 5);
   h.record(0.5);   // [0,2)
   h.record(9.9);   // [8,10)
@@ -77,7 +78,12 @@ TEST(Histogram, BinningAndClamping) {
   h.record(5.0);   // [4,6)
   h.record(10.0);  // hi is exclusive: overflow
   EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.buckets(), (std::vector<std::uint64_t>{1, 1, 0, 1, 0, 1, 2}));
+  // Ranks 1..6 are the six samples in bucket order.
+  EXPECT_DOUBLE_EQ(h.percentile(1.0 / 12.0), -3.0);  // rank 0.5: underflow
+  EXPECT_DOUBLE_EQ(h.percentile(0.25), 1.0);         // rank 1.5: mid [0,2)
+  EXPECT_DOUBLE_EQ(h.percentile(0.4), 4.8);          // rank 2.4: [2,4) is empty
+  EXPECT_DOUBLE_EQ(h.percentile(0.6), 9.2);          // rank 3.6: [6,8) is empty
+  EXPECT_DOUBLE_EQ(h.percentile(0.75), 42.0);        // rank 4.5: 10 went to overflow
 }
 
 TEST(Histogram, RejectsBadConstruction) {
@@ -105,14 +111,14 @@ TEST(Histogram, Log2BucketBoundariesArePowersOfTwo) {
   h.record(15.999);
   h.record(0.5);   // underflow
   h.record(16.0);  // overflow (hi is exclusive)
-  const auto b = h.buckets();
-  ASSERT_EQ(b.size(), 6u);
-  EXPECT_EQ(b[0], 1u);
-  EXPECT_EQ(b[1], 1u);
-  EXPECT_EQ(b[2], 2u);
-  EXPECT_EQ(b[3], 1u);
-  EXPECT_EQ(b[4], 2u);
-  EXPECT_EQ(b[5], 1u);
+  // Bucket counts 1 | 1, 2, 1, 2 | 1: each rank at a bucket's midpoint
+  // lands on its geometric centre, 2^(k + 1/2).
+  EXPECT_DOUBLE_EQ(h.percentile(0.0625), 0.5);                // rank 0.5: underflow
+  EXPECT_DOUBLE_EQ(h.percentile(0.1875), std::exp2(0.5));     // rank 1.5: [1,2)
+  EXPECT_DOUBLE_EQ(h.percentile(0.375), std::exp2(1.5));      // rank 3: [2,4)
+  EXPECT_DOUBLE_EQ(h.percentile(0.5625), std::exp2(2.5));     // rank 4.5: [4,8)
+  EXPECT_DOUBLE_EQ(h.percentile(0.75), std::exp2(3.5));       // rank 6: [8,16)
+  EXPECT_DOUBLE_EQ(h.percentile(0.9375), 16.0);               // rank 7.5: overflow
 }
 
 TEST(Histogram, Log2QueueDepthShapeDoesNotClipDeepQueues) {
@@ -157,7 +163,9 @@ TEST(Histogram, Log2ZeroAndNegativeGoToUnderflowWithoutNan) {
   EXPECT_EQ(h.count(), 2u);
   EXPECT_DOUBLE_EQ(h.min(), -3.0);
   EXPECT_DOUBLE_EQ(h.percentile(0.5), -3.0);  // underflow reports observed min
-  EXPECT_EQ(h.buckets()[0], 2u);
+  // Both samples are in the underflow bucket: 0 is not in [1, 2).
+  EXPECT_DOUBLE_EQ(h.percentile(0.99), -3.0);
+  EXPECT_DOUBLE_EQ(h.mean(), -1.5);
 }
 
 TEST(Histogram, Log2RequiresPositiveLowerBound) {
@@ -166,13 +174,19 @@ TEST(Histogram, Log2RequiresPositiveLowerBound) {
 }
 
 TEST(MetricsRegistry, HistogramForwardsScale) {
+  // Over [1,16) in 4 buckets, the quantile at the middle of the lowest
+  // bucket is sqrt(2) for octave buckets ([1,2)) and 2.875 for uniform
+  // ones ([1,4.75)).
   MetricsRegistry reg;
-  Histogram& h = reg.histogram("depth", 1.0, 16.0, 4, HistogramScale::Log2);
-  EXPECT_EQ(h.scale(), HistogramScale::Log2);
-  h.record(3.0);  // lands in the [2,4) octave bucket, not uniform slot 1
-  EXPECT_EQ(h.buckets()[2], 1u);
+  Histogram& depth = reg.histogram("depth", 1.0, 16.0, 4, HistogramScale::Log2);
   // Scale defaults to Uniform for everyone else.
-  EXPECT_EQ(reg.histogram("wait", 0.0, 10.0, 4).scale(), HistogramScale::Uniform);
+  Histogram& wait = reg.histogram("wait", 1.0, 16.0, 4);
+  for (Histogram* h : {&depth, &wait}) {
+    h->record(1.0);
+    h->record(15.0);
+  }
+  EXPECT_DOUBLE_EQ(depth.percentile(0.25), std::sqrt(2.0));
+  EXPECT_DOUBLE_EQ(wait.percentile(0.25), 2.875);
 }
 
 TEST(MetricsRegistry, InstrumentsAreStableAcrossLookups) {

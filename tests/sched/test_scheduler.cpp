@@ -231,7 +231,9 @@ TEST(Scheduler, HooksFireOnStartAndComplete) {
   sched_ptr->on_complete([&](const Job& job) {
     ++completes;
     EXPECT_EQ(job.state, JobState::Completed);
-    EXPECT_GT(job.record.duration_s, 0.0);
+    EXPECT_GT(job.runtime_s(), 0.0);
+    // A quiet app has no intrinsic noise: its uncontended time is 50 s.
+    EXPECT_DOUBLE_EQ(job.slowdown, job.runtime_s() / 50.0);
   });
   sched_ptr->submit(make_spec(16, 50.0));
   sched_ptr->submit(make_spec(16, 50.0));

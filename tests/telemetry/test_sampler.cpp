@@ -151,7 +151,7 @@ struct Observed {
   std::string trace;
   std::string metrics;
   std::uint64_t util_count = 0;
-  double util_sum = 0.0;
+  double util_mean = 0.0;
   std::uint64_t frames_dropped = 0;
   std::uint64_t frames_corrupted = 0;
   std::size_t frames_stored = 0;
@@ -176,7 +176,7 @@ Observed observe(bool synthesize) {
   out.metrics = metrics.snapshot_json();
   const obs::Histogram& util = metrics.histogram("telemetry.max_link_util", 0.0, 2.0, 40);
   out.util_count = util.count();
-  out.util_sum = util.sum();
+  out.util_mean = util.mean();
   out.frames_dropped = metrics.counter("faults.frames_dropped").value();
   out.frames_corrupted = metrics.counter("faults.frames_corrupted").value();
   out.frames_stored = rig.env.store().frame_count();
@@ -195,7 +195,7 @@ TEST(Sampler, UnsynthesizedTicksKeepEverythingButTheFrames) {
   EXPECT_EQ(off.trace, on.trace);
   EXPECT_EQ(off.metrics, on.metrics);
   EXPECT_EQ(off.util_count, on.util_count);
-  EXPECT_EQ(off.util_sum, on.util_sum);
+  EXPECT_EQ(off.util_mean, on.util_mean);
   EXPECT_EQ(off.frames_dropped, on.frames_dropped);
   EXPECT_EQ(off.frames_corrupted, on.frames_corrupted);
   EXPECT_EQ(off.frames_stored, 0u);
